@@ -23,7 +23,6 @@ from .curves import (
     RateFunction,
     ResponseScan,
     derivative_checks,
-    equilibrium_family,
     free_energy_curve,
     free_energy_mc,
     ldp_empirical,

@@ -54,29 +54,20 @@ def _grid_log_deriv_modulus(m: MapSpec, samples=16384):
     return float(np.max(np.abs(np.diff(logd))) * samples)
 
 
-def _depth_n_contractions(m: MapSpec, centers, N, cell_width, use_derivative):
+def _depth_n_contractions(m: MapSpec, centers, N, cell_width):
     """Contraction of every depth-N branch at every center.
 
     Returns (contr, pts): arrays of shape (G^N, n_centers); row ordering is
     the lexicographic branch id of :func:`thermoformal.maps.inverse_branches`.
     """
-    pts = centers[None, :].copy()
+    pts = centers[None, :]
     contr = np.ones_like(pts)
     g = m.degree
     for _ in range(N):
         n_words, n_c = pts.shape
-        pre = np.empty((n_words * g, n_c))
-        fac = np.empty_like(pre)
-        for w in range(n_words):
-            p = branch_preimages(m, pts[w])       # (g, n_c)
-            if use_derivative:
-                f = 1.0 / m.derivative(wrap01(p))
-            else:
-                f = branch_lipschitz(m, p, cell_width)
-            pre[w * g:(w + 1) * g] = p
-            fac[w * g:(w + 1) * g] = f
-        pts = pre
-        contr = np.repeat(contr, g, axis=0) * fac
+        pre = branch_preimages(m, pts.ravel()).reshape(g, n_words, n_c)
+        pts = pre.swapaxes(0, 1).reshape(n_words * g, n_c)    # parent-major
+        contr = np.repeat(contr, g, axis=0) * branch_lipschitz(m, pts, cell_width)
     return contr, pts
 
 
@@ -87,8 +78,7 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None):
         raise ValueError("resolution must be >= 16")
     if N < 1:
         raise ValueError("N must be >= 1")
-    use_derivative = variant == "Cprime"
-    if use_derivative and m.derivative is None:
+    if variant == "Cprime" and m.derivative is None:
         raise ValueError(f"condition (C') needs derivative data; map {m.name} has none")
 
     w = 1.0 / resolution
@@ -103,7 +93,7 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None):
         mode = MODE_CENTER_ONLY
         inflation = 1.0
 
-    contr, pts = _depth_n_contractions(m, centers, N, w, use_derivative or m.derivative is not None)
+    contr, pts = _depth_n_contractions(m, centers, N, w)
     idx = np.argmin(contr, axis=0)
     cols = np.arange(resolution)
     raw = contr[idx, cols]

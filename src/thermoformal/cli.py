@@ -28,7 +28,8 @@ from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
 from .maps import builtin_maps, map_from_json, map_to_json
 from .observables import observable_from_json
-from .operator import build_matrix, equilibrium_measure, fourier_testfns, invariance_defect, leading_triple
+from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_testfns,
+                       invariance_defect, leading_triple)
 from .parallel import worker_count
 
 SCHEMA_VERSION = 1
@@ -158,7 +159,7 @@ def _validate_params(command, params):
                      "rate-function", "ldp", "response"):
         _require(p["scheme"] in ("ulam", "collocation"),
                  "scheme must be ulam or collocation", "params.scheme")
-        _num(p, "n", lo=16, integer=True)
+        _num(p, "n", lo=16, hi=MAX_DENSE_N, integer=True)
         if command == "correlations":
             _num(p, "n_max", lo=1, integer=True)
         if command == "clt":
@@ -440,7 +441,7 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def main(argv=None):

@@ -17,7 +17,7 @@ from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
 from .operator import EquilibriumState, build_matrix, equilibrium_measure, leading_triple
 from .parallel import ordered_map
-from .statistics import rng_for, sample_from_state
+from .statistics import mc_batches, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
@@ -128,17 +128,6 @@ def default_t_max(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec, eps,
     return t
 
 
-def equilibrium_family(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
-                       ts, scheme="collocation", n=512, workers=1):
-    """Equilibrium states mu_{phi + t psi} for each t of the grid."""
-
-    def solve(t):
-        pot = phi if t == 0.0 else combine(phi, psi, t)
-        return equilibrium_measure(leading_triple(build_matrix(m, pot, scheme, n)))
-
-    return ordered_map(solve, ts, workers)
-
-
 def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
                    t: float, n: int, samples: int, seed: int,
                    batch_size=1 << 16) -> float:
@@ -149,18 +138,10 @@ def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
     """
     if t == 0.0:
         return 0.0
-    chunks = []
-    done = 0
-    batch = 0
-    while done < samples:
-        take = min(batch_size, samples - done)
-        rng = rng_for(seed, batch)
+    vals = np.empty(samples)
+    for start, take, rng in mc_batches(samples, batch_size, seed):
         x0 = sample_from_state(state, take, rng)
-        s = orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
-        chunks.append(t * s)
-        done += take
-        batch += 1
-    vals = np.concatenate(chunks)
+        vals[start:start + take] = t * orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
     return float((logsumexp(vals) - math.log(samples)) / n)
 
 
@@ -326,16 +307,10 @@ def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     n_values = np.asarray(sorted(n_list), dtype=int)
     counts = np.zeros(n_values.size, dtype=np.int64)
     for ni, n in enumerate(n_values):
-        done = 0
-        batch = 0
-        while done < samples:
-            take = min(batch_size, samples - done)
-            rng = rng_for(seed, ni, batch)
+        for _, take, rng in mc_batches(samples, batch_size, seed, ni):
             x0 = sample_from_state(state, take, rng)
             s = orbit_birkhoff_samples(m, x0, int(n), psi, rng=rng) / n
             counts[ni] += int(np.count_nonzero((s >= a) & (s <= b)))
-            done += take
-            batch += 1
 
     censored = bool(counts[-1] == 0)
     with np.errstate(divide="ignore"):

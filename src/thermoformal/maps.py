@@ -201,11 +201,7 @@ def birkhoff_sum(m: MapSpec, psi, x, n):
     """S_n(psi)(x) = sum_{j<n} psi(f^j x); x may be an array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = wrap01(np.asarray(x, dtype=float))
-    total = np.zeros_like(x)
-    for _ in range(n):
-        total += psi(x)
-        x = map_eval(m, x)
+    total = orbit_birkhoff_samples(m, x, n, psi)
     if total.shape == ():
         return float(total)
     return total
@@ -270,7 +266,7 @@ def iterate_map(m: MapSpec, power):
         alpha=m.alpha,
         r=m.r,
         json_kind="iterate",
-        json_params={"base": m.name, "power": power},
+        json_params={"base": map_to_json(m), "power": power},
     )
 
 
@@ -426,10 +422,18 @@ def map_from_json(obj):
         catalog = builtin_maps()
         if name not in catalog:
             raise SchemaError(f"unknown builtin map {name!r}", "map.name")
-        m = catalog[name](**params)
+        try:
+            m = catalog[name](**params)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad params for builtin map {name!r}: {exc}", "map.params") from exc
         if "degree" in obj and obj["degree"] != m.degree:
             raise SchemaError(f"declared degree {obj['degree']} != {m.degree}", "map.degree")
         return m
+    if kind == "iterate":
+        power = params.get("power")
+        if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+            raise SchemaError("power must be an integer >= 1", "map.params.power")
+        return iterate_map(map_from_json(params.get("base")), power)
     if kind == "piecewise_poly":
         return piecewise_poly_map(obj.get("name", "piecewise_poly"),
                                   params.get("breakpoints"),
@@ -437,6 +441,20 @@ def map_from_json(obj):
                                   int(obj.get("degree", 0)),
                                   holder_only=params.get("smoothness") == "holder")
     raise SchemaError(f"unknown map kind {kind!r}", "map.kind")
+
+
+def piecewise_polyval(bp, coefs, u):
+    """Piecewise polynomial at the points u: piece p (bp[p] <= u < bp[p+1])
+    evaluates sum_k coefs[p][k] * (u - bp[p])^k; points outside the
+    breakpoints use the nearest end piece."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    p = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(coefs) - 1)
+    out = np.zeros_like(u)
+    for i, c in enumerate(coefs):
+        sel = p == i
+        if np.any(sel):
+            out[sel] = np.polyval(c[::-1], u[sel] - bp[i])
+    return out
 
 
 def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=False):
@@ -457,28 +475,9 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     if len(coefs) != bp.size - 1:
         raise SchemaError("need one coefficient row per piece", "map.params.coefficients")
 
-    def lift01(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        p = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(coefs) - 1)
-        out = np.zeros_like(u)
-        for i, c in enumerate(coefs):
-            sel = p == i
-            if np.any(sel):
-                t = u[sel] - bp[i]
-                out[sel] = np.polyval(c[::-1], t)
-        return out
-
-    def d01(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        p = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(coefs) - 1)
-        out = np.zeros_like(u)
-        for i, c in enumerate(coefs):
-            sel = p == i
-            if np.any(sel):
-                t = u[sel] - bp[i]
-                dc = c[1:] * np.arange(1, len(c))
-                out[sel] = np.polyval(dc[::-1], t) if dc.size else 0.0
-        return out
+    dcoefs = [c[1:] * np.arange(1, len(c)) for c in coefs]
+    lift01 = lambda u: piecewise_polyval(bp, coefs, u)
+    d01 = lambda u: piecewise_polyval(bp, dcoefs, u)
 
     # continuity across pieces
     for i in range(1, len(coefs)):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SchemaError
-from .maps import MapSpec, deriv_at, map_eval, wrap01
+from .maps import MapSpec, deriv_at, map_eval, piecewise_polyval, wrap01
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,9 @@ def piecewise_poly(breakpoints, coefficients, name="piecewise_poly"):
     if len(coefs) != bp.size - 1:
         raise SchemaError("one coefficient row per piece", "observable.params.coefficients")
 
-    def fn(x):
-        u = wrap01(np.atleast_1d(np.asarray(x, dtype=float)))
-        p = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(coefs) - 1)
-        out = np.zeros_like(u)
-        for i, c in enumerate(coefs):
-            sel = p == i
-            if np.any(sel):
-                out[sel] = np.polyval(c[::-1], u[sel] - bp[i])
-        return out
-
     return PotentialSpec(
         name=name,
-        fn=fn,
+        fn=lambda x: piecewise_polyval(bp, coefs, wrap01(np.asarray(x, dtype=float))),
         json_obj={"kind": "piecewise_poly",
                   "params": {"breakpoints": bp.tolist(),
                              "coefficients": [c.tolist() for c in coefs]}},
@@ -147,12 +137,28 @@ def observable_library():
     }
 
 
+_PARAM_KEYS = {
+    "constant": {"value"},
+    "fourier_cos": {"k", "amplitude"},
+    "fourier_sin": {"k", "amplitude"},
+    "neg_log_deriv": {"scale"},
+    "coboundary": {"u"},
+    "piecewise_poly": {"breakpoints", "coefficients"},
+    "tilt": {"phi", "t", "psi"},
+}
+
+
 def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
     """Build a PotentialSpec from {kind, params}; map-bound kinds need m."""
     if not isinstance(obj, dict):
         raise SchemaError("observable spec must be an object", path)
     kind = obj.get("kind")
+    if kind not in _PARAM_KEYS:
+        raise SchemaError(f"unknown observable kind {kind!r}", path + ".kind")
     params = dict(obj.get("params", {}))
+    for key in params:
+        if key not in _PARAM_KEYS[kind]:
+            raise SchemaError(f"unknown key {key!r}", f"{path}.params.{key}")
     if kind == "constant":
         return constant(params.get("value", 0.0))
     if kind == "fourier_cos":
@@ -170,8 +176,7 @@ def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
         return coboundary(u, m)
     if kind == "piecewise_poly":
         return piecewise_poly(params.get("breakpoints"), params.get("coefficients"))
-    if kind == "tilt":
-        phi = observable_from_json(params.get("phi"), m, path + ".params.phi")
-        psi = observable_from_json(params.get("psi"), m, path + ".params.psi")
-        return combine(phi, psi, params.get("t", 0.0))
-    raise SchemaError(f"unknown observable kind {kind!r}", path + ".kind")
+    # the remaining kind is "tilt"
+    phi = observable_from_json(params.get("phi"), m, path + ".params.phi")
+    psi = observable_from_json(params.get("psi"), m, path + ".params.psi")
+    return combine(phi, psi, params.get("t", 0.0))

@@ -11,7 +11,7 @@ from scipy import stats as sps
 
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
-from .operator import EquilibriumState, SpectralTriple
+from .operator import EquilibriumState, SpectralTriple, equilibrium_measure
 
 #: Absolute variance floor for the coboundary flag; discretization noise in
 #: the Green-Kubo series sits orders of magnitude above the spectral tail
@@ -98,7 +98,7 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     """
     if lag_max < 1:
         raise ValueError("lag_max must be >= 1")
-    state = _equilibrium(triple)
+    state = equilibrium_measure(triple)
     x = state.grid
     mean = float(np.asarray(psi(x), dtype=float) @ state.mu)
     v = lambda z, psi=psi, c=mean: np.asarray(psi(z), dtype=float) - c
@@ -122,11 +122,6 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     )
 
 
-def _equilibrium(triple: SpectralTriple) -> EquilibriumState:
-    from .operator import equilibrium_measure
-    return equilibrium_measure(triple)
-
-
 def sample_from_state(state: EquilibriumState, size, rng):
     """Draw from mu by inverse CDF over cells with intra-cell uniform jitter."""
     cum = np.cumsum(state.mu)
@@ -142,6 +137,16 @@ def rng_for(master_seed, *counters):
     """Declared seed-splitting rule: spawn_key = the batch counters."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(c) for c in counters)))
+
+
+def mc_batches(samples, batch_size, seed, *counters):
+    """Yield (start, size, rng) for each batch of a seeded Monte Carlo run.
+
+    Batch b covers samples [start, start + size) and draws from
+    ``rng_for(seed, *counters, b)``; the last batch may be short.
+    """
+    for batch, start in enumerate(range(0, samples, batch_size)):
+        yield start, min(batch_size, samples - start), rng_for(seed, *counters, batch)
 
 
 @dataclass(frozen=True)
@@ -176,16 +181,10 @@ def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     centered = lambda z: np.asarray(psi(z), dtype=float) - mean
 
     vals = np.empty(samples)
-    done = 0
-    batch = 0
-    while done < samples:
-        take = min(batch_size, samples - done)
-        rng = rng_for(seed, batch)
+    for start, take, rng in mc_batches(samples, batch_size, seed):
         x0 = sample_from_state(state, take, rng)
         s = orbit_birkhoff_samples(m, x0, n, centered, rng=rng)
-        vals[done:done + take] = s / math.sqrt(n)
-        done += take
-        batch += 1
+        vals[start:start + take] = s / math.sqrt(n)
 
     ks = float(sps.kstest(vals, "norm", args=(0.0, sigma)).statistic)
     levels = (np.arange(quantile_levels) + 1.0) / (quantile_levels + 1.0)

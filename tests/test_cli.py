@@ -92,6 +92,16 @@ class TestRun:
         assert summary["results"]["coboundary"]
         assert summary["results"]["ks_statistic"] is None
 
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        cli.run(job("spectrum", params={"n": 64}), tmp_path)
+        cli.run(job("certify", params={"resolution": 16}), tmp_path)
+        cli.run(job("clt", params={"n": 64, "samples": 100, "orbit_n": 5}), tmp_path)
+        for name in ("spectrum", "certify", "clt_qq"):
+            rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[1:]
+            assert rows
+            for cell in ",".join(rows).split(","):
+                float(cell)
+
     def test_correlations_csv(self, tmp_path):
         code, summary = cli.run(job("correlations", params={"n": 256, "n_max": 6}), tmp_path)
         assert code == cli.EXIT_OK
@@ -155,6 +165,24 @@ class TestMain:
         cfg_path.write_text(json.dumps(job("spectrum", params={"n": "large"})))
         code = cli.main(["spectrum", "--config", str(cfg_path)])
         assert code == cli.EXIT_SCHEMA
+
+    @pytest.mark.parametrize("cfg, path", [
+        (job("spectrum", map={"kind": "builtin", "name": "doubling", "params": {"bogus": 1}}),
+         "map.params"),
+        (job("clt", observable={"kind": "fourier_cos", "params": {"kk": 3}}),
+         "observable.params.kk"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant", "params": {}},
+            "psi": {"kind": "fourier_sin", "params": {"amp": 1}}, "t": 0.1}}),
+         "potential.params.psi.params.amp"),
+        (job("spectrum", params={"n": 4097}), "params.n"),
+    ])
+    def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([cfg["command"], "--config", str(cfg_path)])
+        assert code == cli.EXIT_SCHEMA
+        assert f"schema error: {path}:" in capsys.readouterr().err
 
     def test_response_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"

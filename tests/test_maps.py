@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -199,6 +200,20 @@ class TestJson:
         m = M.map_from_json(obj)
         xs = np.linspace(0, 1, 101, endpoint=False)
         assert np.allclose(M.map_eval(m, xs), M.map_eval(M.doubling_map(), xs), atol=1e-12)
+
+    @pytest.mark.parametrize("base", [
+        M.mp_like_map(),
+        M.piecewise_poly_map("poly", [0.0, 0.5, 1.0],
+                             [[0.0, 1.5, 0.2], [0.8, 2.0, 0.8]], 2),
+    ])
+    def test_iterate_roundtrip(self, base):
+        m = M.iterate_map(base, 2)
+        obj = M.map_to_json(m)
+        m2 = M.map_from_json(json.loads(json.dumps(obj)))
+        assert M.map_to_json(m2) == obj
+        xs = np.linspace(0, 1, 101)
+        assert np.array_equal(m.lift(xs), m2.lift(xs))
+        assert np.array_equal(m.derivative(xs), m2.derivative(xs))
 
     def test_unknown_builtin_rejected(self):
         from thermoformal.errors import SchemaError
