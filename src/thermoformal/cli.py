@@ -71,6 +71,8 @@ def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     val = params[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{key} must be a number", f"{path}.{key}")
+    _require(not isinstance(val, float) or math.isfinite(val),
+             f"{key} must be finite", f"{path}.{key}")
     if integer:
         _require(float(val).is_integer(), f"{key} must be an integer", f"{path}.{key}")
         val = int(val)
@@ -79,6 +81,14 @@ def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     if hi is not None:
         _require(val <= hi, f"{key} must be <= {hi}", f"{path}.{key}")
     return val
+
+
+def _num_list(params, key, **bounds):
+    """Check ``params[key]`` as a list of numbers, entry paths ``params.key[i]``."""
+    _require(isinstance(params[key], list), f"{key} must be a list", f"params.{key}")
+    for i, val in enumerate(params[key]):
+        item = f"{key}[{i}]"
+        _num({item: val}, item, **bounds)
 
 
 def validate(config):
@@ -98,8 +108,12 @@ def validate(config):
         _require(fam.get("kind", "builtin") == "builtin" and
                  fam.get("name") in builtin_maps(),
                  "response requires a builtin family name", "map.name")
-        resolved["map"] = {"kind": "builtin", "name": fam["name"],
-                           "params": dict(fam.get("params", {}))}
+        fam_params = dict(fam.get("params", {}))
+        if fam["name"] == "derived_expanding":
+            _check_keys(fam_params, set(), "map.params")   # v is the scanned parameter
+        else:
+            map_from_json({"kind": "builtin", "name": fam["name"], "params": fam_params})
+        resolved["map"] = {"kind": "builtin", "name": fam["name"], "params": fam_params}
     else:
         m = map_from_json(config.get("map", {"kind": "builtin", "name": "doubling"}))
         resolved["map"] = map_to_json(m)
@@ -170,11 +184,16 @@ def _validate_params(command, params):
             _num(p, "t_max", lo=1e-9)
             steps = _num(p, "steps", lo=3, integer=True)
             _require(steps % 2 == 1, "steps must be odd", "params.steps")
+        if command == "free-energy":
+            _num_list(p, "mc_t_values")
+            _num(p, "mc_orbit_n", lo=1, integer=True)
+            _num(p, "mc_samples", lo=1, integer=True)
         if command in ("rate-function", "ldp"):
             _num(p, "s_steps", lo=3, integer=True)
         if command == "ldp":
             _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
                      "n_list must be a nonempty list", "params.n_list")
+            _num_list(p, "n_list", lo=1, integer=True)
             _num(p, "samples", lo=10, integer=True)
             _require(p["a"] < p["b"], "need a < b", "params.a")
         if command == "response":

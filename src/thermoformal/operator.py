@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConvergenceError, ReducibleMatrixError
 from .maps import MapSpec, branch_preimages, map_eval, wrap01, _invert_lift
@@ -158,16 +159,38 @@ def _build_ulam(m: MapSpec, phi: PotentialSpec, n: int):
     return A, T
 
 
-def _primitivity_power(A: np.ndarray, max_power=8):
-    """Smallest k in {1,2,4,8} with (pattern of A)^k > 0, else None."""
-    P = (A > 0).astype(np.float32)
-    k = 1
+def _csr(A: np.ndarray):
+    """CSR copy of a dense matrix (its nonzero entries, in row order)."""
+    n_cols = A.shape[1]
+    flat = np.flatnonzero(A != 0)
+    indptr = np.searchsorted(flat, np.arange(A.shape[0] + 1) * n_cols)
+    return sp.csr_array((A.ravel()[flat], flat % n_cols, indptr), shape=A.shape)
+
+
+def _primitivity_power(A, max_power=8):
+    """Smallest k in {1,2,4,8} with (pattern of A)^k > 0, else None.
+
+    Exact on the sparse pattern P of A > 0.  P^k > 0 needs every row and
+    every column of P^k full, hence at least n length-k paths out of each
+    cell and into each cell; those path counts (capped at n) cost k sparse
+    matvecs, and only when they all reach n is P^k formed, by boolean
+    sparse squaring, and tested for n^2 nonzeros.
+    """
+    P = sp.csr_array(A > 0)
+    PT = P.T.tocsr()
+    n = P.shape[0]
+    out_paths = in_paths = np.ones(n, dtype=np.int64)
+    Pk, k_formed, k = P, 1, 1
     while k <= max_power:
-        if P.min() > 0:
-            return k
-        if 2 * k > max_power:
-            return None
-        P = (P @ P > 0).astype(np.float32)
+        for _ in range(k - k // 2):          # path length k // 2 -> k
+            out_paths = np.minimum(P @ out_paths, n)
+            in_paths = np.minimum(PT @ in_paths, n)
+        if min(out_paths.min(), in_paths.min()) >= n:
+            while k_formed < k:
+                Pk = Pk @ Pk
+                k_formed *= 2
+            if Pk.nnz == n * n:
+                return k
         k *= 2
     return None
 
@@ -182,8 +205,10 @@ def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
     second modulus |lambda_2| is estimated afterwards by power iteration on
     the rank-one-deflated operator A - lambda h (x) nu, read off as a
     windowed geometric mean of norm ratios (robust to complex pairs).
+    Every step runs on CSR copies of A and A^T; ``tm.A`` itself stays dense.
     """
-    A = tm.A
+    A = _csr(tm.A)
+    AT = A.T.tocsr()
     n = A.shape[0]
     if np.any(A.sum(axis=1) == 0.0) or np.any(A.sum(axis=0) == 0.0):
         raise ReducibleMatrixError(
@@ -197,13 +222,13 @@ def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
     its = 0
     for its in range(1, max_iter + 1):
         Ax = A @ x
-        ATy = A.T @ y
+        ATy = AT @ y
         lam = float(y @ Ax) / float(y @ x)
         x = Ax / np.sum(np.abs(Ax))
         y = ATy / np.sum(np.abs(ATy))
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             res_h = np.max(np.abs(A @ x - lam * x)) / np.max(np.abs(x))
-            res_nu = np.max(np.abs(A.T @ y - lam * y)) / np.max(np.abs(y))
+            res_nu = np.max(np.abs(AT @ y - lam * y)) / np.max(np.abs(y))
             if res_h < residual_tol * abs(lam) and res_nu < residual_tol * abs(lam):
                 break
         lam_prev = lam

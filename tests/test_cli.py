@@ -176,6 +176,19 @@ class TestMain:
             "psi": {"kind": "fourier_sin", "params": {"amp": 1}}, "t": 0.1}}),
          "potential.params.psi.params.amp"),
         (job("spectrum", params={"n": 4097}), "params.n"),
+        (job("free-energy", params={"n": 64, "mc_t_values": [0.1], "mc_samples": 0}),
+         "params.mc_samples"),
+        (job("free-energy", params={"n": 64, "mc_t_values": [0.1], "mc_orbit_n": 0}),
+         "params.mc_orbit_n"),
+        (job("free-energy", params={"mc_t_values": "x"}), "params.mc_t_values"),
+        (job("free-energy", params={"mc_t_values": [0.1, float("nan")]}),
+         "params.mc_t_values[1]"),
+        (job("ldp", params={"n_list": [20, 0]}), "params.n_list[1]"),
+        (job("response", map={"kind": "builtin", "name": "doubling", "params": {"bogus": 1}}),
+         "map.params"),
+        (job("response", map={"kind": "builtin", "name": "derived_expanding",
+                               "params": {"v": 1.9, "w": 2}}),
+         "map.params.v"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoformal import maps as M
 from thermoformal import observables as O
@@ -151,6 +153,59 @@ class TestLeadingTriple:
                                map=tm.map, potential=tm.potential)
         with pytest.raises(ReducibleMatrixError):
             T.leading_triple(bad)
+
+
+def _dense_primitivity_power(A, max_power=8):
+    """Reference: smallest k in {1,2,4,8} with (pattern of A)^k > 0, by
+    dense float32 squaring of the pattern."""
+    P = (A > 0).astype(np.float32)
+    k = 1
+    while k <= max_power:
+        if P.min() > 0:
+            return k
+        if 2 * k > max_power:
+            return None
+        P = (P @ P > 0).astype(np.float32)
+        k *= 2
+    return None
+
+
+@st.composite
+def _patterns(draw):
+    # random 0/1 entries of a drawn density on top of a permutation, which
+    # keeps every row and column nonzero; every k in {1,2,4,8} and None occur
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.random((n, n)) < draw(st.floats(0.0, 0.6))
+    P[np.arange(n), draw(st.permutations(range(n)))] = True
+    return P.astype(float)
+
+
+class TestPrimitivityPower:
+    @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+    def test_builtin_maps_match_dense(self, scheme):
+        cases = [(mk(), n) for mk in (M.doubling_map, M.mp_like_map, M.rotation_map)
+                 for n in (16, 32, 64, 128, 256, 512, 1024)]
+        cases += [(M.derived_expanding_map(v), n) for v in (0.5, 0.8, 1.0, 1.4)
+                  for n in (16, 64, 256, 512)]
+        powers = set()
+        for m, n in cases:
+            A = T.build_matrix(m, O.zero, scheme, n).A
+            expect = _dense_primitivity_power(A)
+            assert T._primitivity_power(T._csr(A)) == expect, (m.name, n)
+            powers.add(expect)
+        assert {4, 8, None} <= powers
+
+    @settings(max_examples=300, deadline=None)
+    @given(_patterns())
+    def test_random_patterns_match_dense(self, P):
+        assert T._primitivity_power(T._csr(P)) == _dense_primitivity_power(P)
+
+    def test_csr_copy_is_exact(self):
+        tm = T.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.1), "ulam", 128)
+        Ac = T._csr(tm.A)
+        assert Ac.nnz == np.count_nonzero(tm.A)
+        assert np.array_equal(Ac.toarray(), tm.A)
 
 
 class TestEquilibrium:
