@@ -71,8 +71,6 @@ def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     val = params[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{key} must be a number", f"{path}.{key}")
-    _require(not isinstance(val, float) or math.isfinite(val),
-             f"{key} must be finite", f"{path}.{key}")
     if integer:
         _require(float(val).is_integer(), f"{key} must be an integer", f"{path}.{key}")
         val = int(val)
@@ -94,6 +92,10 @@ def _num_list(params, key, **bounds):
 def validate(config):
     """Validate a job config and return it with all defaults materialized."""
     _check_keys(config, _TOP_KEYS, "")
+    non_finite = []
+    _finite_or_null(config, "", non_finite)
+    if non_finite:                      # JSON has no NaN or Infinity
+        raise SchemaError("number must be finite", non_finite[0])
     _require(config.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}", "schema_version")
     command = config.get("command")
@@ -296,20 +298,19 @@ def _handler_clt(cfg):
     return EXIT_OK, results, tables
 
 
-def _curve_from_cfg(cfg, keep_triples=False):
+def _curve_from_cfg(cfg):
     m = map_from_json(cfg["map"])
     phi = observable_from_json(cfg["potential"], m, "potential")
     psi = observable_from_json(cfg["observable"], m, "observable")
     p = cfg["params"]
     curve = curves_mod.free_energy_curve(
         m, phi, psi, p["t_max"], p["steps"], scheme=p["scheme"], n=p["n"],
-        eps_guard=p.get("eps_guard"), keep_triples=keep_triples,
-        workers=worker_count())
+        eps_guard=p.get("eps_guard"), workers=worker_count())
     return m, phi, psi, curve
 
 
 def _handler_free_energy(cfg):
-    m, phi, psi, curve = _curve_from_cfg(cfg, keep_triples=True)
+    m, phi, psi, curve = _curve_from_cfg(cfg)
     p = cfg["params"]
     results = {
         "verdict": curve.verdict,
@@ -317,8 +318,7 @@ def _handler_free_energy(cfg):
         "admissible_at_endpoints": curve.admissible_at_endpoints,
     }
     if p["mc_t_values"]:
-        i0 = int(np.flatnonzero(curve.t == 0.0)[0])
-        state = equilibrium_measure(curve.triples[i0])
+        state = equilibrium_measure(curve.base)
         mc = {}
         for t in p["mc_t_values"]:
             val = curves_mod.free_energy_mc(m, state, psi.fn, float(t),
@@ -348,11 +348,10 @@ def _handler_rate_function(cfg):
 
 
 def _handler_ldp(cfg):
-    m, phi, psi, curve = _curve_from_cfg(cfg, keep_triples=True)
+    m, phi, psi, curve = _curve_from_cfg(cfg)
     p = cfg["params"]
     rate = curves_mod.rate_function(curve, p["s_steps"])
-    i0 = int(np.flatnonzero(curve.t == 0.0)[0])
-    state = equilibrium_measure(curve.triples[i0])
+    state = equilibrium_measure(curve.base)
     rep = curves_mod.ldp_empirical(m, state, psi.fn, p["a"], p["b"],
                                    [int(x) for x in p["n_list"]],
                                    p["samples"], cfg["seed"], rate)
@@ -440,8 +439,31 @@ def run(config, out_dir=None):
 
 
 def dumps_summary(summary):
-    """Deterministic JSON text: sorted keys, repr-exact floats."""
-    return json.dumps(summary, sort_keys=True, indent=2, default=_json_default)
+    """Deterministic strict JSON text: sorted keys, repr-exact floats.
+
+    A non-finite result value is written as null and its path (``a.b``,
+    ``a[i]``) listed in the sorted ``results["non_finite"]``, present only
+    when non-empty.
+    """
+    non_finite = []
+    results = _finite_or_null(summary["results"], "", non_finite)
+    if non_finite:
+        results["non_finite"] = sorted(non_finite)
+    return json.dumps(dict(summary, results=results), sort_keys=True, indent=2,
+                      allow_nan=False, default=_json_default)
+
+
+def _finite_or_null(obj, path, non_finite):
+    """Copy of ``obj`` with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v, f"{path}.{k}" if path else str(k), non_finite)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v, f"{path}[{i}]", non_finite) for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        non_finite.append(path)
+        return None
+    return obj
 
 
 def _json_default(obj):

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .certify import check_condition_C, potential_admissible
 from .errors import LegendreDegenerateError, ThermoformalError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
-from .operator import EquilibriumState, build_matrix, equilibrium_measure, leading_triple
+from .operator import (EquilibriumState, SpectralTriple, build_matrix, equilibrium_measure,
+                       leading_triple)
 from .parallel import ordered_map
 from .statistics import mc_batches, sample_from_state
 
@@ -45,6 +45,7 @@ class FreeEnergyCurve:
     n: int
     admissible_at_endpoints: bool
     triples: Optional[tuple] = None
+    base: Optional[SpectralTriple] = None   # the t=0 triple
 
     @property
     def step(self):
@@ -73,6 +74,9 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     set, admissibility of phi +- t_max psi is checked and a failure only
     warns.  Per-t eigen-solves are independent; ``workers`` > 1 runs them
     on a thread pool with ordered collection (identical output).
+
+    Only the t=0 triple (``base``) is kept, unless ``keep_triples`` asks
+    for every grid point's, each holding a dense n x n matrix.
     """
     ts = symmetric_grid(t_max, steps)
     admissible = True
@@ -90,13 +94,13 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     def solve(t):
         pot = phi if t == 0.0 else combine(phi, psi, t)
         try:
-            return leading_triple(build_matrix(m, pot, scheme, n))
+            triple = leading_triple(build_matrix(m, pot, scheme, n))
         except ThermoformalError as exc:
             raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
+        return triple.lam, triple if keep_triples or t == 0.0 else None
 
     solved = ordered_map(solve, ts, workers)
-    lams = np.array([tr.lam for tr in solved])
-    triples = solved if keep_triples else [None] * ts.size
+    lams = np.array([lam for lam, _ in solved])
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
     E[i0] = 0.0
@@ -109,7 +113,8 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
         verdict=_convexity_verdict(E2),
         lam=lams, scheme=scheme, n=n,
         admissible_at_endpoints=admissible,
-        triples=tuple(triples) if keep_triples else None,
+        triples=tuple(tr for _, tr in solved) if keep_triples else None,
+        base=solved[i0][1],
     )
 
 
@@ -138,6 +143,9 @@ def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
     """
     if t == 0.0:
         return 0.0
+    # Imported here: scipy.special costs every job its start-up time and memory.
+    from scipy.special import logsumexp
+
     vals = np.empty(samples)
     for start, take, rng in mc_batches(samples, batch_size, seed):
         x0 = sample_from_state(state, take, rng)

@@ -30,8 +30,12 @@ def circle_dist(x, y):
 
 
 def wrap01(x):
-    """Reduce to the fundamental domain [0, 1)."""
-    return np.mod(x, 1.0)
+    """Reduce float x to the fundamental domain [0, 1).
+
+    Bit-equal to ``np.mod(x, 1.0)`` for finite x (x - floor(x) is exact or
+    rounds the same real number), at a fraction of its cost.
+    """
+    return x - np.floor(x)
 
 
 @dataclass(frozen=True)
@@ -221,17 +225,21 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, dither=2.0 ** -48):
     For binary-shift maps the float64 mantissa is exhausted after ~53
     iterations and orbits collapse onto dyadic points; the dither injects
     fresh low-order entropy at amplitude far below any observable scale.
-    Pass ``dither=0`` to disable.  Deterministic given ``rng``.
+    Pass ``dither=0`` to disable.  Deterministic given ``rng``.  The dither
+    and the wrap reuse one scratch buffer, in place on the lift's output.
     """
-    x = wrap01(np.asarray(x0, dtype=float)).copy()
+    x = wrap01(np.asarray(x0, dtype=float))
     total = np.zeros_like(x)
+    buf = np.empty_like(total)
     use_dither = dither > 0 and rng is not None
     for _ in range(n):
         total += psi(x)
         x = m.lift(x)
         if use_dither:
-            x += dither * rng.random(x.shape)
-        x = wrap01(x)
+            rng.random(out=buf)
+            buf *= dither
+            x += buf
+        x -= np.floor(x, out=buf)
     return total
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
@@ -170,6 +169,9 @@ def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     mu-samples; batches use seeds split from the master seed by counter, so
     the result is bitwise reproducible.
     """
+    # Imported here: scipy.stats costs every job its start-up time and memory.
+    from scipy import stats as sps
+
     if variance is None:
         variance = clt_variance(m, state.triple, psi, lag_max=64)
     if variance.coboundary or variance.sigma2 <= 0:

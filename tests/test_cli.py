@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,33 @@ class TestRun:
             for cell in ",".join(rows).split(","):
                 float(cell)
 
+    def test_ldp_without_hits_writes_strict_json(self, tmp_path):
+        # no orbit lands in [a, b]: the extrapolated rate and the gap are -inf
+        cfg = job("ldp", params={"a": 0.95, "b": 0.99, "n": 64, "n_list": [20, 40],
+                                 "samples": 2000})
+        cli.run(cfg, tmp_path)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        results = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)["results"]
+        assert results["non_finite"] == ["extrapolated_rate", "gap"]
+        assert results["extrapolated_rate"] is None and results["gap"] is None
+        assert results["counts"] == [0, 0]
+
+    def test_non_finite_paths_are_listed(self):
+        inf = float("inf")
+        text = cli.dumps_summary({"results": {"a": float("nan"), "b": [1.0, -inf],
+                                              "c": {"d": inf, "e": 2.0}}})
+        assert json.loads(text)["results"] == {
+            "a": None, "b": [1.0, None], "c": {"d": None, "e": 2.0},
+            "non_finite": ["a", "b[1]", "c.d"]}
+
+    def test_finite_summary_has_no_non_finite_key(self):
+        _, summary = cli.run(job("spectrum", params={"n": 64}))
+        assert "non_finite" not in json.loads(cli.dumps_summary(summary))["results"]
+
     def test_correlations_csv(self, tmp_path):
         code, summary = cli.run(job("correlations", params={"n": 256, "n_max": 6}), tmp_path)
         assert code == cli.EXIT_OK
@@ -189,6 +220,8 @@ class TestMain:
         (job("response", map={"kind": "builtin", "name": "derived_expanding",
                                "params": {"v": 1.9, "w": 2}}),
          "map.params.v"),
+        (job("spectrum", potential={"kind": "constant", "params": {"value": float("nan")}},
+             params={"n": 64}), "potential.params.value"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"
@@ -210,3 +243,13 @@ class TestMain:
         lines = (tmp_path / "art" / "response.csv").read_text().strip().split("\n")
         assert lines[0] == "v,lambda,pressure,mean_obs,dlambda"
         assert len(lines) == 6
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, thermoformal.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,26 @@ class TestFreeEnergyCurve:
         tm = T.build_matrix(M.doubling_map(), O.combine(O.zero, COS1, t),
                             "collocation", 512)
         assert T.leading_triple(tm).lam == c.lam[7]
+
+    def test_t_grid_keeps_only_the_base_triple(self):
+        n = 256
+        tracemalloc.start()
+        try:
+            c = Cv.free_energy_curve(M.doubling_map(), O.zero, COS1, t_max=0.5,
+                                     steps=21, n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 21 dense n x n matrices would take 21 * n^2 * 8 bytes
+        assert peak < 4 * n * n * 8
+        i0 = int(np.flatnonzero(c.t == 0.0)[0])
+        assert c.triples is None
+        assert c.base.lam == c.lam[i0]
+
+    def test_keep_triples_base_is_t0(self, doubling_cos_curve):
+        c = doubling_cos_curve
+        i0 = int(np.flatnonzero(c.t == 0.0)[0])
+        assert c.base is c.triples[i0]
 
     def test_admissibility_guard_warns(self):
         with pytest.warns(UserWarning):
