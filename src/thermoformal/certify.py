@@ -24,6 +24,9 @@ from .observables import PotentialSpec
 MODE_CERTIFIED = "certified"
 MODE_CENTER_ONLY = "center_only"
 
+#: Cells on which potential_stats samples a potential.
+STATS_GRID_N = 1024
+
 
 @dataclass(frozen=True)
 class ConditionCReport:
@@ -367,15 +370,15 @@ class PotentialAdmissibility:
         return var_ok, s_ok, var_ok and s_ok
 
 
-def potential_stats(phi: PotentialSpec, grid_n=1024):
-    """(sup, inf, Hölder seminorm of e^phi) from grid sampling.
+def potential_stats(phi: PotentialSpec):
+    """(sup, inf, Hölder seminorm of e^phi) from sampling on STATS_GRID_N cells.
 
     Cell inflation: sup/inf widened by the local slope over half a cell;
     the seminorm gets the within-cell bound rho_e * w^(1-alpha) added, where
     rho_e is the largest adjacent difference quotient of e^phi.
     """
-    w = 1.0 / grid_n
-    xs = (np.arange(grid_n) + 0.5) * w
+    w = 1.0 / STATS_GRID_N
+    xs = (np.arange(STATS_GRID_N) + 0.5) * w
     vals = phi.fn(xs)
     slopes = np.abs(np.diff(np.concatenate([vals, vals[:1]]))) / w
     rho_phi = float(np.max(slopes))
@@ -392,8 +395,7 @@ def potential_stats(phi: PotentialSpec, grid_n=1024):
     return sup, inf, seminorm
 
 
-def potential_admissible(phi, eps, m_data: Optional[IterateData] = None,
-                         grid_n=1024):
+def potential_admissible(phi, eps, m_data: Optional[IterateData] = None):
     """Admissibility verdicts for a potential at bound eps.
 
     ``phi`` is a PotentialSpec (sampled) or a (sup, inf, seminorm|None,
@@ -404,7 +406,7 @@ def potential_admissible(phi, eps, m_data: Optional[IterateData] = None,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(phi, PotentialSpec):
-        sup, inf, seminorm = potential_stats(phi, grid_n)
+        sup, inf, seminorm = potential_stats(phi)
         name, alpha = phi.name, phi.alpha
     else:
         sup, inf, seminorm, alpha = phi

@@ -30,7 +30,6 @@ from .maps import builtin_maps, map_from_json, map_to_json
 from .observables import observable_from_json
 from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_testfns,
                        invariance_defect, leading_triple)
-from .parallel import worker_count
 
 SCHEMA_VERSION = 1
 
@@ -60,7 +59,7 @@ def _check_keys(obj, allowed, path):
 
 
 def _get_params(config, defaults, path="params"):
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
     _check_keys(params, set(defaults), path)
     resolved = dict(defaults)
     resolved.update(params)
@@ -69,15 +68,16 @@ def _get_params(config, defaults, path="params"):
 
 def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     val = params[key]
+    where = f"{path}.{key}" if path else key
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{key} must be a number", f"{path}.{key}")
+             f"{key} must be a number", where)
     if integer:
-        _require(float(val).is_integer(), f"{key} must be an integer", f"{path}.{key}")
-        val = int(val)
+        _require(float(val).is_integer(), f"{key} must be an integer", where)
+        val = params[key] = int(val)        # 2.0 is taken as 2, not passed on
     if lo is not None:
-        _require(val >= lo, f"{key} must be >= {lo}", f"{path}.{key}")
+        _require(val >= lo, f"{key} must be >= {lo}", where)
     if hi is not None:
-        _require(val <= hi, f"{key} must be <= {hi}", f"{path}.{key}")
+        _require(val <= hi, f"{key} must be <= {hi}", where)
     return val
 
 
@@ -110,12 +110,13 @@ def validate(config):
         _require(fam.get("kind", "builtin") == "builtin" and
                  fam.get("name") in builtin_maps(),
                  "response requires a builtin family name", "map.name")
-        fam_params = dict(fam.get("params", {}))
+        fam_params = fam.get("params", {})
+        _require(isinstance(fam_params, dict), "expected an object", "map.params")
         if fam["name"] == "derived_expanding":
             _check_keys(fam_params, set(), "map.params")   # v is the scanned parameter
         else:
             map_from_json({"kind": "builtin", "name": fam["name"], "params": fam_params})
-        resolved["map"] = {"kind": "builtin", "name": fam["name"], "params": fam_params}
+        resolved["map"] = {"kind": "builtin", "name": fam["name"], "params": dict(fam_params)}
     else:
         m = map_from_json(config.get("map", {"kind": "builtin", "name": "doubling"}))
         resolved["map"] = map_to_json(m)
@@ -157,11 +158,11 @@ def validate(config):
                  "observables")
         resolved["observables"] = obs
 
-    _validate_params(command, params)
+    _validate_params(command, params, resolved["map"]["name"])
     return resolved
 
 
-def _validate_params(command, params):
+def _validate_params(command, params, map_name):
     p = params
     if command == "certify":
         _num(p, "N", lo=1, integer=True)
@@ -187,7 +188,15 @@ def _validate_params(command, params):
             steps = _num(p, "steps", lo=3, integer=True)
             _require(steps % 2 == 1, "steps must be odd", "params.steps")
         if command == "free-energy":
+            if p["eps_guard"] is not None:
+                _num(p, "eps_guard", lo=0.0)
             _num_list(p, "mc_t_values")
+            # the Monte Carlo value at t is compared with the spectral E(t)
+            ts = curves_mod.symmetric_grid(p["t_max"], steps)
+            for i, t in enumerate(p["mc_t_values"]):
+                _require(np.min(np.abs(ts - t)) <= 1e-9 * p["t_max"],
+                         "must be a point of the t-grid symmetric_grid(t_max, steps)",
+                         f"params.mc_t_values[{i}]")
             _num(p, "mc_orbit_n", lo=1, integer=True)
             _num(p, "mc_samples", lo=1, integer=True)
         if command in ("rate-function", "ldp"):
@@ -197,10 +206,17 @@ def _validate_params(command, params):
                      "n_list must be a nonempty list", "params.n_list")
             _num_list(p, "n_list", lo=1, integer=True)
             _num(p, "samples", lo=10, integer=True)
-            _require(p["a"] < p["b"], "need a < b", "params.a")
+            _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
         if command == "response":
             _num(p, "v_count", lo=5, integer=True)
-            _require(p["v_min"] < p["v_max"], "need v_min < v_max", "params.v_min")
+            if map_name == "derived_expanding":      # its v lies in [0, 2)
+                _num(p, "v_min", lo=0.0)
+                _require(_num(p, "v_max") < 2.0, "v_max must be < 2", "params.v_max")
+            _require(_num(p, "v_min") < _num(p, "v_max"), "need v_min < v_max", "params.v_min")
+            _num(p, "guard_N", lo=1, integer=True)
+            gamma = _num(p, "guard_gamma")
+            _require(0.0 < gamma < 1.0, "guard_gamma must lie in (0,1)", "params.guard_gamma")
+            _num(p, "guard_resolution", lo=16, integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def _curve_from_cfg(cfg):
     p = cfg["params"]
     curve = curves_mod.free_energy_curve(
         m, phi, psi, p["t_max"], p["steps"], scheme=p["scheme"], n=p["n"],
-        eps_guard=p.get("eps_guard"), workers=worker_count())
+        eps_guard=p.get("eps_guard"))
     return m, phi, psi, curve
 
 
@@ -323,7 +339,7 @@ def _handler_free_energy(cfg):
         for t in p["mc_t_values"]:
             val = curves_mod.free_energy_mc(m, state, psi.fn, float(t),
                                             p["mc_orbit_n"], p["mc_samples"], cfg["seed"])
-            i = int(np.argmin(np.abs(curve.t - float(t))))
+            i = int(np.argmin(np.abs(curve.t - float(t))))   # validated: t is on the grid
             mc[str(t)] = {"mc": val, "spectral": float(curve.E[i]),
                           "gap": abs(val - float(curve.E[i]))}
         results["mc_check"] = mc
@@ -387,8 +403,7 @@ def _handler_response(cfg):
     vs = np.linspace(p["v_min"], p["v_max"], p["v_count"])
     scan = curves_mod.response_scan(
         family, phi, obs.fn, vs, scheme=p["scheme"], n=p["n"],
-        guard=(p["guard_N"], p["guard_gamma"], p["guard_resolution"]),
-        workers=worker_count())
+        guard=(p["guard_N"], p["guard_gamma"], p["guard_resolution"]))
     results = {
         "max_adjacent_lambda_jump": float(np.max(np.abs(np.diff(scan.lam)))),
         "richardson_first": scan.richardson_first,
@@ -503,6 +518,7 @@ def main(argv=None):
         return EXIT_SCHEMA
 
     try:
+        _require(isinstance(config, dict), "config must be an object", "")
         if config.get("command") != args.cli_command:
             raise SchemaError(
                 f"config command {config.get('command')!r} does not match "

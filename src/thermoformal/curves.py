@@ -16,11 +16,21 @@ from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
 from .operator import (EquilibriumState, SpectralTriple, build_matrix, equilibrium_measure,
                        leading_triple)
-from .parallel import ordered_map
 from .statistics import mc_batches, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
+#: Largest t tried by :func:`default_t_max`; the ladder halves from here.
+T_MAX_LADDER = 4.0
+
+
+def ordered_map(fn, items):
+    """``[fn(x) for x in items]``: the grid points, solved in order on one thread.
+
+    A module-level name so that the benchmark's layer tracer
+    (``benchmarks/layertrace.py``) can rebind ``curves.ordered_map``.
+    """
+    return [fn(x) for x in items]
 
 
 def symmetric_grid(t_max, steps):
@@ -65,15 +75,14 @@ def _convexity_verdict(E2):
 
 def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                       t_max: float, steps: int, scheme="collocation", n=512,
-                      eps_guard=None, keep_triples=False, workers=1) -> FreeEnergyCurve:
+                      eps_guard=None, keep_triples=False) -> FreeEnergyCurve:
     """E(t) = log lambda(phi + t psi) - log lambda(phi) on a symmetric grid.
 
     E(0) is exactly zero since both terms come from the same matrix build.
     Derivatives are central differences at the grid step; the convexity
     verdict uses the declared affine/strict bands.  When ``eps_guard`` is
     set, admissibility of phi +- t_max psi is checked and a failure only
-    warns.  Per-t eigen-solves are independent; ``workers`` > 1 runs them
-    on a thread pool with ordered collection (identical output).
+    warns.  The grid points are solved in order on one thread.
 
     Only the t=0 triple (``base``) is kept, unless ``keep_triples`` asks
     for every grid point's, each holding a dense n x n matrix.
@@ -99,7 +108,7 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
             raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
         return triple.lam, triple if keep_triples or t == 0.0 else None
 
-    solved = ordered_map(solve, ts, workers)
+    solved = ordered_map(solve, ts)
     lams = np.array([lam for lam, _ in solved])
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
@@ -118,10 +127,9 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     )
 
 
-def default_t_max(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec, eps,
-                  ladder_max=4.0):
-    """Largest dyadic t with phi +- t psi admissible at bound eps."""
-    t = ladder_max
+def default_t_max(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec, eps):
+    """Largest dyadic t <= T_MAX_LADDER with phi +- t psi admissible at bound eps."""
+    t = T_MAX_LADDER
     while t > 1e-6:
         ok = all(
             potential_admissible(combine(phi, psi, s), eps).admissible
@@ -367,7 +375,7 @@ class ResponseScan:
 
 def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
                   v_grid, scheme="collocation", n=512,
-                  guard=None, workers=1) -> ResponseScan:
+                  guard=None) -> ResponseScan:
     """lambda, pressure, and int obs dmu along a one-parameter map family.
 
     ``phi`` is a PotentialSpec or a callable map -> PotentialSpec for
@@ -396,7 +404,7 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
         mean = float(np.asarray(obs(state.grid), dtype=float) @ state.mu)
         return triple.lam, mean, ok, False
 
-    solved = ordered_map(solve, vs, workers)
+    solved = ordered_map(solve, vs)
     lams = np.array([s[0] for s in solved])
     means = np.array([s[1] for s in solved])
     guard_ok = None if guard is None else np.array([s[2] for s in solved], dtype=bool)
@@ -408,13 +416,11 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
     d2lam[1:-1] = (lams[2:] - 2 * lams[1:-1] + lams[:-2]) / dv ** 2
 
     # double-step estimates on points 2..n-3
-    rich1 = rich2 = math.nan
-    if vs.size >= 5:
-        inner = slice(2, vs.size - 2)
-        d1_wide = (lams[4:] - lams[:-4]) / (4 * dv)
-        d2_wide = (lams[4:] - 2 * lams[2:-2] + lams[:-4]) / (2 * dv) ** 2
-        rich1 = float(np.max(np.abs(dlam[inner] - d1_wide)))
-        rich2 = float(np.max(np.abs(d2lam[inner] - d2_wide)))
+    inner = slice(2, vs.size - 2)
+    d1_wide = (lams[4:] - lams[:-4]) / (4 * dv)
+    d2_wide = (lams[4:] - 2 * lams[2:-2] + lams[:-4]) / (2 * dv) ** 2
+    rich1 = float(np.max(np.abs(dlam[inner] - d1_wide)))
+    rich2 = float(np.max(np.abs(d2lam[inner] - d2_wide)))
     return ResponseScan(
         v=vs, lam=lams, pressure=np.log(lams), mean_obs=means,
         dlam=dlam, d2lam=d2lam,

@@ -22,6 +22,9 @@ _BISECT_ITERS = 60
 
 DEFAULT_CELL_WIDTH = 2.0 ** -20
 
+#: Amplitude of the seeded low-order dither the orbit sampler adds per step.
+ORBIT_DITHER = 2.0 ** -48
+
 
 def circle_dist(x, y):
     """Distance on R/Z: min(|x-y|, 1-|x-y|) after mod-1 reduction."""
@@ -174,7 +177,7 @@ def branch_lipschitz(m: MapSpec, y, cell_width=None):
     return (2.0 * h) / (m.lift(yy + h) - m.lift(yy - h))
 
 
-def inverse_branches(m: MapSpec, x, depth, cell_width=None):
+def inverse_branches(m: MapSpec, x, depth):
     """Enumerate all G^depth preimages of x with contraction factors.
 
     Branch ids are lexicographic in the per-level slice index: the first
@@ -190,7 +193,7 @@ def inverse_branches(m: MapSpec, x, depth, cell_width=None):
     g = m.degree
     for _ in range(depth):
         pre = branch_preimages(m, pts)          # (g, len(pts))
-        fac = branch_lipschitz(m, pre, cell_width)
+        fac = branch_lipschitz(m, pre)
         pts = pre.T.reshape(-1)                 # parent-major, slice-minor
         contr = (contr[:, None] * fac.T).reshape(-1)
         ids = (ids[:, None] * g + np.arange(g)[None, :]).reshape(-1)
@@ -218,26 +221,26 @@ def orbit_sample(m: MapSpec, psi, x, n) -> OrbitSample:
                        birkhoff_value=float(birkhoff_sum(m, psi, x, n)))
 
 
-def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, dither=2.0 ** -48):
+def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None):
     """Birkhoff sums S_n(psi) over a batch of orbits, with low-order dither.
 
-    Each step adds ``dither * u`` (u uniform in [0,1)) before reduction.
-    For binary-shift maps the float64 mantissa is exhausted after ~53
-    iterations and orbits collapse onto dyadic points; the dither injects
-    fresh low-order entropy at amplitude far below any observable scale.
-    Pass ``dither=0`` to disable.  Deterministic given ``rng``.  The dither
-    and the wrap reuse one scratch buffer, in place on the lift's output.
+    With an ``rng``, each step adds ``ORBIT_DITHER * u`` (u uniform in
+    [0,1)) before reduction.  For binary-shift maps the float64 mantissa is
+    exhausted after ~53 iterations and orbits collapse onto dyadic points;
+    the dither injects fresh low-order entropy at amplitude far below any
+    observable scale.  Without an ``rng`` there is no dither.  Deterministic
+    given ``rng``.  The dither and the wrap reuse one scratch buffer, in
+    place on the lift's output.
     """
     x = wrap01(np.asarray(x0, dtype=float))
     total = np.zeros_like(x)
     buf = np.empty_like(total)
-    use_dither = dither > 0 and rng is not None
     for _ in range(n):
         total += psi(x)
         x = m.lift(x)
-        if use_dither:
+        if rng is not None:
             rng.random(out=buf)
-            buf *= dither
+            buf *= ORBIT_DITHER
             x += buf
         x -= np.floor(x, out=buf)
     return total
@@ -424,7 +427,9 @@ def map_from_json(obj):
     if not isinstance(obj, dict):
         raise SchemaError("map spec must be an object", "map")
     kind = obj.get("kind", "builtin")
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError("map params must be an object", "map.params")
     if kind == "builtin":
         name = obj.get("name")
         catalog = builtin_maps()
@@ -443,10 +448,14 @@ def map_from_json(obj):
             raise SchemaError("power must be an integer >= 1", "map.params.power")
         return iterate_map(map_from_json(params.get("base")), power)
     if kind == "piecewise_poly":
+        degree = obj.get("degree", 0)
+        if (not isinstance(degree, (int, float)) or isinstance(degree, bool)
+                or not float(degree).is_integer() or degree < 0):
+            raise SchemaError("degree must be an integer >= 0", "map.degree")
         return piecewise_poly_map(obj.get("name", "piecewise_poly"),
                                   params.get("breakpoints"),
                                   params.get("coefficients"),
-                                  int(obj.get("degree", 0)),
+                                  int(degree),
                                   holder_only=params.get("smoothness") == "holder")
     raise SchemaError(f"unknown map kind {kind!r}", "map.kind")
 
@@ -479,7 +488,11 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
         raise SchemaError("breakpoints must run from 0 to 1", "map.params.breakpoints")
     if np.any(np.diff(bp) <= 0):
         raise SchemaError("breakpoints must be strictly increasing", "map.params.breakpoints")
-    coefs = [np.asarray(c, dtype=float) for c in coefficients]
+    try:
+        coefs = [np.asarray(c, dtype=float) for c in coefficients]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"coefficients must be rows of numbers ({exc})",
+                          "map.params.coefficients") from exc
     if len(coefs) != bp.size - 1:
         raise SchemaError("need one coefficient row per piece", "map.params.coefficients")
 
@@ -499,6 +512,8 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     span = float((lift01(np.array(1.0)) - lift01(np.array(0.0))).ravel()[0])
     if degree == 0:
         degree = int(round(span))
+    elif abs(span - degree) > 1e-9:
+        raise SchemaError(f"declared degree {degree} != lift span {span:g}", "map.degree")
     json_params = {"breakpoints": bp.tolist(),
                    "coefficients": [c.tolist() for c in coefs]}
     if holder_only:

@@ -155,10 +155,19 @@ def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
     kind = obj.get("kind")
     if kind not in _PARAM_KEYS:
         raise SchemaError(f"unknown observable kind {kind!r}", path + ".kind")
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError("observable params must be an object", path + ".params")
     for key in params:
         if key not in _PARAM_KEYS[kind]:
             raise SchemaError(f"unknown key {key!r}", f"{path}.params.{key}")
+    try:
+        return _build_observable(kind, params, m, path)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad params for observable {kind!r}: {exc}", path + ".params") from exc
+
+
+def _build_observable(kind, params, m, path):
     if kind == "constant":
         return constant(params.get("value", 0.0))
     if kind == "fourier_cos":

@@ -30,6 +30,16 @@ from .observables import PotentialSpec
 
 MAX_DENSE_N = 4096
 
+#: Power iteration stops when lambda's relative change is at most POWER_TOL
+#: and both eigenvector residuals are below RESIDUAL_TOL * lambda.
+POWER_TOL = 1e-12
+RESIDUAL_TOL = 1e-9
+#: The deflated gap estimate runs GAP_ITERS fixed-seed steps and averages the
+#: log norm ratios of the last GAP_WINDOW.
+GAP_ITERS = 400
+GAP_WINDOW = 50
+GAP_SEED = 0x5EED
+
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -195,13 +205,12 @@ def _primitivity_power(A, max_power=8):
     return None
 
 
-def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
-                   max_iter=20000, gap_iters=400, gap_window=50) -> SpectralTriple:
+def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
     """Leading eigendata by two-sided power iteration.
 
     Right vector h and left vector nu are iterated together; lambda is the
     two-sided Rayleigh quotient, declared converged when its relative change
-    drops below ``tol`` and both residuals below ``residual_tol``.  The
+    drops below ``POWER_TOL`` and both residuals below ``RESIDUAL_TOL``.  The
     second modulus |lambda_2| is estimated afterwards by power iteration on
     the rank-one-deflated operator A - lambda h (x) nu, read off as a
     windowed geometric mean of norm ratios (robust to complex pairs).
@@ -226,10 +235,10 @@ def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
         lam = float(y @ Ax) / float(y @ x)
         x = Ax / np.sum(np.abs(Ax))
         y = ATy / np.sum(np.abs(ATy))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
+        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
             res_h = np.max(np.abs(A @ x - lam * x)) / np.max(np.abs(x))
             res_nu = np.max(np.abs(AT @ y - lam * y)) / np.max(np.abs(y))
-            if res_h < residual_tol * abs(lam) and res_nu < residual_tol * abs(lam):
+            if res_h < RESIDUAL_TOL * abs(lam) and res_nu < RESIDUAL_TOL * abs(lam):
                 break
         lam_prev = lam
     else:
@@ -245,7 +254,7 @@ def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
             "discretization is not primitive enough for a spectral triple")
     h = x / mass
 
-    gap = _second_modulus(A, lam, h, nu, iters=gap_iters, window=gap_window)
+    gap = _second_modulus(A, lam, h, nu)
     return SpectralTriple(
         matrix=tm, lam=lam, h=h, nu=nu,
         gap_ratio=gap / lam,
@@ -255,10 +264,10 @@ def leading_triple(tm: TransferMatrix, tol=1e-12, residual_tol=1e-9,
     )
 
 
-def _second_modulus(A, lam, h, nu, iters=400, window=50, seed=0x5EED):
+def _second_modulus(A, lam, h, nu):
     """|lambda_2| via power iteration on A - lam * h (x) nu (fixed seed)."""
     n = A.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GAP_SEED)
     v = rng.standard_normal(n)
     v -= h * float(nu @ v)
     nrm = np.linalg.norm(v)
@@ -266,14 +275,14 @@ def _second_modulus(A, lam, h, nu, iters=400, window=50, seed=0x5EED):
         return 0.0
     v /= nrm
     ratios = []
-    for _ in range(iters):
+    for _ in range(GAP_ITERS):
         w = A @ v - lam * h * float(nu @ v)
         nrm = np.linalg.norm(w)
         if nrm < 1e-300:
             return 0.0
         ratios.append(nrm)
         v = w / nrm
-    tail = ratios[-window:]
+    tail = ratios[-GAP_WINDOW:]
     return float(np.exp(np.mean(np.log(tail))))
 
 

@@ -16,6 +16,10 @@ from .operator import EquilibriumState, SpectralTriple, equilibrium_measure
 #: the Green-Kubo series sits orders of magnitude above the spectral tail
 #: bound, so the pure tail-bound rule alone cannot fire.
 COBOUNDARY_ABS_TOL = 1e-6
+#: Correlations at or below this magnitude are left out of the decay fit.
+NOISE_FLOOR = 1e-12
+#: The CLT Q-Q table has QUANTILE_LEVELS evenly spaced levels in (0, 1).
+QUANTILE_LEVELS = 99
 
 
 def pressure(lam: float) -> float:
@@ -31,7 +35,6 @@ class CorrelationSeries:
     values: np.ndarray
     tau_hat: Optional[float]
     prefactor: Optional[float]
-    noise_floor: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,13 @@ def _normalized_push(state: EquilibriumState, vec, n_steps):
 
 
 def correlations(m: MapSpec, state: EquilibriumState, g: Callable,
-                 psi: Callable, n_max: int, noise_floor=1e-12) -> CorrelationSeries:
+                 psi: Callable, n_max: int) -> CorrelationSeries:
     """C(k) = int (g o f^k) psi dmu - int g dmu int psi dmu, spectrally.
 
     Uses int (g o f^k) psi dmu = <nu, g * (A/lambda)^k (psi h)> on the grid,
     so the decay rate reflects the discretized operator rather than Monte
     Carlo noise.  tau_hat is the log-linear fit over lags above the noise
-    floor (None when everything is below it).
+    floor ``NOISE_FLOOR`` (None when everything is below it).
     """
     x = state.grid
     nu = state.triple.nu
@@ -76,18 +79,18 @@ def correlations(m: MapSpec, state: EquilibriumState, g: Callable,
     vals = np.array([float(nu @ (gx * w)) - mean_g * mean_psi for w in pushes])
     lags = np.arange(n_max + 1)
 
-    keep = (lags >= 1) & (np.abs(vals) > noise_floor)
+    keep = (lags >= 1) & (np.abs(vals) > NOISE_FLOOR)
     tau_hat = prefactor = None
     if np.count_nonzero(keep) >= 2:
         slope, intercept = np.polyfit(lags[keep], np.log(np.abs(vals[keep])), 1)
         tau_hat = float(np.exp(slope))
         prefactor = float(np.exp(intercept))
     return CorrelationSeries(lags=lags, values=vals, tau_hat=tau_hat,
-                             prefactor=prefactor, noise_floor=noise_floor)
+                             prefactor=prefactor)
 
 
 def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
-                 lag_max: int, coboundary_abs_tol=COBOUNDARY_ABS_TOL) -> VarianceReport:
+                 lag_max: int) -> VarianceReport:
     """Green-Kubo variance sigma^2 = C_v(0) + 2 sum_{j<=lag_max} C_v(j).
 
     v is psi centered to zero mu-mean.  The spectral tail bound
@@ -110,7 +113,7 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
         tail = float(abs(c0) * gap ** (lag_max + 1) / (1.0 - gap))
     else:
         tail = None
-    flag_level = coboundary_abs_tol if tail is None else max(10.0 * tail, coboundary_abs_tol)
+    flag_level = COBOUNDARY_ABS_TOL if tail is None else max(10.0 * tail, COBOUNDARY_ABS_TOL)
     return VarianceReport(
         sigma2=sigma2,
         lag_max=lag_max,
@@ -161,7 +164,7 @@ class CltEmpiricalReport:
 def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
                   n: int, samples: int, seed: int,
                   variance: Optional[VarianceReport] = None,
-                  batch_size=1 << 16, quantile_levels=99) -> CltEmpiricalReport:
+                  batch_size=1 << 16) -> CltEmpiricalReport:
     """KS distance between the law of S_n(v)/sqrt(n) and N(0, sigma^2).
 
     sigma^2 comes from the Green-Kubo report (computed here when not
@@ -189,7 +192,7 @@ def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
         vals[start:start + take] = s / math.sqrt(n)
 
     ks = float(sps.kstest(vals, "norm", args=(0.0, sigma)).statistic)
-    levels = (np.arange(quantile_levels) + 1.0) / (quantile_levels + 1.0)
+    levels = (np.arange(QUANTILE_LEVELS) + 1.0) / (QUANTILE_LEVELS + 1.0)
     emp_q = np.quantile(vals, levels)
     gauss_q = sps.norm.ppf(levels, scale=sigma)
     return CltEmpiricalReport(

@@ -11,6 +11,11 @@ from thermoformal import cli
 from thermoformal.errors import SchemaError
 
 
+SINK = {"kind": "builtin", "name": "derived_expanding"}
+POLY2 = {"kind": "piecewise_poly", "params": {"breakpoints": [0.0, 1.0],
+                                             "coefficients": [[0.0, 2.0]]}}
+
+
 def job(command, **kw):
     base = {"schema_version": 1, "command": command}
     base.update(kw)
@@ -46,6 +51,13 @@ class TestValidation:
         resolved = cli.validate(job("clt", seed=7, params={"n": 256, "samples": 1000}))
         again = cli.validate(resolved)
         assert again == resolved
+
+    def test_integral_floats_become_integers(self):
+        resolved = cli.validate(job("free-energy", params={"n": 64.0, "steps": 5.0,
+                                                           "mc_orbit_n": 3.0}))
+        p = resolved["params"]
+        assert (p["n"], p["steps"], p["mc_orbit_n"]) == (64, 5, 3)
+        assert all(type(p[k]) is int for k in ("n", "steps", "mc_orbit_n"))
 
     def test_gamma_range_checked(self):
         with pytest.raises(SchemaError):
@@ -148,7 +160,7 @@ class TestReproducibility:
         job("spectrum", params={"n": 128, "scheme": "collocation"}),
         job("clt", seed=3, params={"n": 256, "samples": 4000, "orbit_n": 25}),
         job("free-energy", seed=1, params={"n": 128, "steps": 9, "t_max": 0.3,
-                                           "mc_t_values": [0.2], "mc_samples": 2000}),
+                                           "mc_t_values": [0.225], "mc_samples": 2000}),
         job("ldp", seed=5, params={"n": 128, "steps": 21, "t_max": 1.5,
                                    "a": 0.3, "b": 0.5, "n_list": [10, 20],
                                    "samples": 5000, "s_steps": 51}),
@@ -222,13 +234,56 @@ class TestMain:
          "map.params.v"),
         (job("spectrum", potential={"kind": "constant", "params": {"value": float("nan")}},
              params={"n": 64}), "potential.params.value"),
+        (job("ldp", params={"a": "x"}), "params.a"),
+        (job("ldp", params={"b": "x"}), "params.b"),
+        (job("response", params={"v_min": "x"}), "params.v_min"),
+        (job("response", params={"v_max": "x"}), "params.v_max"),
+        (job("response", map=SINK, params={"n": 64, "v_count": 5, "v_max": 2.5}),
+         "params.v_max"),
+        (job("response", map=SINK, params={"n": 64, "v_count": 5, "v_min": -0.5}),
+         "params.v_min"),
+        (job("response", params={"n": 64, "v_count": 5, "guard_N": 0}), "params.guard_N"),
+        (job("response", params={"n": 64, "v_count": 5, "guard_gamma": 2}),
+         "params.guard_gamma"),
+        (job("response", params={"n": 64, "v_count": 5, "guard_resolution": 8}),
+         "params.guard_resolution"),
+        (job("free-energy", params={"n": 64, "eps_guard": "x"}), "params.eps_guard"),
+        (job("free-energy", params={"n": 64, "eps_guard": -1}), "params.eps_guard"),
+        ([1], ""),
+        (job("spectrum", params=[1, 2]), "params"),
+        (job("spectrum", map={"kind": "builtin", "name": "doubling", "params": [1, 2]}),
+         "map.params"),
+        (job("response", map={"kind": "builtin", "name": "doubling", "params": [1, 2]}),
+         "map.params"),
+        (job("clt", observable={"kind": "fourier_cos", "params": [1, 2]}), "observable.params"),
+        (job("clt", observable={"kind": "fourier_cos", "params": {"k": "a"}}),
+         "observable.params"),
+        (job("correlations", observables={"g": {"kind": "fourier_cos", "params": {"k": "a"}},
+                                          "psi": {"kind": "constant"}}),
+         "observables.g.params"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant"}, "psi": {"kind": "constant"}, "t": "x"}}),
+         "potential.params"),
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {"breakpoints": [0.0, 1.0]}}),
+         "map.params.coefficients"),
+        (job("spectrum", map=dict(POLY2, degree="x")), "map.degree"),
+        (job("spectrum", map=dict(POLY2, degree=-1)), "map.degree"),
+        (job("spectrum", map=dict(POLY2, degree=3)), "map.degree"),
+        (job("free-energy", params={"n": 64, "t_max": 0.4, "mc_t_values": [3.0]}),
+         "params.mc_t_values[0]"),
+        (job("free-energy", params={"n": 64, "t_max": 0.4, "mc_t_values": [0.4, 0.17]}),
+         "params.mc_t_values[1]"),
+        (job("spectrum", seed="x"), "seed"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = cli.main([cfg["command"], "--config", str(cfg_path)])
+        command = cfg["command"] if isinstance(cfg, dict) else "spectrum"
+        code = cli.main([command, "--config", str(cfg_path)])
         assert code == cli.EXIT_SCHEMA
-        assert f"schema error: {path}:" in capsys.readouterr().err
+        # an error at the root of the config has no path to print
+        expected = f"schema error: {path}:" if path else "schema error: config must be an object"
+        assert expected in capsys.readouterr().err
 
     def test_response_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
