@@ -62,8 +62,10 @@ from .operator import (
     TransferMatrix,
     build_matrix,
     equilibrium_measure,
+    gap_ratio,
     invariance_defect,
     leading_triple,
+    primitivity_power,
 )
 from .statistics import (
     CorrelationSeries,

@@ -26,6 +26,8 @@ MODE_CENTER_ONLY = "center_only"
 
 #: Cells on which potential_stats samples a potential.
 STATS_GRID_N = 1024
+#: Cells on which the inflation modulus rho = max |(log f')'| is estimated.
+LOG_DERIV_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,11 @@ class ConditionCReport:
         return 1.0 / self.resolution
 
 
-def _grid_log_deriv_modulus(m: MapSpec, samples=16384):
+def _grid_log_deriv_modulus(m: MapSpec):
     """max |d log f' / dx| estimated from adjacent grid differences."""
-    xs = np.arange(samples + 1) / samples
-    d = m.derivative(xs)
-    logd = np.log(d)
-    return float(np.max(np.abs(np.diff(logd))) * samples)
+    xs = np.arange(LOG_DERIV_SAMPLES + 1) / LOG_DERIV_SAMPLES
+    logd = np.log(m.derivative(xs))
+    return float(np.max(np.abs(np.diff(logd))) * LOG_DERIV_SAMPLES)
 
 
 def _depth_n_contractions(m: MapSpec, centers, N, cell_width):

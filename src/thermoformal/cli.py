@@ -6,9 +6,9 @@ that echoed config reproduces the numeric outputs bitwise: all randomness
 flows from the job seed through the per-batch counter splitting rule, and
 iteration orders are fixed.
 
-Exit codes: 0 success / certification pass, 1 schema violation, 2
-certification fail, 3 certification uncertified (center-value mode),
-4 computation error.
+Exit codes: 0 success / certification pass, 1 schema violation, unreadable
+config or an ``--out`` directory that cannot be created, 2 certification
+fail, 3 certification uncertified (center-value mode), 4 computation error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import SchemaError, ThermoformalError
 from .maps import builtin_maps, map_from_json, map_to_json
 from .observables import observable_from_json
 from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_testfns,
-                       invariance_defect, leading_triple)
+                       gap_ratio, invariance_defect, leading_triple, primitivity_power)
 
 SCHEMA_VERSION = 1
 
@@ -262,8 +262,8 @@ def _handler_spectrum(cfg):
     results = {
         "lambda": triple.lam,
         "pressure": triple.pressure,
-        "gap_ratio": triple.gap_ratio,
-        "primitive": triple.primitive,
+        "gap_ratio": gap_ratio(triple),
+        "primitive": primitivity_power(triple.matrix.csr) is not None,
         "iterations": triple.iterations,
         "invariance_defect_fourier5": invariance_defect(m, state, fourier_testfns(5)),
     }
@@ -282,7 +282,7 @@ def _handler_correlations(cfg):
         "tau_hat": series.tau_hat,
         "prefactor": series.prefactor,
         "C0": float(series.values[0]),
-        "gap_ratio": triple.gap_ratio,
+        "gap_ratio": gap_ratio(triple),
     }
     table = ("correlations", ["lag", "C"],
              list(zip(series.lags.tolist(), series.values.tolist())))
@@ -516,6 +516,12 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    if args.out is not None:     # made before the job, not after it
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
 
     try:
         _require(isinstance(config, dict), "config must be an object", "")

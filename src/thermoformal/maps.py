@@ -45,17 +45,15 @@ def wrap01(x):
 class MapSpec:
     """A degree-G local homeomorphism of the circle given by its lift.
 
-    ``lift`` and ``derivative`` must accept numpy arrays.  ``alpha`` is the
-    Hölder exponent of the map data; ``r`` the C^r degree (``math.inf`` for
-    smooth builtins, 0 for Hölder-only maps without derivative data).
+    ``lift`` and ``derivative`` must accept numpy arrays.  ``r`` is the C^r
+    degree (``math.inf`` for smooth builtins, 0 for Hölder-only maps without
+    derivative data).
     """
 
     name: str
     degree: int
     lift: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    branch_count: int = 0
-    alpha: float = 1.0
     r: float = math.inf
     json_kind: str = "builtin"
     json_params: dict = field(default_factory=dict)
@@ -63,8 +61,6 @@ class MapSpec:
     def __post_init__(self):
         if self.degree < 1 or self.degree != int(self.degree):
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        if self.branch_count == 0:
-            object.__setattr__(self, "branch_count", self.degree)
         g = float(np.asarray(self.lift(1.0)).ravel()[0]) - float(np.asarray(self.lift(0.0)).ravel()[0])
         if abs(g - self.degree) > 1e-9:
             raise ValueError(
@@ -274,7 +270,6 @@ def iterate_map(m: MapSpec, power):
         degree=m.degree ** power,
         lift=lift,
         derivative=deriv,
-        alpha=m.alpha,
         r=m.r,
         json_kind="iterate",
         json_params={"base": map_to_json(m), "power": power},

@@ -1,7 +1,7 @@
 """Observables and potentials on the circle.
 
 A :class:`PotentialSpec` bundles a vectorized callable with the metadata the
-admissibility checks need (Hölder exponent, optional derivative).  Map-bound
+admissibility checks need (its Hölder exponent).  Map-bound
 entries of the library (-log f', coboundaries) take the map at construction.
 """
 
@@ -21,7 +21,6 @@ class PotentialSpec:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     alpha: float = 1.0
-    d_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     json_obj: dict = field(default_factory=dict)
 
     def __call__(self, x):
@@ -33,7 +32,6 @@ def constant(c):
     return PotentialSpec(
         name=f"constant({c:g})",
         fn=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
-        d_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         json_obj={"kind": "constant", "params": {"value": c}},
     )
 
@@ -47,7 +45,6 @@ def fourier_cos(k=1, amplitude=1.0):
     return PotentialSpec(
         name=f"{a:g}*cos(2pi*{k}x)" if a != 1.0 else f"cos(2pi*{k}x)",
         fn=lambda x, k=k, a=a: a * np.cos(2 * np.pi * k * np.asarray(x, dtype=float)),
-        d_fn=lambda x, k=k, a=a: -2 * np.pi * k * a * np.sin(2 * np.pi * k * np.asarray(x, dtype=float)),
         json_obj={"kind": "fourier_cos", "params": {"k": k, "amplitude": a}},
     )
 
@@ -58,7 +55,6 @@ def fourier_sin(k=1, amplitude=1.0):
     return PotentialSpec(
         name=f"{a:g}*sin(2pi*{k}x)" if a != 1.0 else f"sin(2pi*{k}x)",
         fn=lambda x, k=k, a=a: a * np.sin(2 * np.pi * k * np.asarray(x, dtype=float)),
-        d_fn=lambda x, k=k, a=a: 2 * np.pi * k * a * np.cos(2 * np.pi * k * np.asarray(x, dtype=float)),
         json_obj={"kind": "fourier_sin", "params": {"k": k, "amplitude": a}},
     )
 
@@ -104,16 +100,12 @@ def piecewise_poly(breakpoints, coefficients, name="piecewise_poly"):
 
 
 def combine(phi: PotentialSpec, psi: PotentialSpec, t):
-    """phi + t * psi, with derivative data when both carry it."""
+    """phi + t * psi."""
     t = float(t)
-    d_fn = None
-    if phi.d_fn is not None and psi.d_fn is not None:
-        d_fn = lambda x, p=phi, q=psi, t=t: p.d_fn(x) + t * q.d_fn(x)
     return PotentialSpec(
         name=f"{phi.name} + {t:g}*{psi.name}",
         fn=lambda x, p=phi, q=psi, t=t: p.fn(np.asarray(x, dtype=float)) + t * q.fn(np.asarray(x, dtype=float)),
         alpha=min(phi.alpha, psi.alpha),
-        d_fn=d_fn,
         json_obj={"kind": "tilt", "params": {"phi": phi.json_obj, "t": t, "psi": psi.json_obj}},
     )
 

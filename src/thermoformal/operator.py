@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ RESIDUAL_TOL = 1e-9
 GAP_ITERS = 400
 GAP_WINDOW = 50
 GAP_SEED = 0x5EED
+#: primitivity_power tries the powers 1, 2, 4, ... up to MAX_PRIMITIVITY_POWER.
+MAX_PRIMITIVITY_POWER = 8
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,11 @@ class TransferMatrix:
     map: MapSpec
     potential: PotentialSpec
     transport: Optional[np.ndarray] = None   # ulam mass-transport fractions
+
+    @cached_property
+    def csr(self):
+        """CSR copy of ``A``, made once and shared by every solve and diagnostic."""
+        return _csr(self.A)
 
     @property
     def map_name(self):
@@ -66,10 +74,7 @@ class SpectralTriple:
     lam: float
     h: np.ndarray
     nu: np.ndarray
-    gap_ratio: float
     iterations: int
-    primitive: bool
-    primitivity_power: Optional[int]
 
     @property
     def grid(self):
@@ -177,7 +182,7 @@ def _csr(A: np.ndarray):
     return sp.csr_array((A.ravel()[flat], flat % n_cols, indptr), shape=A.shape)
 
 
-def _primitivity_power(A, max_power=8):
+def primitivity_power(A):
     """Smallest k in {1,2,4,8} with (pattern of A)^k > 0, else None.
 
     Exact on the sparse pattern P of A > 0.  P^k > 0 needs every row and
@@ -191,7 +196,7 @@ def _primitivity_power(A, max_power=8):
     n = P.shape[0]
     out_paths = in_paths = np.ones(n, dtype=np.int64)
     Pk, k_formed, k = P, 1, 1
-    while k <= max_power:
+    while k <= MAX_PRIMITIVITY_POWER:
         for _ in range(k - k // 2):          # path length k // 2 -> k
             out_paths = np.minimum(P @ out_paths, n)
             in_paths = np.minimum(PT @ in_paths, n)
@@ -210,19 +215,17 @@ def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
 
     Right vector h and left vector nu are iterated together; lambda is the
     two-sided Rayleigh quotient, declared converged when its relative change
-    drops below ``POWER_TOL`` and both residuals below ``RESIDUAL_TOL``.  The
-    second modulus |lambda_2| is estimated afterwards by power iteration on
-    the rank-one-deflated operator A - lambda h (x) nu, read off as a
-    windowed geometric mean of norm ratios (robust to complex pairs).
-    Every step runs on CSR copies of A and A^T; ``tm.A`` itself stays dense.
+    drops below ``POWER_TOL`` and both residuals below ``RESIDUAL_TOL``.
+    Every step runs on ``tm.csr`` and its transpose; ``tm.A`` itself stays
+    dense.  The gap and the primitivity power are not computed here: their
+    readers call :func:`gap_ratio` and :func:`primitivity_power`.
     """
-    A = _csr(tm.A)
+    A = tm.csr
     AT = A.T.tocsr()
     n = A.shape[0]
     if np.any(A.sum(axis=1) == 0.0) or np.any(A.sum(axis=0) == 0.0):
         raise ReducibleMatrixError(
             f"matrix for {tm.map_name}/{tm.potential_name} has a zero row or column")
-    power = _primitivity_power(A)
 
     x = np.full(n, 1.0 / n)
     y = np.full(n, 1.0 / n)
@@ -252,23 +255,16 @@ def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
         raise ReducibleMatrixError(
             "leading right vector is not strictly positive; "
             "discretization is not primitive enough for a spectral triple")
-    h = x / mass
-
-    gap = _second_modulus(A, lam, h, nu)
-    return SpectralTriple(
-        matrix=tm, lam=lam, h=h, nu=nu,
-        gap_ratio=gap / lam,
-        iterations=its,
-        primitive=power is not None,
-        primitivity_power=power,
-    )
+    return SpectralTriple(matrix=tm, lam=lam, h=x / mass, nu=nu, iterations=its)
 
 
-def _second_modulus(A, lam, h, nu):
-    """|lambda_2| via power iteration on A - lam * h (x) nu (fixed seed)."""
-    n = A.shape[0]
+def gap_ratio(t: SpectralTriple) -> float:
+    """|lambda_2| / lambda, |lambda_2| by fixed-seed power iteration on
+    A - lambda h (x) nu, read off as a windowed geometric mean of norm ratios
+    (robust to complex pairs)."""
+    A, lam, h, nu = t.matrix.csr, t.lam, t.h, t.nu
     rng = np.random.default_rng(GAP_SEED)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(A.shape[0])
     v -= h * float(nu @ v)
     nrm = np.linalg.norm(v)
     if nrm == 0:
@@ -283,7 +279,7 @@ def _second_modulus(A, lam, h, nu):
         ratios.append(nrm)
         v = w / nrm
     tail = ratios[-GAP_WINDOW:]
-    return float(np.exp(np.mean(np.log(tail))))
+    return float(np.exp(np.mean(np.log(tail)))) / lam
 
 
 def equilibrium_measure(t: SpectralTriple) -> EquilibriumState:

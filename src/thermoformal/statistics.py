@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
-from .operator import EquilibriumState, SpectralTriple, equilibrium_measure
+from .operator import EquilibriumState, SpectralTriple, equilibrium_measure, gap_ratio
 
 #: Absolute variance floor for the coboundary flag; discretization noise in
 #: the Green-Kubo series sits orders of magnitude above the spectral tail
@@ -108,7 +108,7 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     c0 = series.values[0]
     sigma2 = float(c0 + 2.0 * np.sum(series.values[1:]))
 
-    gap = triple.gap_ratio
+    gap = gap_ratio(triple)
     if gap < 1.0:
         tail = float(abs(c0) * gap ** (lag_max + 1) / (1.0 - gap))
     else:

@@ -203,6 +203,32 @@ class TestMain:
         code = cli.main(["spectrum", "--config", "/nonexistent/job.json"])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_not_a_directory(self, tmp_path, capsys, below):
+        # --out naming an existing file, or a path below one, is refused
+        # before the job runs, without a traceback
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(job("spectrum", params={"n": 64})))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if below else afile
+        code = cli.main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory:")
+        assert "Traceback" not in err
+
+    def test_spectrum_copies_matrix_to_csr_once(self, tmp_path, monkeypatch):
+        # the solve and both diagnostics read one CSR copy of A
+        from thermoformal import operator as T
+        calls = []
+        real = T._csr
+        monkeypatch.setattr(T, "_csr", lambda A: calls.append(1) or real(A))
+        code, summary = cli.run(job("spectrum", params={"n": 64}), tmp_path)
+        assert code == cli.EXIT_OK
+        assert summary["results"]["primitive"] is True
+        assert len(calls) == 1
+
     def test_schema_violation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
         cfg_path.write_text(json.dumps(job("spectrum", params={"n": "large"})))

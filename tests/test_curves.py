@@ -277,3 +277,29 @@ class TestSymmetricGrid:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             Cv.symmetric_grid(1.0, 10)
+
+
+def test_grid_solves_skip_gap_and_primitivity(monkeypatch, tmp_path):
+    # E(t), lambda(v) and the LDP rate need only the leading eigenvalue, so
+    # the gap estimate and the primitivity check must stay off grid solves
+    from thermoformal import cli
+    from thermoformal import statistics as S
+
+    def boom(*args, **kwargs):
+        raise AssertionError("diagnostic called on a grid solve")
+
+    for mod in (T, cli, S):
+        monkeypatch.setattr(mod, "gap_ratio", boom)
+    for mod in (T, cli):
+        monkeypatch.setattr(mod, "primitivity_power", boom)
+
+    curve = Cv.free_energy_curve(M.doubling_map(), O.zero, COS1, t_max=0.4, steps=5,
+                                 scheme="collocation", n=64)
+    assert np.all(np.isfinite(curve.E))
+    scan = Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn,
+                            np.linspace(0.5, 1.5, 5), n=64, guard=(1, 0.7, 64))
+    assert not scan.solve_failed.any()
+    code, _ = cli.run({"schema_version": 1, "command": "ldp", "seed": 3,
+                       "params": {"n": 64, "steps": 9, "s_steps": 11,
+                                  "n_list": [5, 10], "samples": 1000}}, tmp_path)
+    assert code == cli.EXIT_OK

@@ -55,7 +55,7 @@ class TestLeadingTriple:
         assert tr.lam == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(tr.h - 1.0)) < 1e-10
         assert np.max(np.abs(tr.nu - 1.0 / 256)) < 1e-12
-        assert tr.primitive
+        assert T.primitivity_power(tr.matrix.csr) is not None
 
     def test_doubling_log_half(self):
         tm = T.build_matrix(M.doubling_map(), O.constant(-np.log(2.0)), "ulam", 64)
@@ -65,7 +65,7 @@ class TestLeadingTriple:
         for tr in doubling_triples.values():
             assert abs(tr.nu.sum() - 1.0) < 1e-12
             assert abs(float(tr.h @ tr.nu) - 1.0) < 1e-10
-            assert 0.0 <= tr.gap_ratio < 1.0
+            assert 0.0 <= T.gap_ratio(tr) < 1.0
             assert tr.lam > 0 and tr.h.min() > 0 and tr.nu.min() >= 0
 
     def test_eigen_residuals(self):
@@ -142,7 +142,7 @@ class TestLeadingTriple:
     def test_rotation_not_primitive(self):
         tm = T.build_matrix(M.rotation_map(), O.zero, "ulam", 64)
         tr = T.leading_triple(tm)
-        assert not tr.primitive
+        assert T.primitivity_power(tr.matrix.csr) is None
         assert tr.lam == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_row_rejected(self):
@@ -192,14 +192,14 @@ class TestPrimitivityPower:
         for m, n in cases:
             A = T.build_matrix(m, O.zero, scheme, n).A
             expect = _dense_primitivity_power(A)
-            assert T._primitivity_power(T._csr(A)) == expect, (m.name, n)
+            assert T.primitivity_power(T._csr(A)) == expect, (m.name, n)
             powers.add(expect)
         assert {4, 8, None} <= powers
 
     @settings(max_examples=300, deadline=None)
     @given(_patterns())
     def test_random_patterns_match_dense(self, P):
-        assert T._primitivity_power(T._csr(P)) == _dense_primitivity_power(P)
+        assert T.primitivity_power(T._csr(P)) == _dense_primitivity_power(P)
 
     def test_csr_copy_is_exact(self):
         tm = T.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.1), "ulam", 128)
@@ -225,8 +225,7 @@ class TestEquilibrium:
     def test_normalization_gate(self, doubling_triples):
         tr = doubling_triples["ulam"]
         bad = T.SpectralTriple(matrix=tr.matrix, lam=tr.lam, h=2.0 * tr.h, nu=tr.nu,
-                               gap_ratio=tr.gap_ratio, iterations=tr.iterations,
-                               primitive=tr.primitive, primitivity_power=tr.primitivity_power)
+                               iterations=tr.iterations)
         with pytest.raises(ValueError):
             T.equilibrium_measure(bad)
 

@@ -58,7 +58,7 @@ class TestCorrelations:
         st = T.equilibrium_measure(tr)
         cs = S.correlations(mp, st, COS, COS, 30)
         assert cs.tau_hat is not None
-        assert cs.tau_hat <= tr.gap_ratio + 0.05
+        assert cs.tau_hat <= T.gap_ratio(tr) + 0.05
         assert cs.tau_hat < 1.0
 
 
