@@ -4,6 +4,11 @@ A map of the circle R/Z is represented by a lift ``F: R -> R`` with
 ``F(x+1) = F(x) + G`` for an integer degree ``G >= 1``, continuous and
 strictly increasing on ``[0, 1]``.  Points live in ``[0, 1)``; all mod-1
 reduction happens here and nowhere else.
+
+Inverse branches are found by inverting the lift: one table of the lift at
+``LIFT_TABLE_CELLS + 1`` nodes brackets every target, then a safeguarded
+Newton iteration (plain halving for maps without derivative data) closes
+the bracket; see ``_invert_lift``.
 """
 
 from __future__ import annotations
@@ -16,9 +21,17 @@ import numpy as np
 
 from .errors import BranchInversionError, SchemaError
 
-#: Bisection iterations used for branch inversion.  2^-60 < 1e-18, far below
-#: the 1e-12 preimage tolerance; the fixed count keeps runs bitwise stable.
-_BISECT_ITERS = 60
+#: Branch inversion tabulates the lift at the nodes k / LIFT_TABLE_CELLS; one
+#: binary search in the table brackets each target in a cell of width 2^-10.
+LIFT_TABLE_CELLS = 1024
+#: Halvings after the table cell: 2^-10 * 2^-50 = 2^-60 < 1e-18, far below
+#: the 1e-12 preimage tolerance.  For maps without derivative data these are
+#: the only steps, bit-identical to 60 halvings from [0, 1].
+BISECT_STEPS = 50
+#: Iterations in which a Newton step may replace the halving.  Later
+#: iterations only halve, so after NEWTON_STEPS + BISECT_STEPS iterations
+#: every bracket is at most 2^-60 wide.
+NEWTON_STEPS = 10
 
 DEFAULT_CELL_WIDTH = 2.0 ** -20
 
@@ -111,51 +124,91 @@ def branch_preimages(m: MapSpec, x):
     Returns an array of shape (G, len(x)): row k holds the branch-k
     preimage of each point, where branch k solves lift(y) = x + ceil(c - x)
     + k with c = lift(0).  The ordering is increasing in y, which is the
-    deterministic per-level slice order used for branch ids.
+    deterministic per-level slice order used for branch ids.  All G rows
+    are inverted in one ``_invert_lift`` call on a (G, len(x)) target array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = m.degree
     c = float(np.asarray(m.lift(0.0)).ravel()[0])
     targets = x + np.ceil(c - x)
-    out = np.empty((g, x.size), dtype=float)
-    for k in range(g):
-        out[k] = _invert_lift(m, targets + k)
-    return out
+    return _invert_lift(m, targets[None, :] + np.arange(m.degree)[:, None])
 
 
 def _invert_lift(m: MapSpec, t):
-    """Solve lift(y) = t for y in [0, 1], vectorized, bisection + Newton.
+    """Solve lift(y) = t for y in [0, 1], elementwise over any shape of t.
 
-    The lift is strictly increasing, so bisection is certified; a short
-    Newton polish (when a derivative exists) lands at machine precision.
+    The lift is evaluated once on the table nodes k / LIFT_TABLE_CELLS, and a
+    binary search brackets each target in one cell: lift(lo) < t <= lift(hi).
+    Every point evaluated after that replaces the bracket end on its side of
+    the target, and an element retires when its bracket ends are adjacent
+    floats.
+
+    With derivative data each element runs a safeguarded Newton iteration
+    (rtsafe in Press et al., Numerical Recipes, 3rd ed., 9.4) from the linear
+    interpolant of the table: the Newton point is taken only when the
+    derivative is finite and positive and the point stays in the bracket,
+    otherwise the bracket is halved.  A Newton point that rounds to the
+    current point moves one ulp toward the target instead, so a converged
+    element closes its bracket on the next step; it also retires when
+    lift(y) == t.  The result is the bracket end with the smaller residual.
+    Newton points are allowed in the first NEWTON_STEPS iterations only, so
+    the loop ends after NEWTON_STEPS + BISECT_STEPS iterations with every
+    bracket at most 2^-60 wide.
+
+    Maps without derivative data only halve, BISECT_STEPS times from the
+    table cell, and return the midpoint of the bracket: bit-identical to 60
+    halvings from [0, 1].  Every element's path depends only on the map and
+    its own target, so results do not depend on how targets are batched.
     """
     t = np.asarray(t, dtype=float)
-    lo = np.zeros_like(t)
-    hi = np.ones_like(t)
-    flo = m.lift(lo)
-    fhi = m.lift(hi)
-    bad = (flo - 1e-9 > t) | (fhi + 1e-9 < t)
+    nodes = np.arange(LIFT_TABLE_CELLS + 1) / LIFT_TABLE_CELLS
+    table = np.asarray(m.lift(nodes), dtype=float)
+    bad = (table[0] - 1e-9 > t) | (table[-1] + 1e-9 < t)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise BranchInversionError(
-            f"target {t.flat[i]} outside lift range [{flo.flat[i]}, {fhi.flat[i]}] "
+            f"target {t.flat[i]} outside lift range [{table[0]}, {table[-1]}] "
             f"for map {m.name}: lift violates monotone-degree invariants",
             slice_index=i,
             target=float(t.flat[i]),
         )
-    for _ in range(_BISECT_ITERS):
+    tt = t.ravel()
+    k = np.searchsorted(table[1:-1], tt)
+    lo, hi, flo, fhi = nodes[k], nodes[k + 1], table[k], table[k + 1]
+    newton = m.derivative is not None
+    if newton:
+        x = lo + np.clip((tt - flo) / (fhi - flo), 0.0, 1.0) * (hi - lo)
+    else:
+        x = 0.5 * (lo + hi)
+    out = np.empty_like(tt)
+    todo = np.arange(tt.size)
+    newton_steps = NEWTON_STEPS if newton else 0
+    last = newton_steps + BISECT_STEPS - 1
+    for it in range(last + 1):
+        if not todo.size:
+            break
+        fx = m.lift(x)
+        left = fx < tt
+        lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
+        hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
+        done = (hi - lo <= np.spacing(lo)) | (it == last)
+        if newton:
+            done |= fx == tt
+        if done.any():
+            y = np.where(tt - flo <= fhi - tt, lo, hi) if newton else 0.5 * (lo + hi)
+            out[todo[done]] = y[done]
+            keep = ~done
+            todo, tt, x, fx, lo, hi, flo, fhi = (
+                a[keep] for a in (todo, tt, x, fx, lo, hi, flo, fhi))
         mid = 0.5 * (lo + hi)
-        fm = m.lift(mid)
-        left = fm < t
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    y = 0.5 * (lo + hi)
-    if m.derivative is not None:
-        for _ in range(2):
-            d = m.derivative(np.clip(y, 0.0, 1.0))
-            step = np.where(d > 0, (m.lift(y) - t) / np.where(d > 0, d, 1.0), 0.0)
-            y = np.clip(y - step, 0.0, 1.0)
-    return y
+        if it < newton_steps:
+            d = m.derivative(x)
+            good = np.isfinite(d) & (d > 0.0)
+            yn = x - (fx - tt) / np.where(good, d, 1.0)
+            yn = np.where(yn == x, np.nextafter(x, np.where(x == lo, hi, lo)), yn)
+            x = np.where(good & (lo < yn) & (yn < hi), yn, mid)
+        else:
+            x = mid
+    return out.reshape(t.shape)
 
 
 def branch_lipschitz(m: MapSpec, y, cell_width=None):
@@ -285,18 +338,26 @@ def smooth_step(x):
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
     xs = np.where(inside, x, 0.5)
-    a = np.exp(-1.0 / xs)
+    with np.errstate(over="ignore"):        # 1/x = inf below ~5.6e-309: a = 0
+        a = np.exp(-1.0 / xs)
     b = np.exp(-1.0 / (1.0 - xs))
     out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, a / (a + b)))
     return out if out.shape else float(out)
 
 
 def smooth_step_deriv(x):
-    """Derivative of :func:`smooth_step`; zero outside (0, 1)."""
+    """Derivative of :func:`smooth_step`; zero outside (0, 1).
+
+    Exactly zero where exp(-1/x) underflows (x below about 1.3e-3), where
+    1/x^2 may overflow and the product would be 0 * inf.
+    """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
     xs = np.where(inside, x, 0.5)
-    a = np.exp(-1.0 / xs)
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / xs)
+    inside &= a > 0.0
+    xs = np.where(inside, xs, 0.5)
     b = np.exp(-1.0 / (1.0 - xs))
     val = a * b * (1.0 / xs ** 2 + 1.0 / (1.0 - xs) ** 2) / (a + b) ** 2
     out = np.where(inside, val, 0.0)

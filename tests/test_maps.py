@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from thermoformal import maps as M
+from thermoformal.errors import BranchInversionError
 
 
 def _mp_bump(x):
@@ -109,6 +114,138 @@ class TestInverseBranches:
             assert np.allclose(got, want, rtol=1e-9)
 
 
+def _oracle_invert_lift(m, t):
+    # Reference kernel: 60 halvings of [0, 1], then two Newton steps when
+    # the map has derivative data (the range check is left out).
+    t = np.asarray(t, dtype=float)
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = m.lift(mid)
+        left = fm < t
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    y = 0.5 * (lo + hi)
+    if m.derivative is not None:
+        for _ in range(2):
+            d = m.derivative(np.clip(y, 0.0, 1.0))
+            step = np.where(d > 0, (m.lift(y) - t) / np.where(d > 0, d, 1.0), 0.0)
+            y = np.clip(y - step, 0.0, 1.0)
+    return y
+
+
+def _holder_map():
+    # lift 1.5u + u^2 on [0, 1/2], 1 + 2.5u - u^2 (u = x - 1/2) on [1/2, 1]
+    return M.piecewise_poly_map("holder_pw", [0.0, 0.5, 1.0],
+                                [[0.0, 1.5, 1.0], [1.0, 2.5, -1.0]], 2,
+                                holder_only=True)
+
+
+_FIXED_MAPS = {
+    "mp_like": M.mp_like_map,
+    "doubling": M.doubling_map,
+    "rotation": M.rotation_map,
+    "mp_like^3": lambda: M.iterate_map(M.mp_like_map(), 3),
+    "holder": _holder_map,
+}
+
+_MAPS = st.one_of(
+    st.sampled_from(sorted(_FIXED_MAPS)).map(lambda name: _FIXED_MAPS[name]()),
+    st.floats(0.0, 1.99).map(M.derived_expanding_map),
+)
+
+
+def _lift_range(m):
+    return tuple(float(np.asarray(m.lift(v)).ravel()[0]) for v in (0.0, 1.0))
+
+
+def _edge_targets(m):
+    """Branch ends (offsets 0, 1e-300 and 1 - 2^-53 from lift(0) + k), the
+    targets c + j/1024 and the exact table values lift(j/1024)."""
+    c, top = _lift_range(m)
+    ends = [c + k + e for k in range(m.degree) for e in (0.0, 1e-300, 1.0 - 2.0 ** -53)]
+    nodes = np.arange(M.LIFT_TABLE_CELLS + 1) / M.LIFT_TABLE_CELLS
+    steps = c + np.arange(m.degree * M.LIFT_TABLE_CELLS + 1) / M.LIFT_TABLE_CELLS
+    t = np.concatenate([ends, steps, np.asarray(m.lift(nodes), dtype=float)])
+    return np.minimum(t, top)
+
+
+def _check_against_oracle(m, t):
+    y = M._invert_lift(m, t)
+    ref = _oracle_invert_lift(m, t)
+    assert y.shape == t.shape
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    if m.derivative is None:
+        assert y.tobytes() == ref.tobytes()
+    else:
+        res = np.abs(m.lift(y) - t)
+        ref_res = np.abs(m.lift(ref) - t)
+        worst = res - (ref_res + 2.0 * np.abs(np.spacing(t)))
+        assert np.all(worst <= 0.0), (t[np.argmax(worst)], worst.max())
+
+
+class TestInvertLift:
+    @settings(max_examples=150, deadline=None)
+    @given(m=_MAPS, strip=st.booleans(),
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    def test_matches_oracle(self, m, strip, u):
+        if strip:
+            m = dataclasses.replace(m, derivative=None)
+        c, top = _lift_range(m)
+        t = np.minimum(c + np.asarray(u) * m.degree, top)
+        _check_against_oracle(m, t)
+
+    @pytest.mark.parametrize("strip", [False, True])
+    @pytest.mark.parametrize("name", sorted(_FIXED_MAPS) + ["derived_expanding"])
+    def test_edge_targets(self, name, strip):
+        makers = dict(_FIXED_MAPS, derived_expanding=lambda: M.derived_expanding_map(1.99))
+        m = makers[name]()
+        if strip:
+            m = dataclasses.replace(m, derivative=None)
+        _check_against_oracle(m, _edge_targets(m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=_MAPS, x=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12))
+    def test_branch_preimages_batch_independent(self, m, x):
+        x = np.asarray(x)
+        pre = M.branch_preimages(m, x)
+        assert pre.shape == (m.degree, x.size)
+        for j in range(x.size):
+            assert pre[:, j].tobytes() == M.branch_preimages(m, x[j:j + 1])[:, 0].tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.5, 2.5])
+    def test_target_outside_lift_range_raises(self, bad):
+        t = np.array([[0.25, 1.0], [bad, 1.5]])
+        with pytest.raises(BranchInversionError) as info:
+            M._invert_lift(M.mp_like_map(), t)
+        assert info.value.slice_index == 2
+        assert info.value.target == bad
+
+    @pytest.mark.parametrize("make", [M.mp_like_map, lambda: M.derived_expanding_map(1.2)],
+                             ids=["mp_like", "derived_expanding(1.2)"])
+    def test_lift_evaluation_budget(self, make):
+        # Full bisection would evaluate the lift at ~60 points per preimage;
+        # the table plus Newton stays far below that.
+        m = make()
+        counts = {"lift": 0, "derivative": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                counts[name] += np.size(x)
+                return fn(x)
+            return wrapped
+
+        mc = dataclasses.replace(m, lift=counted("lift", m.lift),
+                                 derivative=counted("derivative", m.derivative))
+        counts.update(lift=0, derivative=0)
+        centers = (np.arange(1024) + 0.5) / 1024
+        pre = M.branch_preimages(mc, centers)
+        assert counts["lift"] <= 16384
+        assert counts["derivative"] <= 8192
+        assert pre.tobytes() == M.branch_preimages(m, centers).tobytes()
+
+
 class TestBirkhoff:
     def test_constant(self):
         d = M.doubling_map()
@@ -159,6 +296,17 @@ class TestBuiltins:
     def test_derived_rejects_nonhomeomorphism(self):
         with pytest.raises(ValueError):
             M.derived_expanding_map(2.0)
+
+    def test_smooth_step_deriv_underflow_is_exact_zero(self):
+        # exp(-1/x) underflows to 0 there, while 1/x^2 (and for subnormal x
+        # also 1/x) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert M.smooth_step_deriv(np.array([1e-200, 1e-160, 5e-324])).tolist() == [0.0] * 3
+            assert M.smooth_step(np.array([1e-200, 5e-324])).tolist() == [0.0, 0.0]
+            assert M.deriv_at(M.mp_like_map(), 1e-200) == 1.0
+            d = M.derived_expanding_map(1.2).derivative(np.array([1e-200, -1e-200]))
+            assert d.tolist() == [2.0 - 1.2, 2.0 - 1.2]
 
     def test_catalog_contents(self):
         cat = M.builtin_maps()
