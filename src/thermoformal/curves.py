@@ -314,6 +314,13 @@ def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
                   batch_size=1 << 17) -> LdpReport:
     """Empirical decay rate of mu(S_n psi / n in [a,b]) vs the rate bound.
 
+    Every n in ``n_list`` reads the same orbits: each batch runs its orbits
+    to the largest n and counts S_n at each n on the way, so the orbits
+    cost max(n_list) steps, not sum(n_list).  The counts at different n are
+    therefore correlated, but each is still an unbiased estimate of its
+    mu-probability (as far as the starts are mu-distributed), and the
+    smallest n draws the stream it drew when every n had orbits of its own.
+
     r_hat(n) is extrapolated linearly in 1/n; the comparison value is
     -inf over [a,b] of the rate function (endpoints and interior s-grid).
     Zero counts at the largest n yield a censored (lower-bound-only) report.
@@ -322,10 +329,15 @@ def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
         raise ValueError("need a < b")
     n_values = np.asarray(sorted(n_list), dtype=int)
     counts = np.zeros(n_values.size, dtype=np.int64)
-    for ni, n in enumerate(n_values):
-        for _, take, rng in mc_batches(samples, batch_size, seed, ni):
-            x0 = sample_from_state(state, take, rng)
-            s = orbit_birkhoff_samples(m, x0, int(n), psi, rng=rng) / n
+    steps = np.diff(n_values, prepend=0)
+    # Counter 0 is the one the smallest n used when each n drew its own
+    # orbits, so its count keeps that stream.
+    for _, take, rng in mc_batches(samples, batch_size, seed, 0):
+        x = sample_from_state(state, take, rng)
+        total = np.zeros(take)
+        for ni, n in enumerate(n_values):
+            total += orbit_birkhoff_samples(m, x, int(steps[ni]), psi, rng=rng, end=x)
+            s = total / n
             counts[ni] += int(np.count_nonzero((s >= a) & (s <= b)))
 
     censored = bool(counts[-1] == 0)

@@ -158,16 +158,23 @@ def _invert_lift(m: MapSpec, t):
     table cell, and return the midpoint of the bracket: bit-identical to 60
     halvings from [0, 1].  Every element's path depends only on the map and
     its own target, so results do not depend on how targets are batched.
+
+    A target that is not finite, or lies outside [lift(0), lift(1)] by more
+    than 1e-9, raises ``BranchInversionError`` with its flat index
+    (``slice_index``) and value (``target``).
     """
     t = np.asarray(t, dtype=float)
     nodes = np.arange(LIFT_TABLE_CELLS + 1) / LIFT_TABLE_CELLS
     table = np.asarray(m.lift(nodes), dtype=float)
-    bad = (table[0] - 1e-9 > t) | (table[-1] + 1e-9 < t)
+    finite = np.isfinite(t)
+    bad = ~finite | (table[0] - 1e-9 > t) | (table[-1] + 1e-9 < t)
     if np.any(bad):
         i = int(np.argmax(bad))
+        msg = (f"target {t.flat[i]} outside lift range [{table[0]}, {table[-1]}] "
+               f"for map {m.name}: lift violates monotone-degree invariants"
+               if finite.flat[i] else f"target {t.flat[i]} is not finite (map {m.name})")
         raise BranchInversionError(
-            f"target {t.flat[i]} outside lift range [{table[0]}, {table[-1]}] "
-            f"for map {m.name}: lift violates monotone-degree invariants",
+            msg,
             slice_index=i,
             target=float(t.flat[i]),
         )
@@ -270,7 +277,7 @@ def orbit_sample(m: MapSpec, psi, x, n) -> OrbitSample:
                        birkhoff_value=float(birkhoff_sum(m, psi, x, n)))
 
 
-def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None):
+def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
     """Birkhoff sums S_n(psi) over a batch of orbits, with low-order dither.
 
     With an ``rng``, each step adds ``ORBIT_DITHER * u`` (u uniform in
@@ -280,6 +287,13 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None):
     observable scale.  Without an ``rng`` there is no dither.  Deterministic
     given ``rng``.  The dither and the wrap reuse one scratch buffer, in
     place on the lift's output.
+
+    ``end``, an array of ``x0``'s shape, receives the end points f^n(x0); it
+    may be ``x0`` itself (the orbit starts from a reduced copy).  The
+    reduction leaves points of [0, 1) unchanged, so n1 steps and then n2
+    steps from ``end`` with the same ``rng`` end where one call of n1 + n2
+    steps does, bit for bit, and the two sums add up to its S_n (up to
+    rounding).  The return value is S_n, of ``x0``'s shape.
     """
     x = wrap01(np.asarray(x0, dtype=float))
     total = np.zeros_like(x)
@@ -292,6 +306,8 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None):
             buf *= ORBIT_DITHER
             x += buf
         x -= np.floor(x, out=buf)
+    if end is not None:
+        end[...] = x
     return total
 
 

@@ -137,17 +137,19 @@ def _build_ulam(m: MapSpec, phi: PotentialSpec, n: int):
     A = np.zeros((n, n))
     T = np.zeros((n, n))
     c = float(np.asarray(m.lift(0.0)).ravel()[0])
-    # slice boundaries: preimages of c, c+1, ..., c+G (endpoints exact)
-    s = _invert_lift(m, np.array([c + b for b in range(m.degree + 1)]))
-    s[0], s[-1] = 0.0, 1.0
-    for b in range(m.degree):
+    g = m.degree
+    # image-side lattice values k/n strictly inside (c + b, c + b + 1)
+    lattice = [np.arange(math.floor((c + b) * n) + 1, math.ceil((c + b + 1.0) * n)) / n
+               for b in range(g)]
+    # One inversion for the slice boundaries (preimages of c, c+1, ..., c+G)
+    # and every branch's lattice values.
+    inv = _invert_lift(m, np.concatenate([[c + b for b in range(g + 1)], *lattice]))
+    s = inv[:g + 1]
+    s[0], s[-1] = 0.0, 1.0          # endpoints exact
+    pre = np.split(inv[g + 1:], np.cumsum([ts.size for ts in lattice])[:-1])
+    for b in range(g):
         lo_val, hi_val = c + b, c + b + 1.0
-        # image-side lattice values k/n strictly inside (lo_val, hi_val)
-        k_lo = math.floor(lo_val * n) + 1
-        k_hi = math.ceil(hi_val * n) - 1
-        ks = np.arange(k_lo, k_hi + 1)
-        ts = ks / n
-        ys = _invert_lift(m, ts) if ts.size else np.empty(0)
+        ts, ys = lattice[b], pre[b]
         # domain-side source-cell edges strictly inside the slice
         j_lo = math.floor(s[b] * n) + 1
         j_hi = math.ceil(s[b + 1] * n) - 1

@@ -1,7 +1,8 @@
 """What the benchmark's layer tracer (``benchmarks/layertrace.py``) needs of
-the program: every name it rebinds, and a dense ``TransferMatrix.A`` whose
-bytes and nonzeros it counts.  A change that drops either fails here, in the
-main suite, and not only in the benchmark's own tests."""
+the program: every name it rebinds, a dense ``TransferMatrix.A`` whose
+bytes and nonzeros it counts, and orbit calls whose ``(m, x0, n)`` give the
+true number of orbit steps.  A change that breaks any of these fails here,
+in the main suite, and not only in the benchmark's own tests."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermoformal import curves as Cv
 from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
@@ -41,3 +43,17 @@ def test_assembly_counts(layertrace, scheme, stored):
     assert tracer.counts["operator.matrix_bytes"] == stored * n * n * 8
     assert tracer.counts["operator.stored_entries"] == stored * n * n
     assert tracer.counts["operator.nonzeros"] >= np.count_nonzero(tm.A) > 0
+
+
+def test_ldp_orbit_steps(layertrace, monkeypatch):
+    # The LDP runs each orbit once, to the largest n, in segments.
+    tracer = layertrace.Tracer()
+    monkeypatch.setattr(Cv, "orbit_birkhoff_samples",
+                        tracer.wrap("maps.orbit", Cv.orbit_birkhoff_samples,
+                                    tracer._count_orbit))
+    d, psi, samples = M.doubling_map(), O.fourier_cos(1), 300
+    curve = Cv.free_energy_curve(d, O.zero, psi, t_max=1.0, steps=11, n=32)
+    state = T.EquilibriumState(triple=None, mu=np.full(32, 1.0 / 32))
+    Cv.ldp_empirical(d, state, psi.fn, 0.1, 0.5, [8, 3, 5], samples, seed=1,
+                     rate=Cv.rate_function(curve, 21), batch_size=128)
+    assert tracer.counts["maps.orbit_steps"] == samples * 8

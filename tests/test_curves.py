@@ -220,6 +220,24 @@ class TestLdp:
                 for _ in range(2)]
         assert np.array_equal(reps[0].counts, reps[1].counts)
 
+    def test_smallest_n_keeps_its_stream(self, doubling_cos_curve):
+        # the smallest n counts the orbits a one-horizon run would draw
+        rf = Cv.rate_function(doubling_cos_curve, 101)
+        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        args = (M.doubling_map(), st, COS1.fn, 0.25, 0.45)
+        many = Cv.ldp_empirical(*args, [30, 10, 20], 20_000, seed=6, rate=rf,
+                                batch_size=4096)
+        one = Cv.ldp_empirical(*args, [10], 20_000, seed=6, rate=rf, batch_size=4096)
+        assert many.counts[0] == one.counts[0] > 0
+
+    def test_repeated_n_counts_equal(self, doubling_cos_curve):
+        rf = Cv.rate_function(doubling_cos_curve, 101)
+        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        rep = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
+                               [20, 20, 40], 20_000, seed=2, rate=rf)
+        assert rep.n_values.tolist() == [20, 20, 40]
+        assert rep.counts[0] == rep.counts[1] > 0
+
     def test_small_sample_keeps_sign(self, doubling_cos_curve):
         # shrinking m inflates variance but the decay rate stays negative
         rf = Cv.rate_function(doubling_cos_curve, 101)

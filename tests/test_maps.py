@@ -222,6 +222,25 @@ class TestInvertLift:
         assert info.value.slice_index == 2
         assert info.value.target == bad
 
+    @pytest.mark.parametrize("strip", [False, True], ids=["newton", "bisection"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises(self, bad, strip):
+        m = M.mp_like_map()
+        if strip:
+            m = dataclasses.replace(m, derivative=None)
+        t = np.array([[0.25, 1.0], [bad, 0.5]])
+        with pytest.raises(BranchInversionError, match="not finite") as info:
+            M._invert_lift(m, t)
+        assert info.value.slice_index == 2
+        assert np.array_equal([info.value.target], [bad], equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf mod 1
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_inverse_branches_rejects_non_finite(self, x):
+        for m in (M.mp_like_map(), _holder_map()):
+            with pytest.raises(BranchInversionError):
+                M.inverse_branches(m, x, 1)
+
     @pytest.mark.parametrize("make", [M.mp_like_map, lambda: M.derived_expanding_map(1.2)],
                              ids=["mp_like", "derived_expanding(1.2)"])
     def test_lift_evaluation_budget(self, make):
@@ -396,3 +415,35 @@ class TestOrbitSampler:
             x = M.wrap01(d.lift(x) + 2.0 ** -48 * rng.random(x.shape))
         assert np.array_equal(last, tot)
         assert np.all(x > 0.0)
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["rng", "no_rng"])
+    def test_segments_continue_one_orbit(self, seeded):
+        # 20 + 20 + 40 steps, each from the last one's end, against one
+        # 80-step call: the same end points bit for bit, the same S_80 up
+        # to rounding.
+        m = M.derived_expanding_map(0.5)
+        psi = lambda x: np.cos(2 * np.pi * x)
+        x0 = np.random.default_rng(4).random(256)
+        rng = (lambda: np.random.default_rng(8)) if seeded else (lambda: None)
+        end = np.empty_like(x0)
+        whole = M.orbit_birkhoff_samples(m, x0, 80, psi, rng=rng(), end=end)
+        x = x0.copy()
+        seg_rng = rng()
+        total = np.zeros_like(x)
+        for steps in (20, 20, 40):
+            total += M.orbit_birkhoff_samples(m, x, steps, psi, rng=seg_rng, end=x)
+        assert x.tobytes() == end.tobytes()
+        assert np.max(np.abs(total - whole)) < 1e-12
+
+    def test_end_may_alias_start(self):
+        d = M.doubling_map()
+        psi = lambda x: np.cos(2 * np.pi * x)
+        x0 = np.random.default_rng(5).random(64)
+        want = M.orbit_birkhoff_samples(d, x0, 12, psi, rng=np.random.default_rng(6))
+        x = x0.copy()
+        got = M.orbit_birkhoff_samples(d, x, 12, psi, rng=np.random.default_rng(6), end=x)
+        assert got.tobytes() == want.tobytes()
+        y = x0.copy()
+        for _ in range(12):
+            y = M.wrap01(d.lift(y))
+        assert np.max(M.circle_dist(x, y)) < 1e-9

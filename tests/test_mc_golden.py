@@ -49,4 +49,6 @@ def test_ldp_counts(state):
     rate = Cv.rate_function(curve, 21)
     rep = Cv.ldp_empirical(d, state, PSI.fn, 0.2, 0.3, [4, 8, 16], SAMPLES,
                            seed=5, rate=rate, batch_size=BATCH)
-    assert rep.counts.tolist() == [640, 346, 102]
+    # All three n read the same orbits; n=4 keeps the stream it had when
+    # each n drew orbits of its own, so its count is the same 640.
+    assert rep.counts.tolist() == [640, 313, 108]

@@ -41,6 +41,39 @@ class TestBuildMatrix:
             tm = T.build_matrix(mk(), O.zero, "ulam", 128)
             assert np.max(np.abs(tm.transport.sum(axis=0) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("make", [M.mp_like_map, lambda: M.derived_expanding_map(1.3)],
+                             ids=["mp_like", "derived_expanding(1.3)"])
+    def test_ulam_inverts_once(self, make, monkeypatch):
+        # One _invert_lift call per assembly; the matrices equal those of
+        # one call for the slice boundaries and one per branch.
+        m, n = make(), 256
+        invert = T._invert_lift
+        calls = []
+
+        def counted(mm, t):
+            calls.append(np.size(t))
+            return invert(mm, t)
+
+        def per_branch(mm, t):
+            g = mm.degree
+            c = float(np.asarray(mm.lift(0.0)).ravel()[0])
+            out = np.empty_like(t)
+            out[:g + 1] = invert(mm, t[:g + 1])
+            rest = t[g + 1:]
+            branch = np.floor(rest - c)
+            for b in range(g):
+                out[g + 1:][branch == b] = invert(mm, rest[branch == b])
+            return out
+
+        pot = O.fourier_cos(1, 0.1)
+        monkeypatch.setattr(T, "_invert_lift", counted)
+        tm = T.build_matrix(m, pot, "ulam", n)
+        assert calls == [m.degree + 1 + m.degree * (n - 1)]
+        monkeypatch.setattr(T, "_invert_lift", per_branch)
+        ref = T.build_matrix(m, pot, "ulam", n)
+        assert tm.A.tobytes() == ref.A.tobytes()
+        assert tm.transport.tobytes() == ref.transport.tobytes()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             T.build_matrix(M.doubling_map(), O.zero, "spectral", 64)
