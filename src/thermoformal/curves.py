@@ -62,6 +62,13 @@ class FreeEnergyCurve:
         return float(self.t[1] - self.t[0])
 
 
+def _central_differences(y, x):
+    """``np.gradient`` of y on the uniform grid x, and central second differences (NaN ends)."""
+    d2 = np.full_like(y, np.nan)
+    d2[1:-1] = (y[2:] - 2 * y[1:-1] + y[:-2]) / (x[1] - x[0]) ** 2
+    return np.gradient(y, x), d2
+
+
 def _convexity_verdict(E2):
     interior = E2[1:-1]
     if interior.size == 0:
@@ -113,10 +120,7 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
     E[i0] = 0.0
-    E1 = np.gradient(E, ts)
-    dt = ts[1] - ts[0]
-    E2 = np.full_like(E, np.nan)
-    E2[1:-1] = (E[2:] - 2 * E[1:-1] + E[:-2]) / dt ** 2
+    E1, E2 = _central_differences(E, ts)
     return FreeEnergyCurve(
         psi_name=psi.name, t=ts, E=E, E1=E1, E2=E2,
         verdict=_convexity_verdict(E2),
@@ -423,9 +427,7 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
     failed = np.array([s[3] for s in solved], dtype=bool)
 
     dv = vs[1] - vs[0]
-    dlam = np.gradient(lams, vs)
-    d2lam = np.full_like(lams, np.nan)
-    d2lam[1:-1] = (lams[2:] - 2 * lams[1:-1] + lams[:-2]) / dv ** 2
+    dlam, d2lam = _central_differences(lams, vs)
 
     # double-step estimates on points 2..n-3
     inner = slice(2, vs.size - 2)

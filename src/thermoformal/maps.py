@@ -49,9 +49,11 @@ def wrap01(x):
     """Reduce float x to the fundamental domain [0, 1).
 
     Bit-equal to ``np.mod(x, 1.0)`` for finite x (x - floor(x) is exact or
-    rounds the same real number), at a fraction of its cost.
+    rounds the same real number), at a fraction of its cost, except that a
+    result of 1.0 (from tiny negative x, say -1e-17) is returned as 0.0.
     """
-    return x - np.floor(x)
+    y = x - np.floor(x)
+    return y - (y == 1.0)
 
 
 @dataclass(frozen=True)
@@ -306,6 +308,7 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
             buf *= ORBIT_DITHER
             x += buf
         x -= np.floor(x, out=buf)
+        x -= x == 1.0               # 1.0 -> 0.0, as in wrap01
     if end is not None:
         end[...] = x
     return total

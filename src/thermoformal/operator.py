@@ -10,9 +10,8 @@ so at phi = 0 the matrix maps the constant vector to degree * constant.
 * collocation: rows sample L at grid points, preimage values interpolated
   by periodic piecewise-linear hats (keeps the matrix nonnegative).
 * ulam: cell-indicator Galerkin.  Entries come from exact branch preimage
-  intervals of the cell partition: image-side interval lengths give the
-  operator weights, and the domain-side fractions (the column-stochastic
-  mass-transport factor) are stored alongside for diagnostics.
+  intervals of the cell partition: the image-side length of each piece is
+  its operator weight.
 """
 
 from __future__ import annotations
@@ -52,7 +51,9 @@ class TransferMatrix:
     grid: np.ndarray
     map: MapSpec
     potential: PotentialSpec
-    transport: Optional[np.ndarray] = None   # ulam mass-transport fractions
+    # Always None: no scheme builds a second matrix.  Kept only because the
+    # benchmark's layer tracer reads ``tm.transport``.
+    transport: Optional[np.ndarray] = None
 
     @cached_property
     def csr(self):
@@ -101,79 +102,67 @@ class EquilibriumState:
 
 
 def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> TransferMatrix:
-    """Assemble the n x n discretization of L_{f,phi} in the given scheme."""
+    """Assemble the n x n discretization of L_{f,phi} in the given scheme.
+
+    Each scheme lists its map-only entries as ``(rows, cols, points, coef)``;
+    entry k adds ``scale * exp(phi(points[k])) * coef[k]`` to ``A[rows[k],
+    cols[k]]`` in order, where ``scale`` is n for Ulam and 1 for collocation.
+    """
     if n < 16:
         raise ValueError("n must be >= 16")
     if n > MAX_DENSE_N:
         raise ValueError(f"dense schemes are capped at n={MAX_DENSE_N}")
     if scheme == "collocation":
-        A, transport = _build_collocation(m, phi, n), None
+        (rows, cols, points, coef), scale = _collocation_entries(m, n), 1
     elif scheme == "ulam":
-        A, transport = _build_ulam(m, phi, n)
+        (rows, cols, points, coef), scale = _ulam_entries(m, n), n
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    A = np.zeros((n, n))
+    np.add.at(A, (rows, cols), scale * np.exp(phi.fn(points)) * coef)
     grid = (np.arange(n) + 0.5) / n
-    return TransferMatrix(scheme=scheme, n=n, A=A, grid=grid, map=m,
-                          potential=phi, transport=transport)
+    return TransferMatrix(scheme=scheme, n=n, A=A, grid=grid, map=m, potential=phi)
 
 
-def _build_collocation(m: MapSpec, phi: PotentialSpec, n: int):
+def _collocation_entries(m: MapSpec, n: int):
+    """Row i samples L at the centre x_i: each preimage y of x_i enters the
+    two hats around it, with weights 1 - w and w.  Entries are ordered by
+    branch, then lower/upper hat, then row; points has shape (G, 1, n)."""
     centers = (np.arange(n) + 0.5) / n
-    A = np.zeros((n, n))
-    rows = np.arange(n)
-    pre = branch_preimages(m, centers)            # (G, n)
-    for b in range(m.degree):
-        y = wrap01(pre[b])
-        wgt = np.exp(phi.fn(y))
-        p = y * n - 0.5
-        j0 = np.floor(p).astype(np.int64)
-        w_hi = p - j0
-        np.add.at(A, (rows, np.mod(j0, n)), wgt * (1.0 - w_hi))
-        np.add.at(A, (rows, np.mod(j0 + 1, n)), wgt * w_hi)
-    return A
+    y = wrap01(branch_preimages(m, centers))[:, None, :]
+    p = y * n - 0.5
+    j0 = np.floor(p).astype(np.int64)
+    w_hi = p - j0
+    cols = np.mod(np.concatenate([j0, j0 + 1], axis=1), n)
+    coef = np.concatenate([1.0 - w_hi, w_hi], axis=1)
+    return np.arange(n), cols, y, coef
 
 
-def _build_ulam(m: MapSpec, phi: PotentialSpec, n: int):
-    A = np.zeros((n, n))
-    T = np.zeros((n, n))
+def _ulam_entries(m: MapSpec, n: int):
+    """Cut [0, 1] at the slice boundaries s_b (lift(s_b) = c + b, c = lift(0)),
+    at the preimages of the lattice values k/n and at the source-cell edges
+    j/n.  Each piece lies in one source cell j and maps into one image cell
+    i; its image length is its entry at (i, j), its midpoint its point."""
     c = float(np.asarray(m.lift(0.0)).ravel()[0])
-    g = m.degree
-    # image-side lattice values k/n strictly inside (c + b, c + b + 1)
-    lattice = [np.arange(math.floor((c + b) * n) + 1, math.ceil((c + b + 1.0) * n)) / n
-               for b in range(g)]
-    # One inversion for the slice boundaries (preimages of c, c+1, ..., c+G)
-    # and every branch's lattice values.
-    inv = _invert_lift(m, np.concatenate([[c + b for b in range(g + 1)], *lattice]))
-    s = inv[:g + 1]
+    bounds = c + np.arange(m.degree + 1)
+    # One inversion for the slice boundaries and the lattice values; lattice
+    # values and cell edges on a slice boundary would add only empty pieces.
+    lattice = np.arange(math.floor(c * n) + 1, math.ceil(bounds[-1] * n)) / n
+    lattice = lattice[~np.isin(lattice, bounds)]
+    inv = _invert_lift(m, np.concatenate([bounds, lattice]))
+    s = inv[:bounds.size]
     s[0], s[-1] = 0.0, 1.0          # endpoints exact
-    pre = np.split(inv[g + 1:], np.cumsum([ts.size for ts in lattice])[:-1])
-    for b in range(g):
-        lo_val, hi_val = c + b, c + b + 1.0
-        ts, ys = lattice[b], pre[b]
-        # domain-side source-cell edges strictly inside the slice
-        j_lo = math.floor(s[b] * n) + 1
-        j_hi = math.ceil(s[b + 1] * n) - 1
-        js = np.arange(j_lo, j_hi + 1)
-        src = js / n
-        f_src = np.asarray(m.lift(src), dtype=float) if src.size else np.empty(0)
-
-        dom = np.concatenate(([s[b]], ys, src, [s[b + 1]]))
-        img = np.concatenate(([lo_val], ts, f_src, [hi_val]))
-        order = np.argsort(dom, kind="stable")
-        dom, img = dom[order], img[order]
-
-        a, bb = dom[:-1], dom[1:]
-        ga, gb = img[:-1], img[1:]
-        d_len = np.maximum(bb - a, 0.0)
-        g_len = np.maximum(gb - ga, 0.0)
-        mid_dom = 0.5 * (a + bb)
-        mid_img = 0.5 * (ga + gb)
-        i_idx = np.mod(np.floor(np.mod(mid_img, 1.0) * n).astype(np.int64), n)
-        j_idx = np.mod(np.floor(mid_dom * n).astype(np.int64), n)
-        wgt = n * np.exp(phi.fn(wrap01(mid_dom))) * g_len
-        np.add.at(A, (i_idx, j_idx), wgt)
-        np.add.at(T, (i_idx, j_idx), n * d_len)
-    return A, T
+    edges = np.arange(1, n) / n
+    edges = edges[~np.isin(edges, s)]
+    dom = np.concatenate([s, inv[bounds.size:], edges])
+    img = np.concatenate([bounds, lattice, m.lift(edges)])
+    order = np.argsort(dom, kind="stable")
+    dom, img = dom[order], img[order]
+    mid_dom = 0.5 * (dom[:-1] + dom[1:])
+    mid_img = 0.5 * (img[:-1] + img[1:])
+    rows = np.mod(np.floor(np.mod(mid_img, 1.0) * n).astype(np.int64), n)
+    cols = np.mod(np.floor(mid_dom * n).astype(np.int64), n)
+    return rows, cols, wrap01(mid_dom), np.maximum(img[1:] - img[:-1], 0.0)
 
 
 def _csr(A: np.ndarray):

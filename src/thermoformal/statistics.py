@@ -49,7 +49,7 @@ class VarianceReport:
 
 def _normalized_push(state: EquilibriumState, vec, n_steps):
     """Iterates of (A/lambda) applied to an h-weighted density vector."""
-    A = state.triple.matrix.A
+    A = state.triple.matrix.csr
     lam = state.triple.lam
     out = [vec]
     w = vec

@@ -47,6 +47,21 @@ class TestEval:
         assert M.map_eval(rot, 0.9) == pytest.approx(0.15, abs=1e-15)
 
 
+    def test_wrap01_never_returns_one(self):
+        # x - floor(x) rounds to 1.0 for tiny negative x
+        x = np.array([-1e-17, -2.0 ** -54, -0.0, 0.25, 1.0, -1.0, -0.75, 2.5])
+        y = M.wrap01(x)
+        assert np.all((0.0 <= y) & (y < 1.0))
+        assert y[0] == y[1] == 0.0
+        keep = np.mod(x, 1.0) != 1.0
+        assert y[keep].tobytes() == np.mod(x, 1.0)[keep].tobytes()
+
+    def test_tiny_negative_lift_wraps_to_zero(self):
+        # lift(x) = -0.3 + 2x is -2^-54 here
+        m = M.piecewise_poly_map("neg_lift0", [0.0, 1.0], [[-0.3, 2.0]], 2)
+        assert np.all(M.map_eval(m, 0.15 - 2.0 ** -55) == 0.0)
+
+
 class TestInverseBranches:
     def test_doubling_depth1(self):
         d = M.doubling_map()
@@ -434,6 +449,23 @@ class TestOrbitSampler:
             total += M.orbit_birkhoff_samples(m, x, steps, psi, rng=seg_rng, end=x)
         assert x.tobytes() == end.tobytes()
         assert np.max(np.abs(total - whole)) < 1e-12
+
+    @pytest.mark.parametrize("c, x", [(-0.3, 0.15 - 2.0 ** -55),
+                                      (-0.1, np.nextafter(0.05, 0.0))])
+    def test_segments_continue_through_wrapped_point(self, c, x):
+        # The first step lands on a tiny negative lift value, which wraps to
+        # 0.0 both inside one call and at the start of the next segment.
+        m = M.piecewise_poly_map("neg_lift0", [0.0, 1.0], [[c, 2.0]], 2)
+        psi = lambda y: y.copy()
+        x0 = np.array([x, 0.2, 0.7])
+        end = np.empty_like(x0)
+        whole = M.orbit_birkhoff_samples(m, x0, 10, psi, end=end)
+        x = x0.copy()
+        first = M.orbit_birkhoff_samples(m, x, 1, psi, end=x)
+        assert x[0] == 0.0
+        rest = M.orbit_birkhoff_samples(m, x, 9, psi, end=x)
+        assert x.tobytes() == end.tobytes()
+        assert np.max(np.abs(first + rest - whole)) < 1e-12
 
     def test_end_may_alias_start(self):
         d = M.doubling_map()
