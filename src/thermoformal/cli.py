@@ -33,6 +33,10 @@ from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_t
 
 SCHEMA_VERSION = 1
 
+#: Largest ``steps`` (t-grid points) and ``s_steps`` (s-grid points) a job
+#: may ask for.
+MAX_GRID_STEPS = 10_001
+
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_CERTIFY_FAIL = 2
@@ -185,7 +189,7 @@ def _validate_params(command, params, map_name):
             _num(p, "samples", lo=10, integer=True)
         if command in ("free-energy", "rate-function", "ldp"):
             _num(p, "t_max", lo=1e-9)
-            steps = _num(p, "steps", lo=3, integer=True)
+            steps = _num(p, "steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
             _require(steps % 2 == 1, "steps must be odd", "params.steps")
         if command == "free-energy":
             if p["eps_guard"] is not None:
@@ -200,7 +204,7 @@ def _validate_params(command, params, map_name):
             _num(p, "mc_orbit_n", lo=1, integer=True)
             _num(p, "mc_samples", lo=1, integer=True)
         if command in ("rate-function", "ldp"):
-            _num(p, "s_steps", lo=3, integer=True)
+            _num(p, "s_steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
         if command == "ldp":
             _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
                      "n_list must be a nonempty list", "params.n_list")

@@ -15,13 +15,16 @@ from .errors import LegendreDegenerateError, ThermoformalError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
 from .operator import (EquilibriumState, SpectralTriple, build_matrix, equilibrium_measure,
-                       leading_triple)
+                       leading_triple, leading_triples, map_geometry)
 from .statistics import mc_batches, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
 #: Largest t tried by :func:`default_t_max`; the ladder halves from here.
 T_MAX_LADDER = 4.0
+#: free_energy_curve solves its grid GRID_BLOCK potentials at a time, so the
+#: memory of the batched solve does not grow with the number of grid points.
+GRID_BLOCK = 64
 
 
 def ordered_map(fn, items):
@@ -85,11 +88,19 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                       eps_guard=None, keep_triples=False) -> FreeEnergyCurve:
     """E(t) = log lambda(phi + t psi) - log lambda(phi) on a symmetric grid.
 
-    E(0) is exactly zero since both terms come from the same matrix build.
+    E(0) is exactly zero since both terms come from the same matrix.
     Derivatives are central differences at the grid step; the convexity
     verdict uses the declared affine/strict bands.  When ``eps_guard`` is
     set, admissibility of phi +- t_max psi is checked and a failure only
-    warns.  The grid points are solved in order on one thread.
+    warns.
+
+    The map is inverted once for the whole grid (:func:`map_geometry`), and
+    phi and psi are evaluated once on its entry points.  Each grid point's
+    entry weights are ``scale * exp(phi + t psi) * coef`` (``exp(phi)`` at
+    t=0), the same float operations as ``build_matrix(m, combine(phi, psi,
+    t), scheme, n)``, and :func:`leading_triples` solves ``GRID_BLOCK``
+    grid points at a time, each under leading_triple's stopping rule.  A
+    failing grid point raises for the first failing t in grid order.
 
     Only the t=0 triple (``base``) is kept, unless ``keep_triples`` asks
     for every grid point's, each holding a dense n x n matrix.
@@ -107,16 +118,25 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                 f"admissibility guard at eps={eps_guard}; curve computed anyway",
                 stacklevel=2)
 
-    def solve(t):
-        pot = phi if t == 0.0 else combine(phi, psi, t)
-        try:
-            triple = leading_triple(build_matrix(m, pot, scheme, n))
-        except ThermoformalError as exc:
-            raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
-        return triple.lam, triple if keep_triples or t == 0.0 else None
+    g = map_geometry(m, scheme, n)
+    phi_vals, psi_vals = phi.fn(g.points), psi.fn(g.points)
+    lams = np.empty(ts.size)
+    triples = []
+    for start in range(0, ts.size, GRID_BLOCK):
+        block = ts[start:start + GRID_BLOCK]
+        pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
+        vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
+        vals[block == 0.0] = phi_vals
+        W = g.weights(vals)
+        lam, h, nu, its, errors = leading_triples(g, W, [p.name for p in pots])
+        for t, exc in zip(block, errors):
+            if exc is not None:
+                raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
+        lams[start:start + block.size] = lam
+        triples += [SpectralTriple(matrix=g.matrix(W[k], pots[k]), lam=float(lam[k]),
+                                   h=h[k], nu=nu[k], iterations=int(its[k]))
+                    for k, t in enumerate(block) if keep_triples or t == 0.0]
 
-    solved = ordered_map(solve, ts)
-    lams = np.array([lam for lam, _ in solved])
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
     E[i0] = 0.0
@@ -126,8 +146,8 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
         verdict=_convexity_verdict(E2),
         lam=lams, scheme=scheme, n=n,
         admissible_at_endpoints=admissible,
-        triples=tuple(tr for _, tr in solved) if keep_triples else None,
-        base=solved[i0][1],
+        triples=tuple(triples) if keep_triples else None,
+        base=triples[i0] if keep_triples else triples[0],
     )
 
 

@@ -101,13 +101,50 @@ class EquilibriumState:
         return self.mu * self.mu.size
 
 
-def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> TransferMatrix:
-    """Assemble the n x n discretization of L_{f,phi} in the given scheme.
+@dataclass(frozen=True)
+class MapGeometry:
+    """The map-only part of an n x n discretization, shared by every potential.
 
-    Each scheme lists its map-only entries as ``(rows, cols, points, coef)``;
-    entry k adds ``scale * exp(phi(points[k])) * coef[k]`` to ``A[rows[k],
-    cols[k]]`` in order, where ``scale`` is n for Ulam and 1 for collocation.
+    ``points`` is where a potential phi is evaluated; it broadcasts against
+    ``coef``.  Entry k of ``scale * exp(phi(points)) * coef``, flattened, is
+    added to ``A[rows[k], cols[k]]`` in entry order; ``scale`` is n for Ulam
+    and 1 for collocation.
     """
+    scheme: str
+    n: int
+    map: MapSpec
+    rows: np.ndarray
+    cols: np.ndarray
+    points: np.ndarray
+    coef: np.ndarray
+    scale: int
+
+    def weights(self, values):
+        """Entry weights for potential values at ``points``; leading axes of
+        ``values`` beyond the shape of ``points`` index potentials, so the
+        result has shape ``(..., nnz)``."""
+        w = self.scale * np.exp(values) * self.coef
+        return w.reshape(w.shape[:w.ndim - self.coef.ndim] + (-1,))
+
+    def matrix(self, weights, potential: PotentialSpec) -> TransferMatrix:
+        """The dense matrix of one potential's entry weights."""
+        A = np.zeros((self.n, self.n))
+        np.add.at(A, (self.rows, self.cols), weights)
+        grid = (np.arange(self.n) + 0.5) / self.n
+        return TransferMatrix(scheme=self.scheme, n=self.n, A=A, grid=grid,
+                              map=self.map, potential=potential)
+
+    @cached_property
+    def row_table(self):
+        return _gather_table(self.rows, self.n)
+
+    @cached_property
+    def col_table(self):
+        return _gather_table(self.cols, self.n)
+
+
+def map_geometry(m: MapSpec, scheme: str, n: int) -> MapGeometry:
+    """The entries of the n x n discretization of L_f in the given scheme."""
     if n < 16:
         raise ValueError("n must be >= 16")
     if n > MAX_DENSE_N:
@@ -118,10 +155,20 @@ def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> Transfe
         (rows, cols, points, coef), scale = _ulam_entries(m, n), n
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    A = np.zeros((n, n))
-    np.add.at(A, (rows, cols), scale * np.exp(phi.fn(points)) * coef)
-    grid = (np.arange(n) + 0.5) / n
-    return TransferMatrix(scheme=scheme, n=n, A=A, grid=grid, map=m, potential=phi)
+    return MapGeometry(scheme=scheme, n=n, map=m,
+                       rows=np.broadcast_to(rows, coef.shape).ravel(), cols=cols.ravel(),
+                       points=points, coef=coef, scale=scale)
+
+
+def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> TransferMatrix:
+    """Assemble the n x n discretization of L_{f,phi} in the given scheme.
+
+    Each scheme lists its map-only entries (:func:`map_geometry`); entry k
+    adds ``scale * exp(phi(points[k])) * coef[k]`` to ``A[rows[k], cols[k]]``
+    in order, where ``scale`` is n for Ulam and 1 for collocation.
+    """
+    g = map_geometry(m, scheme, n)
+    return g.matrix(g.weights(phi.fn(g.points)), phi)
 
 
 def _collocation_entries(m: MapSpec, n: int):
@@ -201,6 +248,63 @@ def primitivity_power(A):
     return None
 
 
+def _gather_table(lines, n):
+    """(width, n) entry indices of each line (row or column) of ``n`` lines,
+    in entry order, padded with the index ``lines.size``."""
+    order = np.argsort(lines, kind="stable")
+    counts = np.bincount(lines, minlength=n)
+    slot = np.arange(lines.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.full((counts.max(), n), lines.size)
+    table[slot, lines[order]] = order
+    return table
+
+
+# The rule that ends the two-sided power iteration, shared by leading_triple
+# and leading_triples.  Each function takes one matrix's values or, column
+# by column, arrays of them (the grid on the last axis).
+
+def _has_zero_line(row_sums, col_sums):
+    """A zero row or column leaves the leading eigendata ill-defined."""
+    return np.any(row_sums == 0.0, axis=-1) | np.any(col_sums == 0.0, axis=-1)
+
+
+def _residual(Av, lam, v):
+    return np.max(np.abs(Av - lam * v), axis=-1) / np.max(np.abs(v), axis=-1)
+
+
+def _settled(lam, lam_prev):
+    """lambda's relative change is at most POWER_TOL; the residuals are
+    computed, and :func:`_resolved` asked, only then."""
+    return abs(lam - lam_prev) <= POWER_TOL * abs(lam)
+
+
+def _resolved(lam, res_h, res_nu):
+    """Both eigenvector residuals are below RESIDUAL_TOL * lambda."""
+    tol = RESIDUAL_TOL * abs(lam)
+    return (res_h < tol) & (res_nu < tol)
+
+
+def _not_positive(mass, x_min):
+    return (mass <= 0) | (x_min <= 0)
+
+
+def _zero_line_error(map_name, potential_name):
+    return ReducibleMatrixError(
+        f"matrix for {map_name}/{potential_name} has a zero row or column")
+
+
+def _no_convergence_error(max_iter, lam, x, y):
+    return ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations "
+        f"(lambda ~ {lam})", last_iterate=(lam, x, y))
+
+
+def _not_positive_error():
+    return ReducibleMatrixError(
+        "leading right vector is not strictly positive; "
+        "discretization is not primitive enough for a spectral triple")
+
+
 def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
     """Leading eigendata by two-sided power iteration.
 
@@ -214,13 +318,12 @@ def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
     A = tm.csr
     AT = A.T.tocsr()
     n = A.shape[0]
-    if np.any(A.sum(axis=1) == 0.0) or np.any(A.sum(axis=0) == 0.0):
-        raise ReducibleMatrixError(
-            f"matrix for {tm.map_name}/{tm.potential_name} has a zero row or column")
+    if _has_zero_line(A.sum(axis=1), A.sum(axis=0)):
+        raise _zero_line_error(tm.map_name, tm.potential_name)
 
     x = np.full(n, 1.0 / n)
     y = np.full(n, 1.0 / n)
-    lam_prev = None
+    lam_prev = math.nan
     lam = None
     its = 0
     for its in range(1, max_iter + 1):
@@ -229,24 +332,92 @@ def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
         lam = float(y @ Ax) / float(y @ x)
         x = Ax / np.sum(np.abs(Ax))
         y = ATy / np.sum(np.abs(ATy))
-        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
-            res_h = np.max(np.abs(A @ x - lam * x)) / np.max(np.abs(x))
-            res_nu = np.max(np.abs(AT @ y - lam * y)) / np.max(np.abs(y))
-            if res_h < RESIDUAL_TOL * abs(lam) and res_nu < RESIDUAL_TOL * abs(lam):
-                break
+        if _settled(lam, lam_prev) and _resolved(
+                lam, _residual(A @ x, lam, x), _residual(AT @ y, lam, y)):
+            break
         lam_prev = lam
     else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(lambda ~ {lam})", last_iterate=(lam, x, y))
+        raise _no_convergence_error(max_iter, lam, x, y)
 
     nu = y / np.sum(y)
     mass = float(x @ nu)
-    if mass <= 0 or np.min(x) <= 0:
-        raise ReducibleMatrixError(
-            "leading right vector is not strictly positive; "
-            "discretization is not primitive enough for a spectral triple")
+    if _not_positive(mass, np.min(x)):
+        raise _not_positive_error()
     return SpectralTriple(matrix=tm, lam=lam, h=x / mass, nu=nu, iterations=its)
+
+
+def _gather_sum(weights, index, v):
+    """sum_r weights[r] * v[:, index[r]], added in the order of r."""
+    out = weights[0] * np.take(v, index[0], axis=1)
+    for w, i in zip(weights[1:], index[1:]):
+        out += w * np.take(v, i, axis=1)
+    return out
+
+
+def leading_triples(g: MapGeometry, W, names, max_iter=20000):
+    """:func:`leading_triple` for the K matrices ``g.matrix(W[k])`` at once.
+
+    ``W`` is a (K, nnz) array of entry weights (:meth:`MapGeometry.weights`)
+    and ``names[k]`` names column k's potential in its error message.  The
+    products run on fixed-width gather tables of the unmerged entries, per
+    row for ``A x`` and per column for ``A^T y``, so no matrix is formed.
+    Each column stops under leading_triple's rule and is then retired from
+    the batch; every operation acts on one column alone, so a column's
+    result does not depend on the batch it is solved in.
+
+    Returns ``(lam, h, nu, iterations, errors)``: arrays over the columns,
+    and per column None or the error leading_triple would raise for it
+    (its ``lam``, ``h`` and ``nu`` are then meaningless).
+    """
+    K, n = W.shape[0], g.n
+    Wp = np.concatenate([W, np.zeros((K, 1))], axis=1)      # weight 0 for padding
+    rt, ct = g.row_table, g.col_table
+    WR = np.ascontiguousarray(np.moveaxis(Wp[:, rt], 1, 0))  # (width, K, n)
+    WC = np.ascontiguousarray(np.moveaxis(Wp[:, ct], 1, 0))
+    CR = np.append(g.cols, 0)[rt]
+    RC = np.append(g.rows, 0)[ct]
+
+    lam_out = np.full(K, math.nan)
+    X_out = np.full((K, n), math.nan)
+    Y_out = np.full((K, n), math.nan)
+    its_out = np.zeros(K, dtype=np.int64)
+    errors = [None] * K
+    for k in np.flatnonzero(_has_zero_line(WR.sum(axis=0), WC.sum(axis=0))):
+        errors[k] = _zero_line_error(g.map.name, names[k])
+
+    active = np.flatnonzero([e is None for e in errors])
+    WR, WC = WR[:, active], WC[:, active]
+    X = np.full((active.size, n), 1.0 / n)
+    Y = np.full((active.size, n), 1.0 / n)
+    AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+    lam_prev = np.full(active.size, math.nan)
+    for its in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        lam = np.sum(Y * AX, axis=1) / np.sum(Y * X, axis=1)
+        X = AX / np.sum(np.abs(AX), axis=1, keepdims=True)
+        Y = ATY / np.sum(np.abs(ATY), axis=1, keepdims=True)
+        AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+        s = _settled(lam, lam_prev)
+        if s.any():
+            done = s.copy()
+            done[s] = _resolved(lam[s], _residual(AX[s], lam[s, None], X[s]),
+                                _residual(ATY[s], lam[s, None], Y[s]))
+            if done.any():
+                k, keep = active[done], ~done
+                lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
+                active, lam, X, Y = active[keep], lam[keep], X[keep], Y[keep]
+                AX, ATY, WR, WC = AX[keep], ATY[keep], WR[:, keep], WC[:, keep]
+        lam_prev = lam
+    for j, k in enumerate(active):
+        errors[k] = _no_convergence_error(max_iter, float(lam[j]), X[j], Y[j])
+
+    NU = Y_out / np.sum(Y_out, axis=1, keepdims=True)
+    mass = np.sum(X_out * NU, axis=1)
+    for k in np.flatnonzero(_not_positive(mass, np.min(X_out, axis=1))):
+        if errors[k] is None:
+            errors[k] = _not_positive_error()
+    return lam_out, X_out / mass[:, None], NU, its_out, errors
 
 
 def gap_ratio(t: SpectralTriple) -> float:

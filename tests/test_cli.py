@@ -59,6 +59,16 @@ class TestValidation:
         assert (p["n"], p["steps"], p["mc_orbit_n"]) == (64, 5, 3)
         assert all(type(p[k]) is int for k in ("n", "steps", "mc_orbit_n"))
 
+    @pytest.mark.parametrize("command, key", [("free-energy", "steps"),
+                                              ("rate-function", "steps"), ("ldp", "steps"),
+                                              ("rate-function", "s_steps"), ("ldp", "s_steps")])
+    def test_grid_sizes_capped(self, command, key):
+        with pytest.raises(SchemaError) as exc:
+            cli.validate(job(command, params={key: 10**12 + 1}))
+        assert exc.value.path == f"params.{key}"
+        resolved = cli.validate(job(command, params={key: cli.MAX_GRID_STEPS}))
+        assert resolved["params"][key] == cli.MAX_GRID_STEPS
+
     def test_gamma_range_checked(self):
         with pytest.raises(SchemaError):
             cli.validate(job("certify", params={"gamma": 1.5}))
@@ -228,6 +238,20 @@ class TestMain:
         assert code == cli.EXIT_OK
         assert summary["results"]["primitive"] is True
         assert len(calls) == 1
+
+    def test_failing_grid_point_exits_compute(self, tmp_path, capsys, monkeypatch):
+        from thermoformal import curves as Cv
+        from thermoformal import operator as T
+        monkeypatch.setattr(Cv, "leading_triples",
+                            lambda *a, **k: T.leading_triples(*a, max_iter=1, **k))
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(job("free-energy",
+                                           params={"n": 64, "steps": 5, "t_max": 0.4})))
+        code = cli.main(["free-energy", "--config", str(cfg_path)])
+        assert code == cli.EXIT_COMPUTE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+        assert err["message"].startswith("eigen-solve failed at t=-0.4: ")
 
     def test_schema_violation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"

@@ -7,7 +7,7 @@ from thermoformal import curves as Cv
 from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
-from thermoformal.errors import LegendreDegenerateError
+from thermoformal.errors import ConvergenceError, LegendreDegenerateError, ReducibleMatrixError
 
 COS1 = O.fourier_cos(1)
 
@@ -53,13 +53,19 @@ class TestFreeEnergyCurve:
         assert np.max(np.abs(es["collocation"] - es["ulam"])) < 1e-3
 
     def test_tilting_identity_same_code_path(self, doubling_cos_curve):
-        # the curve's lambda at grid t equals a direct solve of the matrix
-        # built with the tilted weights, bitwise
+        # the curve's lambda at grid t equals a batched solve of that t alone,
+        # from the matrix built with the tilted weights, bitwise
         c = doubling_cos_curve
         t = c.t[7]
-        tm = T.build_matrix(M.doubling_map(), O.combine(O.zero, COS1, t),
-                            "collocation", 512)
-        assert T.leading_triple(tm).lam == c.lam[7]
+        pot = O.combine(O.zero, COS1, t)
+        g = T.map_geometry(M.doubling_map(), "collocation", 512)
+        W = g.weights(pot.fn(g.points))
+        A = T.build_matrix(M.doubling_map(), pot, "collocation", 512).A
+        assert np.array_equal(g.matrix(W, pot).A, A)
+        assert np.array_equal(c.triples[7].matrix.A, A)
+        lam, _, _, _, errors = T.leading_triples(g, W[None], [pot.name])
+        assert errors == [None]
+        assert lam[0] == c.lam[7]
 
     def test_t_grid_keeps_only_the_base_triple(self):
         n = 256
@@ -93,6 +99,94 @@ class TestFreeEnergyCurve:
         assert t2 in {4.0 / 2 ** k for k in range(22)}
         rep = Cv.potential_admissible(O.combine(O.zero, COS1, t2), 0.5)
         assert rep.admissible
+
+
+def _tilted(m, phi, psi, t_max, steps):
+    return [(t, phi if t == 0.0 else O.combine(phi, psi, t))
+            for t in Cv.symmetric_grid(t_max, steps)]
+
+
+_MP = M.mp_like_map()
+BATCH_CASES = [(M.doubling_map(), O.zero, COS1, 0.5),
+               (_MP, O.zero, O.neg_log_deriv(_MP), 0.25)]
+
+
+class TestBatchedSolve:
+    """The t-grid's batched solve against per-t build_matrix + leading_triple."""
+
+    @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+    @pytest.mark.parametrize("m, phi, psi, t_max", BATCH_CASES, ids=["doubling", "mp_like"])
+    def test_matches_per_t_solve(self, m, phi, psi, t_max, scheme):
+        n = 256
+        c = Cv.free_energy_curve(m, phi, psi, t_max, 9, scheme=scheme, n=n,
+                                 keep_triples=True)
+        for (t, pot), tr in zip(_tilted(m, phi, psi, t_max, 9), c.triples):
+            ref = T.leading_triple(T.build_matrix(m, pot, scheme, n))
+            assert np.array_equal(tr.matrix.A, ref.matrix.A)
+            assert tr.matrix.potential.name == pot.name
+            assert abs(tr.lam - ref.lam) <= 1e-13 * ref.lam
+            assert abs(tr.iterations - ref.iterations) <= 1
+            assert np.allclose(tr.h, ref.h, rtol=1e-8, atol=0)
+            assert np.allclose(tr.nu, ref.nu, rtol=1e-8, atol=1e-300)
+
+    @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+    @pytest.mark.parametrize("m, phi, psi, t_max", BATCH_CASES, ids=["doubling", "mp_like"])
+    def test_column_does_not_depend_on_its_batch(self, m, phi, psi, t_max, scheme):
+        g = T.map_geometry(m, scheme, 128)
+        grid = _tilted(m, phi, psi, t_max, 7)
+        W = np.stack([g.weights(pot.fn(g.points)) for _, pot in grid])
+        names = [pot.name for _, pot in grid]
+        lam, h, nu, its, errors = T.leading_triples(g, W, names)
+        assert errors == [None] * len(grid)
+        assert len(set(its.tolist())) > 1       # columns retire at different steps
+        for k in range(len(grid)):
+            lam1, h1, nu1, its1, _ = T.leading_triples(g, W[k:k + 1], names[k:k + 1])
+            assert lam1[0] == lam[k] and its1[0] == its[k]
+            assert np.array_equal(h1[0], h[k]) and np.array_equal(nu1[0], nu[k])
+
+    def test_blocks_do_not_change_the_curve(self, monkeypatch):
+        args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
+        whole = Cv.free_energy_curve(*args, n=128, keep_triples=True)
+        monkeypatch.setattr(Cv, "GRID_BLOCK", 3)
+        blocks = Cv.free_energy_curve(*args, n=128, keep_triples=True)
+        assert np.array_equal(whole.lam, blocks.lam)
+        assert np.array_equal(whole.E, blocks.E)
+        assert blocks.base is blocks.triples[5]
+        assert [tr.iterations for tr in whole.triples] == [tr.iterations for tr in blocks.triples]
+
+    @pytest.mark.parametrize("scheme, inverter", [("collocation", "branch_preimages"),
+                                                  ("ulam", "_invert_lift")])
+    def test_grid_inverts_the_map_once(self, monkeypatch, scheme, inverter):
+        calls = []
+        for name in ("branch_preimages", "_invert_lift"):
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        Cv.free_energy_curve(_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 41,
+                             scheme=scheme, n=64)
+        assert calls == [inverter]
+
+    def test_zero_row_fails_its_column_only(self):
+        g = T.map_geometry(M.doubling_map(), "ulam", 32)
+        W = np.stack([g.weights(np.zeros(g.points.shape))] * 3)
+        W[1, g.rows == 5] = 0.0
+        _, _, _, _, errors = T.leading_triples(g, W, ["a", "b", "c"])
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ReducibleMatrixError)
+        assert "doubling/b has a zero row or column" in str(errors[1])
+
+    def test_failing_column_names_first_failing_t(self, monkeypatch):
+        args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
+        its = [tr.iterations for tr in
+               Cv.free_energy_curve(*args, n=128, keep_triples=True).triples]
+        cap = max(its) - 1
+        first = Cv.symmetric_grid(0.25, 11)[int(np.argmax(np.array(its) > cap))]
+        assert first != -0.25                   # not simply the first column
+        monkeypatch.setattr(Cv, "GRID_BLOCK", 4)
+        monkeypatch.setattr(Cv, "leading_triples",
+                            lambda *a, **k: T.leading_triples(*a, max_iter=cap, **k))
+        with pytest.raises(ConvergenceError, match=f"^eigen-solve failed at t={first}: "):
+            Cv.free_energy_curve(*args, n=128)
 
 
 class TestFreeEnergyMc:
