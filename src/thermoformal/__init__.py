@@ -62,6 +62,7 @@ from .operator import (
     TransferMatrix,
     build_matrix,
     equilibrium_measure,
+    from_dense,
     gap_ratio,
     invariance_defect,
     leading_triple,

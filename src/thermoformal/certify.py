@@ -28,6 +28,8 @@ MODE_CENTER_ONLY = "center_only"
 STATS_GRID_N = 1024
 #: Cells on which the inflation modulus rho = max |(log f')'| is estimated.
 LOG_DERIV_SAMPLES = 16384
+#: It is evaluated in blocks of at most LOG_DERIV_BLOCK grid differences.
+LOG_DERIV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,19 @@ class ConditionCReport:
 
 
 def _grid_log_deriv_modulus(m: MapSpec):
-    """max |d log f' / dx| estimated from adjacent grid differences."""
-    xs = np.arange(LOG_DERIV_SAMPLES + 1) / LOG_DERIV_SAMPLES
-    logd = np.log(m.derivative(xs))
-    return float(np.max(np.abs(np.diff(logd))) * LOG_DERIV_SAMPLES)
+    """max |d log f' / dx| estimated from adjacent grid differences.
+
+    The max is exact, so blocks of LOG_DERIV_BLOCK differences give the
+    one-shot result bit for bit, and no temporary grows past the
+    allocator's mmap threshold (128 KiB in glibc), which would page-fault
+    on every call.
+    """
+    block_max = []
+    for start in range(0, LOG_DERIV_SAMPLES, LOG_DERIV_BLOCK):
+        stop = min(start + LOG_DERIV_BLOCK, LOG_DERIV_SAMPLES)
+        logd = np.log(m.derivative(np.arange(start, stop + 1) / LOG_DERIV_SAMPLES))
+        block_max.append(np.max(np.abs(np.diff(logd))))
+    return float(np.max(block_max) * LOG_DERIV_SAMPLES)      # NaN propagates
 
 
 def _depth_n_contractions(m: MapSpec, centers, N, cell_width):

@@ -267,7 +267,7 @@ def _handler_spectrum(cfg):
         "lambda": triple.lam,
         "pressure": triple.pressure,
         "gap_ratio": gap_ratio(triple),
-        "primitive": primitivity_power(triple.matrix.csr) is not None,
+        "primitive": primitivity_power(triple.matrix) is not None,
         "iterations": triple.iterations,
         "invariance_defect_fourier5": invariance_defect(m, state, fourier_testfns(5)),
     }

@@ -99,11 +99,11 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     entry weights are ``scale * exp(phi + t psi) * coef`` (``exp(phi)`` at
     t=0), the same float operations as ``build_matrix(m, combine(phi, psi,
     t), scheme, n)``, and :func:`leading_triples` solves ``GRID_BLOCK``
-    grid points at a time, each under leading_triple's stopping rule.  A
+    grid points at a time, each exactly as ``leading_triple`` would.  A
     failing grid point raises for the first failing t in grid order.
 
     Only the t=0 triple (``base``) is kept, unless ``keep_triples`` asks
-    for every grid point's, each holding a dense n x n matrix.
+    for every grid point's, each holding its entry weights.
     """
     ts = symmetric_grid(t_max, steps)
     admissible = True

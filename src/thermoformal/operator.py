@@ -22,12 +22,14 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, ReducibleMatrixError
 from .maps import MapSpec, branch_preimages, map_eval, wrap01, _invert_lift
 from .observables import PotentialSpec
 
+#: Largest n accepted.  Solves and diagnostics read only the entries, but
+#: ``TransferMatrix.A`` is still formed as a dense 8 n^2-byte array when it is
+#: read (tests, and the benchmark's traced runs, which count its bytes).
 MAX_DENSE_N = 4096
 
 #: Power iteration stops when lambda's relative change is at most POWER_TOL
@@ -41,32 +43,6 @@ GAP_WINDOW = 50
 GAP_SEED = 0x5EED
 #: primitivity_power tries the powers 1, 2, 4, ... up to MAX_PRIMITIVITY_POWER.
 MAX_PRIMITIVITY_POWER = 8
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    scheme: str
-    n: int
-    A: np.ndarray
-    grid: np.ndarray
-    map: MapSpec
-    potential: PotentialSpec
-    # Always None: no scheme builds a second matrix.  Kept only because the
-    # benchmark's layer tracer reads ``tm.transport``.
-    transport: Optional[np.ndarray] = None
-
-    @cached_property
-    def csr(self):
-        """CSR copy of ``A``, made once and shared by every solve and diagnostic."""
-        return _csr(self.A)
-
-    @property
-    def map_name(self):
-        return self.map.name
-
-    @property
-    def potential_name(self):
-        return self.potential.name
 
 
 @dataclass(frozen=True)
@@ -108,16 +84,21 @@ class MapGeometry:
     ``points`` is where a potential phi is evaluated; it broadcasts against
     ``coef``.  Entry k of ``scale * exp(phi(points)) * coef``, flattened, is
     added to ``A[rows[k], cols[k]]`` in entry order; ``scale`` is n for Ulam
-    and 1 for collocation.
+    and 1 for collocation.  ``map`` is None for a matrix given by its
+    entries (:func:`from_dense`).
     """
     scheme: str
     n: int
-    map: MapSpec
+    map: Optional[MapSpec]
     rows: np.ndarray
     cols: np.ndarray
-    points: np.ndarray
-    coef: np.ndarray
-    scale: int
+    points: Optional[np.ndarray] = None
+    coef: Optional[np.ndarray] = None
+    scale: int = 1
+
+    @property
+    def map_name(self):
+        return self.map.name if self.map is not None else "matrix"
 
     def weights(self, values):
         """Entry weights for potential values at ``points``; leading axes of
@@ -127,12 +108,14 @@ class MapGeometry:
         return w.reshape(w.shape[:w.ndim - self.coef.ndim] + (-1,))
 
     def matrix(self, weights, potential: PotentialSpec) -> TransferMatrix:
-        """The dense matrix of one potential's entry weights."""
-        A = np.zeros((self.n, self.n))
-        np.add.at(A, (self.rows, self.cols), weights)
-        grid = (np.arange(self.n) + 0.5) / self.n
-        return TransferMatrix(scheme=self.scheme, n=self.n, A=A, grid=grid,
-                              map=self.map, potential=potential)
+        """The matrix of one potential's entry weights."""
+        return TransferMatrix(geometry=self, weights=weights, potential=potential)
+
+    def gathered(self, W, table):
+        """The (K, nnz) weights ``W`` laid out on a (width, n) gather table
+        as a (width, K, n) array, weight 0 in the padding."""
+        Wp = np.concatenate([W, np.zeros((W.shape[0], 1))], axis=1)
+        return np.ascontiguousarray(np.moveaxis(Wp[:, table], 1, 0))
 
     @cached_property
     def row_table(self):
@@ -142,13 +125,78 @@ class MapGeometry:
     def col_table(self):
         return _gather_table(self.cols, self.n)
 
+    @cached_property
+    def row_cols(self):
+        """The column of each row-table slot (0 in the padding)."""
+        return np.append(self.cols, 0)[self.row_table]
+
+    @cached_property
+    def col_rows(self):
+        """The row of each column-table slot (0 in the padding)."""
+        return np.append(self.rows, 0)[self.col_table]
+
+
+@dataclass(frozen=True)
+class TransferMatrix:
+    """One potential's n x n discretization: the shared map geometry and
+    its entry weights; entry k adds ``weights[k]`` to
+    ``A[geometry.rows[k], geometry.cols[k]]``.  No n x n array is stored:
+    ``tm @ v`` gathers from the entries, and the dense ``A`` is formed only
+    when read."""
+    geometry: MapGeometry
+    weights: np.ndarray
+    potential: Optional[PotentialSpec] = None
+    # Always None: no scheme builds a second matrix.  Kept only because the
+    # benchmark's layer tracer reads ``tm.transport``.
+    transport: Optional[np.ndarray] = None
+
+    @cached_property
+    def A(self):
+        """The dense matrix, summed entry by entry in entry order."""
+        A = np.zeros((self.n, self.n))
+        np.add.at(A, (self.geometry.rows, self.geometry.cols), self.weights)
+        return A
+
+    @cached_property
+    def _row_weights(self):
+        return self.geometry.gathered(self.weights[None], self.geometry.row_table)
+
+    def __matmul__(self, v):
+        """``A @ v`` for a vector ``v``."""
+        return _gather_sum(self._row_weights, self.geometry.row_cols, v[None])[0]
+
+    @property
+    def scheme(self):
+        return self.geometry.scheme
+
+    @property
+    def n(self):
+        return self.geometry.n
+
+    @property
+    def map(self):
+        return self.geometry.map
+
+    @cached_property
+    def grid(self):
+        return (np.arange(self.n) + 0.5) / self.n
+
+    @property
+    def map_name(self):
+        return self.geometry.map_name
+
+    @property
+    def potential_name(self):
+        return self.potential.name if self.potential is not None else "none"
+
 
 def map_geometry(m: MapSpec, scheme: str, n: int) -> MapGeometry:
     """The entries of the n x n discretization of L_f in the given scheme."""
     if n < 16:
         raise ValueError("n must be >= 16")
     if n > MAX_DENSE_N:
-        raise ValueError(f"dense schemes are capped at n={MAX_DENSE_N}")
+        raise ValueError(f"n is capped at {MAX_DENSE_N}: the dense A, formed when "
+                         f"read, takes 8 n^2 bytes")
     if scheme == "collocation":
         (rows, cols, points, coef), scale = _collocation_entries(m, n), 1
     elif scheme == "ulam":
@@ -212,33 +260,48 @@ def _ulam_entries(m: MapSpec, n: int):
     return rows, cols, wrap01(mid_dom), np.maximum(img[1:] - img[:-1], 0.0)
 
 
-def _csr(A: np.ndarray):
-    """CSR copy of a dense matrix (its nonzero entries, in row order)."""
-    n_cols = A.shape[1]
-    flat = np.flatnonzero(A != 0)
-    indptr = np.searchsorted(flat, np.arange(A.shape[0] + 1) * n_cols)
-    return sp.csr_array((A.ravel()[flat], flat % n_cols, indptr), shape=A.shape)
+def from_dense(A, potential: Optional[PotentialSpec] = None) -> TransferMatrix:
+    """The matrix of a square array's nonzero entries, in row order; its
+    ``A`` is bit-equal to the array."""
+    A = np.asarray(A, dtype=float)
+    rows, cols = np.nonzero(A)
+    return _entries_matrix(rows, cols, A[rows, cols], A.shape[0], potential)
 
 
-def primitivity_power(A):
+def _entries_matrix(rows, cols, weights, n, potential=None):
+    g = MapGeometry(scheme="entries", n=n, map=None, rows=rows, cols=cols)
+    return TransferMatrix(geometry=g, weights=weights, potential=potential)
+
+
+def primitivity_power(tm: TransferMatrix):
     """Smallest k in {1,2,4,8} with (pattern of A)^k > 0, else None.
 
-    Exact on the sparse pattern P of A > 0.  P^k > 0 needs every row and
-    every column of P^k full, hence at least n length-k paths out of each
-    cell and into each cell; those path counts (capped at n) cost k sparse
-    matvecs, and only when they all reach n is P^k formed, by boolean
-    sparse squaring, and tested for n^2 nonzeros.
+    Exact on the pattern P of A > 0, read from the entries merged in
+    ``A``'s own order.  P^k > 0 needs every row and every column of P^k
+    full, hence at least n length-k paths out of each cell and into each
+    cell; those path counts (capped at n) cost k gather matvecs on P and
+    on its transpose, and only when they all reach n is P^k formed, by
+    boolean sparse squaring, and tested for n^2 nonzeros.
     """
-    P = sp.csr_array(A > 0)
-    PT = P.T.tocsr()
-    n = P.shape[0]
-    out_paths = in_paths = np.ones(n, dtype=np.int64)
-    Pk, k_formed, k = P, 1, 1
+    g, n = tm.geometry, tm.n
+    keys, slot = np.unique(g.rows * n + g.cols, return_inverse=True)
+    merged = np.zeros(keys.size)
+    np.add.at(merged, slot, tm.weights)
+    keys = keys[merged > 0]
+    rows, cols, ones = keys // n, keys % n, np.ones(keys.size)
+    P, PT = _entries_matrix(rows, cols, ones, n), _entries_matrix(cols, rows, ones, n)
+    out_paths = in_paths = np.ones(n)
+    Pk, k_formed, k = None, 1, 1
     while k <= MAX_PRIMITIVITY_POWER:
         for _ in range(k - k // 2):          # path length k // 2 -> k
             out_paths = np.minimum(P @ out_paths, n)
             in_paths = np.minimum(PT @ in_paths, n)
         if min(out_paths.min(), in_paths.min()) >= n:
+            if Pk is None:
+                # Imported here: scipy.sparse costs every job its start-up
+                # time, and only this rare step needs it.
+                import scipy.sparse as sp
+                Pk = sp.csr_array((np.ones(keys.size, dtype=bool), (rows, cols)), shape=(n, n))
             while k_formed < k:
                 Pk = Pk @ Pk
                 k_formed *= 2
@@ -259,9 +322,9 @@ def _gather_table(lines, n):
     return table
 
 
-# The rule that ends the two-sided power iteration, shared by leading_triple
-# and leading_triples.  Each function takes one matrix's values or, column
-# by column, arrays of them (the grid on the last axis).
+# The rule that ends the two-sided power iteration of leading_triples.  Each
+# function takes one matrix's values or, column by column, arrays of them
+# (the grid on the last axis).
 
 def _has_zero_line(row_sums, col_sums):
     """A zero row or column leaves the leading eigendata ill-defined."""
@@ -269,7 +332,7 @@ def _has_zero_line(row_sums, col_sums):
 
 
 def _residual(Av, lam, v):
-    return np.max(np.abs(Av - lam * v), axis=-1) / np.max(np.abs(v), axis=-1)
+    return np.abs(Av - lam * v).max(axis=-1) / np.abs(v).max(axis=-1)
 
 
 def _settled(lam, lam_prev):
@@ -305,49 +368,15 @@ def _not_positive_error():
         "discretization is not primitive enough for a spectral triple")
 
 
-def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
-    """Leading eigendata by two-sided power iteration.
-
-    Right vector h and left vector nu are iterated together; lambda is the
-    two-sided Rayleigh quotient, declared converged when its relative change
-    drops below ``POWER_TOL`` and both residuals below ``RESIDUAL_TOL``.
-    Every step runs on ``tm.csr`` and its transpose; ``tm.A`` itself stays
-    dense.  The gap and the primitivity power are not computed here: their
-    readers call :func:`gap_ratio` and :func:`primitivity_power`.
-    """
-    A = tm.csr
-    AT = A.T.tocsr()
-    n = A.shape[0]
-    if _has_zero_line(A.sum(axis=1), A.sum(axis=0)):
-        raise _zero_line_error(tm.map_name, tm.potential_name)
-
-    x = np.full(n, 1.0 / n)
-    y = np.full(n, 1.0 / n)
-    lam_prev = math.nan
-    lam = None
-    its = 0
-    for its in range(1, max_iter + 1):
-        Ax = A @ x
-        ATy = AT @ y
-        lam = float(y @ Ax) / float(y @ x)
-        x = Ax / np.sum(np.abs(Ax))
-        y = ATy / np.sum(np.abs(ATy))
-        if _settled(lam, lam_prev) and _resolved(
-                lam, _residual(A @ x, lam, x), _residual(AT @ y, lam, y)):
-            break
-        lam_prev = lam
-    else:
-        raise _no_convergence_error(max_iter, lam, x, y)
-
-    nu = y / np.sum(y)
-    mass = float(x @ nu)
-    if _not_positive(mass, np.min(x)):
-        raise _not_positive_error()
-    return SpectralTriple(matrix=tm, lam=lam, h=x / mass, nu=nu, iterations=its)
-
-
 def _gather_sum(weights, index, v):
-    """sum_r weights[r] * v[:, index[r]], added in the order of r."""
+    """sum_r weights[r] * v[:, index[r]], added in the order of r.
+
+    One column is gathered in one step; a batch slot by slot, which keeps
+    its temporaries in cache.  Both add the slots in the same order, so a
+    column's sums do not depend on its batch.
+    """
+    if v.shape[0] == 1:
+        return (weights * v[0].take(index)[:, None]).sum(axis=0)
     out = weights[0] * np.take(v, index[0], axis=1)
     for w, i in zip(weights[1:], index[1:]):
         out += w * np.take(v, i, axis=1)
@@ -355,27 +384,27 @@ def _gather_sum(weights, index, v):
 
 
 def leading_triples(g: MapGeometry, W, names, max_iter=20000):
-    """:func:`leading_triple` for the K matrices ``g.matrix(W[k])`` at once.
+    """Leading eigendata of the K matrices ``g.matrix(W[k])`` at once, by
+    two-sided power iteration.
 
     ``W`` is a (K, nnz) array of entry weights (:meth:`MapGeometry.weights`)
-    and ``names[k]`` names column k's potential in its error message.  The
-    products run on fixed-width gather tables of the unmerged entries, per
-    row for ``A x`` and per column for ``A^T y``, so no matrix is formed.
-    Each column stops under leading_triple's rule and is then retired from
+    and ``names[k]`` names column k's potential in its error message.
+    Right vectors h and left vectors nu are iterated together; lambda is
+    the two-sided Rayleigh quotient, and a column stops when lambda's
+    relative change is at most ``POWER_TOL`` and both residuals are below
+    ``RESIDUAL_TOL * lambda``.  The products run on fixed-width gather
+    tables of the unmerged entries, per row for ``A x`` and per column for
+    ``A^T y``, so no matrix is formed.  A stopped column is retired from
     the batch; every operation acts on one column alone, so a column's
     result does not depend on the batch it is solved in.
 
     Returns ``(lam, h, nu, iterations, errors)``: arrays over the columns,
-    and per column None or the error leading_triple would raise for it
-    (its ``lam``, ``h`` and ``nu`` are then meaningless).
+    and per column None or the error that makes its triple meaningless (a
+    zero row or column, no convergence, or a non-positive h).
     """
     K, n = W.shape[0], g.n
-    Wp = np.concatenate([W, np.zeros((K, 1))], axis=1)      # weight 0 for padding
-    rt, ct = g.row_table, g.col_table
-    WR = np.ascontiguousarray(np.moveaxis(Wp[:, rt], 1, 0))  # (width, K, n)
-    WC = np.ascontiguousarray(np.moveaxis(Wp[:, ct], 1, 0))
-    CR = np.append(g.cols, 0)[rt]
-    RC = np.append(g.rows, 0)[ct]
+    WR, WC = g.gathered(W, g.row_table), g.gathered(W, g.col_table)   # (width, K, n)
+    CR, RC = g.row_cols, g.col_rows
 
     lam_out = np.full(K, math.nan)
     X_out = np.full((K, n), math.nan)
@@ -383,7 +412,7 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
     its_out = np.zeros(K, dtype=np.int64)
     errors = [None] * K
     for k in np.flatnonzero(_has_zero_line(WR.sum(axis=0), WC.sum(axis=0))):
-        errors[k] = _zero_line_error(g.map.name, names[k])
+        errors[k] = _zero_line_error(g.map_name, names[k])
 
     active = np.flatnonzero([e is None for e in errors])
     WR, WC = WR[:, active], WC[:, active]
@@ -394,15 +423,16 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
     for its in range(1, max_iter + 1):
         if active.size == 0:
             break
-        lam = np.sum(Y * AX, axis=1) / np.sum(Y * X, axis=1)
-        X = AX / np.sum(np.abs(AX), axis=1, keepdims=True)
-        Y = ATY / np.sum(np.abs(ATY), axis=1, keepdims=True)
+        lam = (Y * AX).sum(axis=1) / (Y * X).sum(axis=1)
+        X = AX / np.abs(AX).sum(axis=1, keepdims=True)
+        Y = ATY / np.abs(ATY).sum(axis=1, keepdims=True)
         AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
         s = _settled(lam, lam_prev)
         if s.any():
-            done = s.copy()
-            done[s] = _resolved(lam[s], _residual(AX[s], lam[s, None], X[s]),
-                                _residual(ATY[s], lam[s, None], Y[s]))
+            # A slice, not a mask, when every column settled: no copies.
+            done, sel = s.copy(), slice(None) if s.all() else s
+            done[sel] = _resolved(lam[sel], _residual(AX[sel], lam[sel, None], X[sel]),
+                                  _residual(ATY[sel], lam[sel, None], Y[sel]))
             if done.any():
                 k, keep = active[done], ~done
                 lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
@@ -420,13 +450,26 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
     return lam_out, X_out / mass[:, None], NU, its_out, errors
 
 
+def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
+    """The leading triple of one matrix: :func:`leading_triples` on its
+    weights alone, raising that column's error.  The gap and the
+    primitivity power are not computed here: their readers call
+    :func:`gap_ratio` and :func:`primitivity_power`."""
+    lam, h, nu, its, errors = leading_triples(tm.geometry, tm.weights[None],
+                                              [tm.potential_name], max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    return SpectralTriple(matrix=tm, lam=float(lam[0]), h=h[0], nu=nu[0],
+                          iterations=int(its[0]))
+
+
 def gap_ratio(t: SpectralTriple) -> float:
     """|lambda_2| / lambda, |lambda_2| by fixed-seed power iteration on
-    A - lambda h (x) nu, read off as a windowed geometric mean of norm ratios
-    (robust to complex pairs)."""
-    A, lam, h, nu = t.matrix.csr, t.lam, t.h, t.nu
+    A - lambda h (x) nu, each step one gather matvec ``tm @ v``, read off as
+    a windowed geometric mean of norm ratios (robust to complex pairs)."""
+    tm, lam, h, nu = t.matrix, t.lam, t.h, t.nu
     rng = np.random.default_rng(GAP_SEED)
-    v = rng.standard_normal(A.shape[0])
+    v = rng.standard_normal(tm.n)
     v -= h * float(nu @ v)
     nrm = np.linalg.norm(v)
     if nrm == 0:
@@ -434,7 +477,7 @@ def gap_ratio(t: SpectralTriple) -> float:
     v /= nrm
     ratios = []
     for _ in range(GAP_ITERS):
-        w = A @ v - lam * h * float(nu @ v)
+        w = tm @ v - lam * h * float(nu @ v)
         nrm = np.linalg.norm(w)
         if nrm < 1e-300:
             return 0.0

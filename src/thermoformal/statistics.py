@@ -49,12 +49,12 @@ class VarianceReport:
 
 def _normalized_push(state: EquilibriumState, vec, n_steps):
     """Iterates of (A/lambda) applied to an h-weighted density vector."""
-    A = state.triple.matrix.csr
+    tm = state.triple.matrix
     lam = state.triple.lam
     out = [vec]
     w = vec
     for _ in range(n_steps):
-        w = (A @ w) / lam
+        w = (tm @ w) / lam
         out.append(w)
     return out
 

@@ -1,7 +1,8 @@
 """What the benchmark's layer tracer (``benchmarks/layertrace.py``) needs of
-the program: every name it rebinds, a dense ``TransferMatrix.A`` whose
-bytes and nonzeros it counts (``TransferMatrix.transport``, which it also
-reads, is always None: each scheme stores one matrix), and orbit calls whose
+the program: every name it rebinds, a ``TransferMatrix.A`` whose bytes and
+nonzeros it counts (the matrix stores only its entries, so reading ``A``
+forms the dense n x n array, in traced jobs only; ``TransferMatrix.transport``,
+which the tracer also reads, is always None), and orbit calls whose
 ``(m, x0, n)`` give the true number of orbit steps.  A change that breaks
 any of these fails here, in the main suite, and not only in the benchmark's
 own tests."""

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestConditionC:
         margin_ok = lo.bound < lo.gamma * math.exp(-lo.N * lo.rho * w / 2)
         children = hi.bound.reshape(256, 2).max(axis=1)
         assert np.all(children[margin_ok] < lo.gamma)
+
+
+# a derivative that is NaN on the last block only: the modulus must stay NaN
+_NAN_TAIL = SimpleNamespace(name="nan_tail",
+                            derivative=lambda x: np.where(x > 0.9, np.nan, 2.0 + x))
+
+
+class TestLogDerivModulus:
+    @pytest.mark.parametrize("m", [M.mp_like_map(), M.doubling_map(), _NAN_TAIL]
+                             + [M.derived_expanding_map(v) for v in (0.5, 0.8, 1.0, 1.4)],
+                             ids=lambda m: m.name)
+    def test_blocks_match_one_shot(self, m):
+        xs = np.arange(C.LOG_DERIV_SAMPLES + 1) / C.LOG_DERIV_SAMPLES
+        one_shot = float(np.max(np.abs(np.diff(np.log(m.derivative(xs)))))
+                         * C.LOG_DERIV_SAMPLES)
+        assert np.array_equal(C._grid_log_deriv_modulus(m), one_shot, equal_nan=True)
 
 
 class TestConditionCprime:

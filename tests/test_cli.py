@@ -228,16 +228,15 @@ class TestMain:
         assert err.startswith("error: cannot create output directory:")
         assert "Traceback" not in err
 
-    def test_spectrum_copies_matrix_to_csr_once(self, tmp_path, monkeypatch):
-        # the solve and both diagnostics read one CSR copy of A
-        from thermoformal import operator as T
-        calls = []
-        real = T._csr
-        monkeypatch.setattr(T, "_csr", lambda A: calls.append(1) or real(A))
+    def test_spectrum_never_densifies_matrix(self, tmp_path, monkeypatch):
+        # the solve and both diagnostics read the entries; A stays unformed
+        solved = []
+        real = cli.leading_triple
+        monkeypatch.setattr(cli, "leading_triple", lambda tm: solved.append(tm) or real(tm))
         code, summary = cli.run(job("spectrum", params={"n": 64}), tmp_path)
         assert code == cli.EXIT_OK
         assert summary["results"]["primitive"] is True
-        assert len(calls) == 1
+        assert len(solved) == 1 and "A" not in solved[0].__dict__
 
     def test_failing_grid_point_exits_compute(self, tmp_path, capsys, monkeypatch):
         from thermoformal import curves as Cv
@@ -350,11 +349,17 @@ class TestMain:
         assert len(lines) == 6
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_and_spectrum_leave_scipy_unloaded(tmp_path):
+    # importing the CLI loads no scipy module, and a spectrum job on a map
+    # whose path counts never all reach n loads no scipy.sparse either
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, thermoformal.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    cfg = job("spectrum", map={"kind": "builtin", "name": "mp_like"}, params={"n": 64})
+    code = ("import json, sys, thermoformal.cli as cli; "
+            "mods = ('scipy', 'scipy.stats', 'scipy.special', 'scipy.sparse'); "
+            "print(sorted(m for m in mods if m in sys.modules)); "
+            "code, _ = cli.run(json.loads(sys.argv[1]), sys.argv[2]); "
+            "print(code, 'scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg), str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", f"{cli.EXIT_OK} False"]

@@ -222,7 +222,7 @@ class TestLeadingTriple:
         assert tr.lam == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(tr.h - 1.0)) < 1e-10
         assert np.max(np.abs(tr.nu - 1.0 / 256)) < 1e-12
-        assert T.primitivity_power(tr.matrix.csr) is not None
+        assert T.primitivity_power(tr.matrix) is not None
 
     def test_doubling_log_half(self):
         tm = T.build_matrix(M.doubling_map(), O.constant(-np.log(2.0)), "ulam", 64)
@@ -309,15 +309,14 @@ class TestLeadingTriple:
     def test_rotation_not_primitive(self):
         tm = T.build_matrix(M.rotation_map(), O.zero, "ulam", 64)
         tr = T.leading_triple(tm)
-        assert T.primitivity_power(tr.matrix.csr) is None
+        assert T.primitivity_power(tr.matrix) is None
         assert tr.lam == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_row_rejected(self):
         tm = T.build_matrix(M.doubling_map(), O.zero, "ulam", 32)
         A = tm.A.copy()
         A[5] = 0.0
-        bad = T.TransferMatrix(scheme="ulam", n=32, A=A, grid=tm.grid,
-                               map=tm.map, potential=tm.potential)
+        bad = T.from_dense(A, tm.potential)
         with pytest.raises(ReducibleMatrixError):
             T.leading_triple(bad)
 
@@ -357,22 +356,25 @@ class TestPrimitivityPower:
                   for n in (16, 64, 256, 512)]
         powers = set()
         for m, n in cases:
-            A = T.build_matrix(m, O.zero, scheme, n).A
-            expect = _dense_primitivity_power(A)
-            assert T.primitivity_power(T._csr(A)) == expect, (m.name, n)
+            tm = T.build_matrix(m, O.zero, scheme, n)
+            expect = _dense_primitivity_power(tm.A)
+            assert T.primitivity_power(T.from_dense(tm.A)) == expect, (m.name, n)
+            # the built matrix's unmerged entries give the same pattern
+            assert T.primitivity_power(tm) == expect, (m.name, n)
             powers.add(expect)
         assert {4, 8, None} <= powers
 
     @settings(max_examples=300, deadline=None)
     @given(_patterns())
     def test_random_patterns_match_dense(self, P):
-        assert T.primitivity_power(T._csr(P)) == _dense_primitivity_power(P)
+        assert T.primitivity_power(T.from_dense(P)) == _dense_primitivity_power(P)
 
-    def test_csr_copy_is_exact(self):
+    def test_from_dense_is_exact(self):
+        import scipy.sparse as sp
         tm = T.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.1), "ulam", 128)
-        Ac = T._csr(tm.A)
-        assert Ac.nnz == np.count_nonzero(tm.A)
-        assert np.array_equal(Ac.toarray(), tm.A)
+        assert T.from_dense(tm.A).A.tobytes() == tm.A.tobytes()
+        v = np.random.default_rng(3).random(128)       # no cancellation
+        assert np.allclose(tm @ v, sp.csr_array(tm.A) @ v, rtol=1e-14, atol=0.0)
 
 
 class TestEquilibrium:
