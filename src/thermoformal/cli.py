@@ -36,6 +36,10 @@ SCHEMA_VERSION = 1
 #: Largest ``steps`` (t-grid points) and ``s_steps`` (s-grid points) a job
 #: may ask for.
 MAX_GRID_STEPS = 10_001
+#: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
+#: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` and the
+#: free-energy check hold one float per sample.
+MAX_SAMPLES = 10 ** 8
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -186,7 +190,7 @@ def _validate_params(command, params, map_name):
         if command == "clt":
             _num(p, "lag_max", lo=1, integer=True)
             _num(p, "orbit_n", lo=1, integer=True)
-            _num(p, "samples", lo=10, integer=True)
+            _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
         if command in ("free-energy", "rate-function", "ldp"):
             _num(p, "t_max", lo=1e-9)
             steps = _num(p, "steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
@@ -202,14 +206,14 @@ def _validate_params(command, params, map_name):
                          "must be a point of the t-grid symmetric_grid(t_max, steps)",
                          f"params.mc_t_values[{i}]")
             _num(p, "mc_orbit_n", lo=1, integer=True)
-            _num(p, "mc_samples", lo=1, integer=True)
+            _num(p, "mc_samples", lo=1, hi=MAX_SAMPLES, integer=True)
         if command in ("rate-function", "ldp"):
             _num(p, "s_steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
         if command == "ldp":
             _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
                      "n_list must be a nonempty list", "params.n_list")
             _num_list(p, "n_list", lo=1, integer=True)
-            _num(p, "samples", lo=10, integer=True)
+            _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
             _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
         if command == "response":
             _num(p, "v_count", lo=5, integer=True)

@@ -16,7 +16,7 @@ from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
 from .operator import (EquilibriumState, SpectralTriple, build_matrix, equilibrium_measure,
                        leading_triple, leading_triples, map_geometry)
-from .statistics import mc_batches, sample_from_state
+from .statistics import mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
@@ -179,9 +179,12 @@ def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
     from scipy.special import logsumexp
 
     vals = np.empty(samples)
-    for start, take, rng in mc_batches(samples, batch_size, seed):
+
+    def batch(start, take, rng):
         x0 = sample_from_state(state, take, rng)
         vals[start:start + take] = t * orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
+
+    mc_map(batch, samples, batch_size, seed)
     return float((logsumexp(vals) - math.log(samples)) / n)
 
 
@@ -352,17 +355,25 @@ def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     if not a < b:
         raise ValueError("need a < b")
     n_values = np.asarray(sorted(n_list), dtype=int)
-    counts = np.zeros(n_values.size, dtype=np.int64)
     steps = np.diff(n_values, prepend=0)
-    # Counter 0 is the one the smallest n used when each n drew its own
-    # orbits, so its count keeps that stream.
-    for _, take, rng in mc_batches(samples, batch_size, seed, 0):
+
+    def batch(_, take, rng):
         x = sample_from_state(state, take, rng)
         total = np.zeros(take)
+        counts = np.zeros(n_values.size, dtype=np.int64)
         for ni, n in enumerate(n_values):
-            total += orbit_birkhoff_samples(m, x, int(steps[ni]), psi, rng=rng, end=x)
-            s = total / n
-            counts[ni] += int(np.count_nonzero((s >= a) & (s <= b)))
+            s = orbit_birkhoff_samples(m, x, int(steps[ni]), psi, rng=rng, end=x)
+            total += s
+            np.divide(total, n, out=s)      # S_n / n, in the segment's array
+            counts[ni] = np.count_nonzero((s >= a) & (s <= b))
+            del s                           # freed before the next segment runs
+        return counts
+
+    # Counter 0 is the one the smallest n used when each n drew its own
+    # orbits, so its count keeps that stream.
+    counts = np.zeros(n_values.size, dtype=np.int64)
+    for batch_counts in mc_map(batch, samples, batch_size, seed, 0):
+        counts += batch_counts
 
     censored = bool(counts[-1] == 0)
     with np.errstate(divide="ignore"):

@@ -37,6 +37,9 @@ DEFAULT_CELL_WIDTH = 2.0 ** -20
 
 #: Amplitude of the seeded low-order dither the orbit sampler adds per step.
 ORBIT_DITHER = 2.0 ** -48
+#: The orbit sampler advances its orbits ORBIT_BLOCK points at a time, so
+#: each temporary is 64 KiB, below glibc's 128 KiB mmap threshold.
+ORBIT_BLOCK = 8192
 
 
 def circle_dist(x, y):
@@ -287,30 +290,46 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
     exhausted after ~53 iterations and orbits collapse onto dyadic points;
     the dither injects fresh low-order entropy at amplitude far below any
     observable scale.  Without an ``rng`` there is no dither.  Deterministic
-    given ``rng``.  The dither and the wrap reuse one scratch buffer, in
-    place on the lift's output.
+    given ``rng``.
+
+    Each step runs over the orbits in blocks of ``ORBIT_BLOCK`` points:
+    ``psi``, the lift, the dither and the wrap see one block at a time, and
+    the dither and the wrap reuse one block-sized scratch buffer.  ``psi``
+    and the lift act pointwise and the dither stream is drawn in point
+    order, so the sums and end points are bit-identical to one step over
+    the whole batch at once.
 
     ``end``, an array of ``x0``'s shape, receives the end points f^n(x0); it
-    may be ``x0`` itself (the orbit starts from a reduced copy).  The
-    reduction leaves points of [0, 1) unchanged, so n1 steps and then n2
-    steps from ``end`` with the same ``rng`` end where one call of n1 + n2
-    steps does, bit for bit, and the two sums add up to its S_n (up to
-    rounding).  The return value is S_n, of ``x0``'s shape.
+    may be ``x0`` itself.  A C-contiguous ``end`` holds the orbit while it
+    runs, so no copy of it is made.  The reduction leaves points of [0, 1)
+    unchanged, so n1 steps and then n2 steps from ``end`` with the same
+    ``rng`` end where one call of n1 + n2 steps does, bit for bit, and the
+    two sums add up to its S_n (up to rounding).  The return value is S_n,
+    of ``x0``'s shape.
     """
-    x = wrap01(np.asarray(x0, dtype=float))
-    total = np.zeros_like(x)
-    buf = np.empty_like(total)
+    x0 = np.asarray(x0, dtype=float)
+    in_place = end is not None and end.dtype == float and end.flags.c_contiguous
+    x = end.reshape(-1) if in_place else np.empty(x0.size)
+    start = x0.reshape(-1)
+    for lo in range(0, x.size, ORBIT_BLOCK):
+        x[lo:lo + ORBIT_BLOCK] = wrap01(start[lo:lo + ORBIT_BLOCK])
+    total = np.zeros(x0.shape)
+    flat = total.reshape(-1)
+    buf = np.empty(min(x.size, ORBIT_BLOCK))
     for _ in range(n):
-        total += psi(x)
-        x = m.lift(x)
-        if rng is not None:
-            rng.random(out=buf)
-            buf *= ORBIT_DITHER
-            x += buf
-        x -= np.floor(x, out=buf)
-        x -= x == 1.0               # 1.0 -> 0.0, as in wrap01
-    if end is not None:
-        end[...] = x
+        for lo in range(0, x.size, ORBIT_BLOCK):
+            xb = x[lo:lo + ORBIT_BLOCK]
+            scratch = buf[:xb.size]
+            flat[lo:lo + ORBIT_BLOCK] += psi(xb)
+            y = m.lift(xb)
+            if rng is not None:
+                rng.random(out=scratch)
+                scratch *= ORBIT_DITHER
+                y += scratch
+            y -= np.floor(y, out=scratch)
+            np.subtract(y, y == 1.0, out=xb)    # 1.0 -> 0.0, as in wrap01
+    if end is not None and not in_place:
+        end[...] = x.reshape(x0.shape)
     return total
 
 

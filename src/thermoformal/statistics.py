@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -130,9 +131,10 @@ def sample_from_state(state: EquilibriumState, size, rng):
     cum[-1] = 1.0
     u = rng.random(size)
     cells = np.searchsorted(cum, u, side="right")
-    jitter = rng.random(size)
-    n = state.mu.size
-    return (cells + jitter) / n
+    x = rng.random(out=u)           # the jitter, in place on u
+    x += cells
+    x /= state.mu.size
+    return x
 
 
 def rng_for(master_seed, *counters):
@@ -149,6 +151,27 @@ def mc_batches(samples, batch_size, seed, *counters):
     """
     for batch, start in enumerate(range(0, samples, batch_size)):
         yield start, min(batch_size, samples - start), rng_for(seed, *counters, batch)
+
+
+def mc_map(fn, samples, batch_size, seed, *counters):
+    """``[fn(start, size, rng) for each batch of mc_batches]``, in batch order.
+
+    The batches run on one thread per available CPU (at most one per
+    batch).  Each draws only from its own ``rng`` and ``fn`` must write
+    nothing another batch reads, so the results do not depend on the core
+    count.  The batches spend their time in numpy loops that release the
+    GIL.
+    """
+    batches = list(mc_batches(samples, batch_size, seed, *counters))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # the CPU set is Linux-only
+    workers = min(len(batches), cpus)
+    if workers <= 1:
+        return [fn(*batch) for batch in batches]
+    # Imported here: concurrent.futures costs every job start-up time.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda batch: fn(*batch), batches))
 
 
 @dataclass(frozen=True)
@@ -186,10 +209,13 @@ def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     centered = lambda z: np.asarray(psi(z), dtype=float) - mean
 
     vals = np.empty(samples)
-    for start, take, rng in mc_batches(samples, batch_size, seed):
+
+    def batch(start, take, rng):
         x0 = sample_from_state(state, take, rng)
         s = orbit_birkhoff_samples(m, x0, n, centered, rng=rng)
         vals[start:start + take] = s / math.sqrt(n)
+
+    mc_map(batch, samples, batch_size, seed)
 
     ks = float(sps.kstest(vals, "norm", args=(0.0, sigma)).statistic)
     levels = (np.arange(QUANTILE_LEVELS) + 1.0) / (QUANTILE_LEVELS + 1.0)

@@ -323,6 +323,11 @@ class TestMain:
         (job("free-energy", params={"n": 64, "t_max": 0.4, "mc_t_values": [0.4, 0.17]}),
          "params.mc_t_values[1]"),
         (job("spectrum", seed="x"), "seed"),
+        (job("clt", params={"samples": 10 ** 12}), "params.samples"),
+        (job("ldp", params={"samples": cli.MAX_SAMPLES + 1}), "params.samples"),
+        (job("free-energy", params={"n": 64, "mc_t_values": [0.1],
+                                    "mc_samples": cli.MAX_SAMPLES + 1}),
+         "params.mc_samples"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

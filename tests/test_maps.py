@@ -479,3 +479,99 @@ class TestOrbitSampler:
         for _ in range(12):
             y = M.wrap01(d.lift(y))
         assert np.max(M.circle_dist(x, y)) < 1e-9
+
+
+def _whole_array_orbit(m, x0, n, psi, rng=None, end=None):
+    """The orbit kernel before it ran in blocks: each step over every orbit
+    at once, with one scratch buffer of the batch's size."""
+    x = M.wrap01(np.asarray(x0, dtype=float))
+    total = np.zeros_like(x)
+    buf = np.empty_like(total)
+    for _ in range(n):
+        total += psi(x)
+        x = m.lift(x)
+        if rng is not None:
+            rng.random(out=buf)
+            buf *= M.ORBIT_DITHER
+            x += buf
+        x -= np.floor(x, out=buf)
+        x -= x == 1.0
+    if end is not None:
+        end[...] = x
+    return total
+
+
+def _kernel_cases():
+    from thermoformal import observables as O
+    maps = [M.doubling_map(), M.rotation_map(), M.mp_like_map(),
+            M.derived_expanding_map(0.5), M.derived_expanding_map(1.0)]
+    poly = O.piecewise_poly([0.0, 0.5, 1.0], [[0.0, 1.0, -1.0], [0.25, 0.0, -1.0]])
+    for m in maps:
+        for psi in (O.fourier_cos(1), O.neg_log_deriv(m), poly):
+            yield pytest.param(m, psi.fn, id=f"{m.name}-{psi.json_obj['kind']}")
+
+
+class TestOrbitBlocks:
+    """The block-wise kernel against the whole-array loop, bit for bit."""
+
+    SIZES = (1, M.ORBIT_BLOCK - 1, M.ORBIT_BLOCK, M.ORBIT_BLOCK + 1, 2 ** 17 + 5)
+
+    @pytest.mark.parametrize("m, psi", _kernel_cases())
+    def test_matches_whole_array_loop(self, m, psi):
+        for size in self.SIZES:
+            x0 = np.random.default_rng(size).random(size)
+            for seed in (17, None):
+                rng = lambda: None if seed is None else np.random.default_rng(seed)
+                for aliased in (False, True):
+                    want_rng, want_end = rng(), np.empty_like(x0)
+                    want = _whole_array_orbit(m, x0, 3, psi, rng=want_rng, end=want_end)
+                    got_rng, x = rng(), x0.copy()
+                    got = M.orbit_birkhoff_samples(m, x, 3, psi, rng=got_rng,
+                                                   end=x if aliased else None)
+                    assert got.tobytes() == want.tobytes()
+                    assert x.tobytes() == (want_end if aliased else x0).tobytes()
+                    if seed is not None:    # both drew the same dither stream
+                        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("m, psi", _kernel_cases())
+    def test_zero_dimensional_start(self, m, psi):
+        x0, want_end = 0.3183098861837907, np.empty(1)
+        want = _whole_array_orbit(m, np.array([x0]), 7, psi, end=want_end)
+        assert M.birkhoff_sum(m, psi, np.float64(x0), 7) == want[0]
+        end = np.empty(())
+        got = M.orbit_birkhoff_samples(m, np.array(x0), 7, psi, end=end)
+        assert got.shape == () and got == want[0]
+        assert end.tobytes() == want_end.tobytes()
+
+    def test_strided_end_receives_end_points(self):
+        d = M.doubling_map()
+        psi = lambda x: np.cos(2 * np.pi * x)
+        x0 = np.random.default_rng(6).random(M.ORBIT_BLOCK + 3)
+        want_end = np.empty_like(x0)
+        want = _whole_array_orbit(d, x0, 5, psi, rng=np.random.default_rng(2), end=want_end)
+        end = np.empty((x0.size, 2))[:, 0]
+        got = M.orbit_birkhoff_samples(d, x0, 5, psi, rng=np.random.default_rng(2), end=end)
+        assert got.tobytes() == want.tobytes()
+        assert end.tobytes() == want_end.tobytes()
+
+    def test_memory_stays_flat(self):
+        # One ldp batch's kernel call, in place on its starts, allocates its
+        # output and a few blocks, not the batch-sized temporaries of a
+        # whole-array step (about 8 MB at this size).
+        import tracemalloc
+        from thermoformal import observables as O
+        size = 2 ** 17
+        x = np.random.default_rng(1).random(size)
+        psi, rng = O.fourier_cos(1).fn, np.random.default_rng(2)
+        block = M.ORBIT_BLOCK * 8
+        tracemalloc.start()
+        try:
+            M.orbit_birkhoff_samples(M.doubling_map(), x, 8, psi, rng=rng, end=x)
+            in_place = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            M.orbit_birkhoff_samples(M.doubling_map(), x, 8, psi, rng=rng)
+            copied = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert in_place <= size * 8 + 8 * block
+        assert copied <= 2 * size * 8 + 8 * block

@@ -143,3 +143,61 @@ class TestSampling:
         c = S.rng_for(9, 1).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestMcMap:
+    """Monte Carlo batches give the same bytes on any number of cores."""
+
+    @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(S.os, "sched_getaffinity",
+                            lambda pid, k=request.param: set(range(k)))
+        return request.param
+
+    def test_results_in_batch_order(self, cpus):
+        import threading
+        import time
+
+        threads = set()
+
+        def fn(start, size, rng):
+            threads.add(threading.get_ident())
+            time.sleep(0.02 if start == 0 else 0.0)    # the first batch ends last
+            return start, size, rng.random()
+
+        want = [(start, size, rng.random())
+                for start, size, rng in S.mc_batches(2500, 1000, 3, 4)]
+        assert S.mc_map(fn, 2500, 1000, 3, 4) == want
+        # one CPU runs the batches in the caller's thread, two in a pool
+        assert (threads == {threading.get_ident()}) == (cpus == 1)
+        assert [r[:2] for r in want] == [(0, 1000), (1000, 1000), (2000, 500)]
+
+    def test_estimators_do_not_depend_on_core_count(self, monkeypatch):
+        # 8 CPUs run more threads than the host has cores, and the short
+        # switch interval makes them interleave inside each batch.
+        import sys
+        from thermoformal import curves as Cv
+        d = M.doubling_map()
+        psi = O.fourier_cos(1)
+        state = T.EquilibriumState(triple=None, mu=np.full(64, 1.0 / 64))
+        rate = Cv.rate_function(Cv.free_energy_curve(d, O.zero, psi, t_max=2.0,
+                                                     steps=11, n=64), 21)
+        var = S.VarianceReport(sigma2=0.5, lag_max=1, tail_bound=None,
+                               coboundary=False, series=None, mean=0.0)
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for k in (1, 2, 8):
+                monkeypatch.setattr(S.os, "sched_getaffinity", lambda pid, k=k: set(range(k)))
+                ldp = Cv.ldp_empirical(d, state, psi.fn, 0.1, 0.5, [4, 8], 2500, seed=5,
+                                       rate=rate, batch_size=250)
+                fe = Cv.free_energy_mc(d, state, psi.fn, t=0.5, n=10, samples=2500,
+                                       seed=11, batch_size=250)
+                clt = S.clt_empirical(d, state, psi.fn, n=12, samples=2500, seed=41,
+                                      variance=var, batch_size=250)
+                results.append((ldp.counts.tobytes(), fe.hex(), clt.ks_statistic.hex(),
+                                clt.quantiles.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
