@@ -33,12 +33,14 @@ from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_t
 
 SCHEMA_VERSION = 1
 
-#: Largest ``steps`` (t-grid points) and ``s_steps`` (s-grid points) a job
-#: may ask for.
+#: Largest ``steps`` (t-grid points), ``s_steps`` (s-grid points),
+#: ``v_count`` (v-grid points), ``n_max`` and ``lag_max`` (correlation lags)
+#: a job may ask for.
 MAX_GRID_STEPS = 10_001
 #: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
 #: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` and the
-#: free-energy check hold one float per sample.
+#: free-energy check hold one float per sample.  Certification holds
+#: ``degree**N * resolution`` cells, capped at the same number.
 MAX_SAMPLES = 10 ** 8
 
 EXIT_OK = 0
@@ -122,12 +124,15 @@ def validate(config):
         _require(isinstance(fam_params, dict), "expected an object", "map.params")
         if fam["name"] == "derived_expanding":
             _check_keys(fam_params, set(), "map.params")   # v is the scanned parameter
+            degree = builtin_maps()[fam["name"]](0.0).degree
         else:
-            map_from_json({"kind": "builtin", "name": fam["name"], "params": fam_params})
+            degree = map_from_json({"kind": "builtin", "name": fam["name"],
+                                    "params": fam_params}).degree
         resolved["map"] = {"kind": "builtin", "name": fam["name"], "params": dict(fam_params)}
     else:
         m = map_from_json(config.get("map", {"kind": "builtin", "name": "doubling"}))
         resolved["map"] = map_to_json(m)
+        degree = m.degree
 
     potential = config.get("potential", {"kind": "constant", "params": {"value": 0.0}})
     resolved["potential"] = potential
@@ -166,17 +171,30 @@ def validate(config):
                  "observables")
         resolved["observables"] = obs
 
-    _validate_params(command, params, resolved["map"]["name"])
+    _validate_params(command, params, resolved["map"]["name"], degree)
     return resolved
 
 
-def _validate_params(command, params, map_name):
+def _cap_cells(p, degree, depth, resolution):
+    """Cap the ``degree**depth * resolution`` cells of a certification at
+    MAX_SAMPLES: ``depth`` is blamed when even resolution 16 passes it."""
+    # The exponent is clipped so that a huge depth costs no huge power;
+    # for degree >= 2 the clipped power already passes the cap.
+    power = degree ** min(p[depth], MAX_SAMPLES.bit_length())
+    _require(power * 16 <= MAX_SAMPLES,
+             f"degree**{depth} * 16 must be <= {MAX_SAMPLES}", f"params.{depth}")
+    _require(power * p[resolution] <= MAX_SAMPLES,
+             f"degree**{depth} * {resolution} must be <= {MAX_SAMPLES}", f"params.{resolution}")
+
+
+def _validate_params(command, params, map_name, degree):
     p = params
     if command == "certify":
         _num(p, "N", lo=1, integer=True)
         gamma = _num(p, "gamma")
         _require(0.0 < gamma < 1.0, "gamma must lie in (0,1)", "params.gamma")
         _num(p, "resolution", lo=16, integer=True)
+        _cap_cells(p, degree, "N", "resolution")
         _require(p["mode"] in ("C", "Cprime"), "mode must be C or Cprime", "params.mode")
         if p["rho"] is not None:
             _num(p, "rho", lo=0.0)
@@ -186,9 +204,9 @@ def _validate_params(command, params, map_name):
                  "scheme must be ulam or collocation", "params.scheme")
         _num(p, "n", lo=16, hi=MAX_DENSE_N, integer=True)
         if command == "correlations":
-            _num(p, "n_max", lo=1, integer=True)
+            _num(p, "n_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
         if command == "clt":
-            _num(p, "lag_max", lo=1, integer=True)
+            _num(p, "lag_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
             _num(p, "orbit_n", lo=1, integer=True)
             _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
         if command in ("free-energy", "rate-function", "ldp"):
@@ -216,7 +234,7 @@ def _validate_params(command, params, map_name):
             _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
             _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
         if command == "response":
-            _num(p, "v_count", lo=5, integer=True)
+            _num(p, "v_count", lo=5, hi=MAX_GRID_STEPS, integer=True)
             if map_name == "derived_expanding":      # its v lies in [0, 2)
                 _num(p, "v_min", lo=0.0)
                 _require(_num(p, "v_max") < 2.0, "v_max must be < 2", "params.v_max")
@@ -225,6 +243,7 @@ def _validate_params(command, params, map_name):
             gamma = _num(p, "guard_gamma")
             _require(0.0 < gamma < 1.0, "guard_gamma must lie in (0,1)", "params.guard_gamma")
             _num(p, "guard_resolution", lo=16, integer=True)
+            _cap_cells(p, degree, "guard_N", "guard_resolution")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +264,8 @@ def _handler_certify(cfg):
         "failure_count": int(rep.failures.size),
     }
     table = ("certify", ["cell", "raw_bound", "bound", "witness_branch", "witness_preimage"],
-             [(i, rep.raw_bound[i], rep.bound[i], int(rep.witness_branch[i]),
-               rep.witness_preimage[i]) for i in range(rep.resolution)])
+             list(zip(range(rep.resolution), rep.raw_bound.tolist(), rep.bound.tolist(),
+                      rep.witness_branch.tolist(), rep.witness_preimage.tolist())))
     if not rep.passed:
         code = EXIT_CERTIFY_FAIL
     elif rep.mode == certify_mod.MODE_CENTER_ONLY:
@@ -276,7 +295,8 @@ def _handler_spectrum(cfg):
         "invariance_defect_fourier5": invariance_defect(m, state, fourier_testfns(5)),
     }
     table = ("spectrum", ["x", "h", "nu", "mu"],
-             list(zip(triple.grid, triple.h, triple.nu, state.mu)))
+             list(zip(triple.grid.tolist(), triple.h.tolist(), triple.nu.tolist(),
+                      state.mu.tolist())))
     return EXIT_OK, results, [table]
 
 
@@ -318,7 +338,7 @@ def _handler_clt(cfg):
                                       cfg["seed"], variance=var)
         results["ks_statistic"] = rep.ks_statistic
         tables.append(("clt_qq", ["level", "sample_quantile", "gaussian_quantile"],
-                       [tuple(row) for row in rep.quantiles]))
+                       rep.quantiles.tolist()))
     return EXIT_OK, results, tables
 
 
@@ -500,12 +520,12 @@ def _json_default(obj):
 
 
 def write_csv(path, header, rows):
-    """One-line header, fixed column order, repr-exact float formatting."""
+    """One-line header, fixed column order.  Cells are Python scalars, and
+    csv writes a float as its ``repr``, which round-trips exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def main(argv=None):

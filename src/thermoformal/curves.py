@@ -14,8 +14,8 @@ from .certify import check_condition_C, potential_admissible
 from .errors import LegendreDegenerateError, ThermoformalError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
-from .operator import (EquilibriumState, SpectralTriple, build_matrix, equilibrium_measure,
-                       leading_triple, leading_triples, map_geometry)
+from .operator import (EquilibriumState, SpectralTriple, TransferMatrix, build_matrix,
+                       equilibrium_measure, leading_triple, leading_triples, map_geometry)
 from .statistics import mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
@@ -57,7 +57,6 @@ class FreeEnergyCurve:
     scheme: str
     n: int
     admissible_at_endpoints: bool
-    triples: Optional[tuple] = None
     base: Optional[SpectralTriple] = None   # the t=0 triple
 
     @property
@@ -85,7 +84,7 @@ def _convexity_verdict(E2):
 
 def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                       t_max: float, steps: int, scheme="collocation", n=512,
-                      eps_guard=None, keep_triples=False) -> FreeEnergyCurve:
+                      eps_guard=None) -> FreeEnergyCurve:
     """E(t) = log lambda(phi + t psi) - log lambda(phi) on a symmetric grid.
 
     E(0) is exactly zero since both terms come from the same matrix.
@@ -102,8 +101,8 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     grid points at a time, each exactly as ``leading_triple`` would.  A
     failing grid point raises for the first failing t in grid order.
 
-    Only the t=0 triple (``base``) is kept, unless ``keep_triples`` asks
-    for every grid point's, each holding its entry weights.
+    Of the grid's triples only the t=0 one is kept (``base``), holding its
+    entry weights over the shared geometry; the others give only lambda.
     """
     ts = symmetric_grid(t_max, steps)
     admissible = True
@@ -121,7 +120,6 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     g = map_geometry(m, scheme, n)
     phi_vals, psi_vals = phi.fn(g.points), psi.fn(g.points)
     lams = np.empty(ts.size)
-    triples = []
     for start in range(0, ts.size, GRID_BLOCK):
         block = ts[start:start + GRID_BLOCK]
         pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
@@ -133,9 +131,9 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
             if exc is not None:
                 raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
         lams[start:start + block.size] = lam
-        triples += [SpectralTriple(matrix=g.matrix(W[k], pots[k]), lam=float(lam[k]),
-                                   h=h[k], nu=nu[k], iterations=int(its[k]))
-                    for k, t in enumerate(block) if keep_triples or t == 0.0]
+        for k in np.flatnonzero(block == 0.0):
+            base = SpectralTriple(matrix=TransferMatrix(geometry=g, weights=W[k], potential=phi),
+                                  lam=float(lam[k]), h=h[k], nu=nu[k], iterations=int(its[k]))
 
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
@@ -146,8 +144,7 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
         verdict=_convexity_verdict(E2),
         lam=lams, scheme=scheme, n=n,
         admissible_at_endpoints=admissible,
-        triples=tuple(triples) if keep_triples else None,
-        base=triples[i0] if keep_triples else triples[0],
+        base=base,
     )
 
 

@@ -36,6 +36,8 @@ MAX_DENSE_N = 4096
 #: and both eigenvector residuals are below RESIDUAL_TOL * lambda.
 POWER_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+#: A column still running after MAX_ITER steps fails with ConvergenceError.
+MAX_ITER = 20000
 #: The deflated gap estimate runs GAP_ITERS fixed-seed steps and averages the
 #: log norm ratios of the last GAP_WINDOW.
 GAP_ITERS = 400
@@ -107,10 +109,6 @@ class MapGeometry:
         w = self.scale * np.exp(values) * self.coef
         return w.reshape(w.shape[:w.ndim - self.coef.ndim] + (-1,))
 
-    def matrix(self, weights, potential: PotentialSpec) -> TransferMatrix:
-        """The matrix of one potential's entry weights."""
-        return TransferMatrix(geometry=self, weights=weights, potential=potential)
-
     def gathered(self, W, table):
         """The (K, nnz) weights ``W`` laid out on a (width, n) gather table
         as a (width, K, n) array, weight 0 in the padding."""
@@ -166,24 +164,12 @@ class TransferMatrix:
         return _gather_sum(self._row_weights, self.geometry.row_cols, v[None])[0]
 
     @property
-    def scheme(self):
-        return self.geometry.scheme
-
-    @property
     def n(self):
         return self.geometry.n
-
-    @property
-    def map(self):
-        return self.geometry.map
 
     @cached_property
     def grid(self):
         return (np.arange(self.n) + 0.5) / self.n
-
-    @property
-    def map_name(self):
-        return self.geometry.map_name
 
     @property
     def potential_name(self):
@@ -216,7 +202,7 @@ def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> Transfe
     in order, where ``scale`` is n for Ulam and 1 for collocation.
     """
     g = map_geometry(m, scheme, n)
-    return g.matrix(g.weights(phi.fn(g.points)), phi)
+    return TransferMatrix(geometry=g, weights=g.weights(phi.fn(g.points)), potential=phi)
 
 
 def _collocation_entries(m: MapSpec, n: int):
@@ -265,12 +251,8 @@ def from_dense(A, potential: Optional[PotentialSpec] = None) -> TransferMatrix:
     ``A`` is bit-equal to the array."""
     A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
-    return _entries_matrix(rows, cols, A[rows, cols], A.shape[0], potential)
-
-
-def _entries_matrix(rows, cols, weights, n, potential=None):
-    g = MapGeometry(scheme="entries", n=n, map=None, rows=rows, cols=cols)
-    return TransferMatrix(geometry=g, weights=weights, potential=potential)
+    g = MapGeometry(scheme="entries", n=A.shape[0], map=None, rows=rows, cols=cols)
+    return TransferMatrix(geometry=g, weights=A[rows, cols], potential=potential)
 
 
 def primitivity_power(tm: TransferMatrix):
@@ -279,33 +261,37 @@ def primitivity_power(tm: TransferMatrix):
     Exact on the pattern P of A > 0, read from the entries merged in
     ``A``'s own order.  P^k > 0 needs every row and every column of P^k
     full, hence at least n length-k paths out of each cell and into each
-    cell; those path counts (capped at n) cost k gather matvecs on P and
-    on its transpose, and only when they all reach n is P^k formed, by
-    boolean sparse squaring, and tested for n^2 nonzeros.
+    cell; those path counts (capped at n) cost k ``np.bincount`` sweeps
+    over P's entries, and only when they all reach n are the rows of P^k
+    formed, as packed bits, and tested for fullness.  Row i of P Q is the
+    OR of the rows of Q at the columns of row i of P: one ``|=`` per slot
+    of P's row gather table.
     """
     g, n = tm.geometry, tm.n
     keys, slot = np.unique(g.rows * n + g.cols, return_inverse=True)
     merged = np.zeros(keys.size)
     np.add.at(merged, slot, tm.weights)
     keys = keys[merged > 0]
-    rows, cols, ones = keys // n, keys % n, np.ones(keys.size)
-    P, PT = _entries_matrix(rows, cols, ones, n), _entries_matrix(cols, rows, ones, n)
+    rows, cols = keys // n, keys % n
     out_paths = in_paths = np.ones(n)
-    Pk, k_formed, k = None, 1, 1
+    Pk, k_formed, k = None, 0, 1
     while k <= MAX_PRIMITIVITY_POWER:
         for _ in range(k - k // 2):          # path length k // 2 -> k
-            out_paths = np.minimum(P @ out_paths, n)
-            in_paths = np.minimum(PT @ in_paths, n)
+            out_paths = np.minimum(np.bincount(rows, out_paths[cols], n), n)
+            in_paths = np.minimum(np.bincount(cols, in_paths[rows], n), n)
         if min(out_paths.min(), in_paths.min()) >= n:
             if Pk is None:
-                # Imported here: scipy.sparse costs every job its start-up
-                # time, and only this rare step needs it.
-                import scipy.sparse as sp
-                Pk = sp.csr_array((np.ones(keys.size, dtype=bool), (rows, cols)), shape=(n, n))
-            while k_formed < k:
-                Pk = Pk @ Pk
-                k_formed *= 2
-            if Pk.nnz == n * n:
+                # Packed rows of P^0 = I, plus a zero row n that the
+                # padding slots of the gather table read.
+                Pk = np.zeros((n + 1, -(-n // 8)), dtype=np.uint8)
+                Pk[np.arange(n), np.arange(n) // 8] = 128 >> (np.arange(n) % 8)
+                slot_cols = np.append(cols, n)[_gather_table(rows, n)]
+            for _ in range(k - k_formed):
+                Pk, prev = np.zeros_like(Pk), Pk
+                for c in slot_cols:
+                    Pk[:n] |= prev[c]
+            k_formed = k
+            if (Pk[:n] == np.packbits(np.ones(n, dtype=bool))).all():
                 return k
         k *= 2
     return None
@@ -320,52 +306,6 @@ def _gather_table(lines, n):
     table = np.full((counts.max(), n), lines.size)
     table[slot, lines[order]] = order
     return table
-
-
-# The rule that ends the two-sided power iteration of leading_triples.  Each
-# function takes one matrix's values or, column by column, arrays of them
-# (the grid on the last axis).
-
-def _has_zero_line(row_sums, col_sums):
-    """A zero row or column leaves the leading eigendata ill-defined."""
-    return np.any(row_sums == 0.0, axis=-1) | np.any(col_sums == 0.0, axis=-1)
-
-
-def _residual(Av, lam, v):
-    return np.abs(Av - lam * v).max(axis=-1) / np.abs(v).max(axis=-1)
-
-
-def _settled(lam, lam_prev):
-    """lambda's relative change is at most POWER_TOL; the residuals are
-    computed, and :func:`_resolved` asked, only then."""
-    return abs(lam - lam_prev) <= POWER_TOL * abs(lam)
-
-
-def _resolved(lam, res_h, res_nu):
-    """Both eigenvector residuals are below RESIDUAL_TOL * lambda."""
-    tol = RESIDUAL_TOL * abs(lam)
-    return (res_h < tol) & (res_nu < tol)
-
-
-def _not_positive(mass, x_min):
-    return (mass <= 0) | (x_min <= 0)
-
-
-def _zero_line_error(map_name, potential_name):
-    return ReducibleMatrixError(
-        f"matrix for {map_name}/{potential_name} has a zero row or column")
-
-
-def _no_convergence_error(max_iter, lam, x, y):
-    return ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(lambda ~ {lam})", last_iterate=(lam, x, y))
-
-
-def _not_positive_error():
-    return ReducibleMatrixError(
-        "leading right vector is not strictly positive; "
-        "discretization is not primitive enough for a spectral triple")
 
 
 def _gather_sum(weights, index, v):
@@ -383,20 +323,21 @@ def _gather_sum(weights, index, v):
     return out
 
 
-def leading_triples(g: MapGeometry, W, names, max_iter=20000):
-    """Leading eigendata of the K matrices ``g.matrix(W[k])`` at once, by
-    two-sided power iteration.
+def leading_triples(g: MapGeometry, W, names):
+    """Leading eigendata of the K matrices ``TransferMatrix(g, W[k])`` at
+    once, by two-sided power iteration.
 
     ``W`` is a (K, nnz) array of entry weights (:meth:`MapGeometry.weights`)
     and ``names[k]`` names column k's potential in its error message.
     Right vectors h and left vectors nu are iterated together; lambda is
     the two-sided Rayleigh quotient, and a column stops when lambda's
     relative change is at most ``POWER_TOL`` and both residuals are below
-    ``RESIDUAL_TOL * lambda``.  The products run on fixed-width gather
-    tables of the unmerged entries, per row for ``A x`` and per column for
-    ``A^T y``, so no matrix is formed.  A stopped column is retired from
-    the batch; every operation acts on one column alone, so a column's
-    result does not depend on the batch it is solved in.
+    ``RESIDUAL_TOL * lambda``, or fails after ``MAX_ITER`` steps.  The
+    products run on fixed-width gather tables of the unmerged entries, per
+    row for ``A x`` and per column for ``A^T y``, so no matrix is formed.
+    A stopped column is retired from the batch; every operation acts on
+    one column alone, so a column's result does not depend on the batch
+    it is solved in.
 
     Returns ``(lam, h, nu, iterations, errors)``: arrays over the columns,
     and per column None or the error that makes its triple meaningless (a
@@ -411,8 +352,11 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
     Y_out = np.full((K, n), math.nan)
     its_out = np.zeros(K, dtype=np.int64)
     errors = [None] * K
-    for k in np.flatnonzero(_has_zero_line(WR.sum(axis=0), WC.sum(axis=0))):
-        errors[k] = _zero_line_error(g.map_name, names[k])
+    # A zero row or column leaves the leading eigendata ill-defined.
+    zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
+    for k in np.flatnonzero(zero_line):
+        errors[k] = ReducibleMatrixError(
+            f"matrix for {g.map_name}/{names[k]} has a zero row or column")
 
     active = np.flatnonzero([e is None for e in errors])
     WR, WC = WR[:, active], WC[:, active]
@@ -420,19 +364,22 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
     Y = np.full((active.size, n), 1.0 / n)
     AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
     lam_prev = np.full(active.size, math.nan)
-    for its in range(1, max_iter + 1):
+    for its in range(1, MAX_ITER + 1):
         if active.size == 0:
             break
         lam = (Y * AX).sum(axis=1) / (Y * X).sum(axis=1)
         X = AX / np.abs(AX).sum(axis=1, keepdims=True)
         Y = ATY / np.abs(ATY).sum(axis=1, keepdims=True)
         AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
-        s = _settled(lam, lam_prev)
-        if s.any():
+        # The residuals are computed only for the columns whose lambda settled.
+        settled = np.abs(lam - lam_prev) <= POWER_TOL * np.abs(lam)
+        if settled.any():
             # A slice, not a mask, when every column settled: no copies.
-            done, sel = s.copy(), slice(None) if s.all() else s
-            done[sel] = _resolved(lam[sel], _residual(AX[sel], lam[sel, None], X[sel]),
-                                  _residual(ATY[sel], lam[sel, None], Y[sel]))
+            done, sel = settled.copy(), slice(None) if settled.all() else settled
+            res_h, res_nu = (np.abs(P[sel] - lam[sel, None] * V[sel]).max(axis=1)
+                             / np.abs(V[sel]).max(axis=1) for P, V in ((AX, X), (ATY, Y)))
+            tol = RESIDUAL_TOL * np.abs(lam[sel])
+            done[sel] = (res_h < tol) & (res_nu < tol)
             if done.any():
                 k, keep = active[done], ~done
                 lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
@@ -440,23 +387,25 @@ def leading_triples(g: MapGeometry, W, names, max_iter=20000):
                 AX, ATY, WR, WC = AX[keep], ATY[keep], WR[:, keep], WC[:, keep]
         lam_prev = lam
     for j, k in enumerate(active):
-        errors[k] = _no_convergence_error(max_iter, float(lam[j]), X[j], Y[j])
+        errors[k] = ConvergenceError(
+            f"power iteration did not converge in {MAX_ITER} iterations "
+            f"(lambda ~ {float(lam[j])})", last_iterate=(float(lam[j]), X[j], Y[j]))
 
     NU = Y_out / np.sum(Y_out, axis=1, keepdims=True)
     mass = np.sum(X_out * NU, axis=1)
-    for k in np.flatnonzero(_not_positive(mass, np.min(X_out, axis=1))):
+    for k in np.flatnonzero((mass <= 0) | (np.min(X_out, axis=1) <= 0)):
         if errors[k] is None:
-            errors[k] = _not_positive_error()
+            errors[k] = ReducibleMatrixError(
+                "leading right vector is not strictly positive; "
+                "discretization is not primitive enough for a spectral triple")
     return lam_out, X_out / mass[:, None], NU, its_out, errors
 
 
-def leading_triple(tm: TransferMatrix, max_iter=20000) -> SpectralTriple:
+def leading_triple(tm: TransferMatrix) -> SpectralTriple:
     """The leading triple of one matrix: :func:`leading_triples` on its
-    weights alone, raising that column's error.  The gap and the
-    primitivity power are not computed here: their readers call
-    :func:`gap_ratio` and :func:`primitivity_power`."""
+    weights alone, raising that column's error."""
     lam, h, nu, its, errors = leading_triples(tm.geometry, tm.weights[None],
-                                              [tm.potential_name], max_iter)
+                                              [tm.potential_name])
     if errors[0] is not None:
         raise errors[0]
     return SpectralTriple(matrix=tm, lam=float(lam[0]), h=h[0], nu=nu[0],

@@ -186,20 +186,17 @@ class CltEmpiricalReport:
 
 def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
                   n: int, samples: int, seed: int,
-                  variance: Optional[VarianceReport] = None,
-                  batch_size=1 << 16) -> CltEmpiricalReport:
+                  variance: VarianceReport, batch_size=1 << 16) -> CltEmpiricalReport:
     """KS distance between the law of S_n(v)/sqrt(n) and N(0, sigma^2).
 
-    sigma^2 comes from the Green-Kubo report (computed here when not
-    supplied); a flagged-coboundary variance is refused.  Orbits start from
-    mu-samples; batches use seeds split from the master seed by counter, so
-    the result is bitwise reproducible.
+    sigma^2 and the mean come from the Green-Kubo report ``variance``
+    (:func:`clt_variance`); a flagged-coboundary variance is refused.
+    Orbits start from mu-samples; batches use seeds split from the master
+    seed by counter, so the result is bitwise reproducible.
     """
     # Imported here: scipy.stats costs every job its start-up time and memory.
     from scipy import stats as sps
 
-    if variance is None:
-        variance = clt_variance(m, state.triple, psi, lag_max=64)
     if variance.coboundary or variance.sigma2 <= 0:
         raise CoboundaryRefusedError(
             f"sigma^2 = {variance.sigma2:.3e} is flagged as a coboundary: "

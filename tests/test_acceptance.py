@@ -41,9 +41,9 @@ def doubling_1024():
 def cos_curves_512():
     d = M.doubling_map()
     c41 = Cv.free_energy_curve(d, O.zero, COS1, t_max=0.5, steps=41,
-                               scheme="collocation", n=512, keep_triples=True)
+                               scheme="collocation", n=512)
     c81 = Cv.free_energy_curve(d, O.zero, COS1, t_max=0.5, steps=81,
-                               scheme="collocation", n=512, keep_triples=True)
+                               scheme="collocation", n=512)
     return d, c41, c81
 
 
@@ -165,7 +165,7 @@ def test_criterion_06_clt_variance_and_ks():
                f"{elapsed:.1f}s < 60s")
 
 
-def test_criterion_07_free_energy(cos_curves_512):
+def test_criterion_07_free_energy(cos_curves_512, grid_triples):
     d, c41, c81 = cos_curves_512
     i0 = int(np.flatnonzero(c41.t == 0.0)[0])
     assert c41.E[i0] == 0.0
@@ -174,7 +174,7 @@ def test_criterion_07_free_energy(cos_curves_512):
                                        steps=21, scheme="ulam", n=256)
     assert np.max(np.abs(const_curve.E - 0.9 * const_curve.t)) < 1e-12
 
-    st = T.equilibrium_measure(c41.triples[i0])
+    st = T.equilibrium_measure(c41.base)
     mc_gaps = {}
     for t in (-0.4, 0.2, 0.4):
         mc = Cv.free_energy_mc(d, st, COS, t, n=30, samples=100_000, seed=21)
@@ -182,7 +182,8 @@ def test_criterion_07_free_energy(cos_curves_512):
         mc_gaps[t] = abs(c41.E[i] - mc)
         assert mc_gaps[t] < 0.02
 
-    eq81 = [T.equilibrium_measure(tr) for tr in c81.triples]
+    eq81 = [T.equilibrium_measure(tr)
+            for tr in grid_triples(d, O.zero, COS1, 0.5, 81, "collocation", 512)]
     resid = Cv.derivative_checks(c81, eq81, COS1).max_mean_residual
     assert resid < 1e-4
     _report(7, f"free energy: E(0)=0 exact, affine |E-tc|<1e-12, MC gaps "
@@ -219,10 +220,9 @@ def test_criterion_09_ldp():
     t0 = time.perf_counter()
     d = M.doubling_map()
     curve = Cv.free_energy_curve(d, O.zero, COS1, t_max=2.0, steps=81,
-                                 scheme="collocation", n=512, keep_triples=True)
+                                 scheme="collocation", n=512)
     rate = Cv.rate_function(curve, 201)
-    i0 = int(np.flatnonzero(curve.t == 0.0)[0])
-    st = T.equilibrium_measure(curve.triples[i0])
+    st = T.equilibrium_measure(curve.base)
     rep = Cv.ldp_empirical(d, st, COS, 0.3, 0.5, [20, 40, 80],
                            1_000_000, seed=42, rate=rate)
     assert not rep.censored

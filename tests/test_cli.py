@@ -239,10 +239,8 @@ class TestMain:
         assert len(solved) == 1 and "A" not in solved[0].__dict__
 
     def test_failing_grid_point_exits_compute(self, tmp_path, capsys, monkeypatch):
-        from thermoformal import curves as Cv
         from thermoformal import operator as T
-        monkeypatch.setattr(Cv, "leading_triples",
-                            lambda *a, **k: T.leading_triples(*a, max_iter=1, **k))
+        monkeypatch.setattr(T, "MAX_ITER", 1)
         cfg_path = tmp_path / "job.json"
         cfg_path.write_text(json.dumps(job("free-energy",
                                            params={"n": 64, "steps": 5, "t_max": 0.4})))
@@ -328,6 +326,12 @@ class TestMain:
         (job("free-energy", params={"n": 64, "mc_t_values": [0.1],
                                     "mc_samples": cli.MAX_SAMPLES + 1}),
          "params.mc_samples"),
+        (job("response", params={"n": 64, "v_count": 10 ** 12}), "params.v_count"),
+        (job("certify", params={"resolution": 10 ** 12}), "params.resolution"),
+        (job("correlations", params={"n": 64, "n_max": 10 ** 12}), "params.n_max"),
+        (job("clt", params={"n": 64, "lag_max": cli.MAX_GRID_STEPS + 1}), "params.lag_max"),
+        (job("response", params={"n": 64, "v_count": 5, "guard_resolution": 10 ** 12}),
+         "params.guard_resolution"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"
@@ -338,6 +342,22 @@ class TestMain:
         # an error at the root of the config has no path to print
         expected = f"schema error: {path}:" if path else "schema error: config must be an object"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, path", [
+        (job("certify", params={"N": 10 ** 12}), "params.N"),
+        (job("certify", params={"N": 23, "resolution": 16}), "params.N"),
+        (job("certify", params={"N": 22, "resolution": 24}), "params.resolution"),
+        (job("response", params={"guard_N": 10 ** 12}), "params.guard_N"),
+        (job("response", map={"kind": "builtin", "name": "mp_like"},
+             params={"guard_N": 23}), "params.guard_N"),
+    ])
+    def test_certification_cells_capped(self, cfg, path):
+        # checked by validation alone: a missing cap would allocate G^N arrays
+        with pytest.raises(SchemaError) as exc:
+            cli.validate(cfg)
+        assert exc.value.path == path
+        # degree 2: 2^22 * 16 cells lie within MAX_SAMPLES, 2^22 * 24 do not
+        cli.validate(job("certify", params={"N": 22, "resolution": 16}))
 
     def test_response_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
@@ -355,16 +375,20 @@ class TestMain:
 
 
 def test_cli_import_and_spectrum_leave_scipy_unloaded(tmp_path):
-    # importing the CLI loads no scipy module, and a spectrum job on a map
-    # whose path counts never all reach n loads no scipy.sparse either
+    # importing the CLI loads no scipy module, and spectrum jobs load no
+    # scipy.sparse either: on a map whose path counts never all reach n
+    # (mp_like), and on a primitive one, whose P^k is formed (doubling)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    cfg = job("spectrum", map={"kind": "builtin", "name": "mp_like"}, params={"n": 64})
+    cfgs = [job("spectrum", map={"kind": "builtin", "name": name}, params={"n": 64})
+            for name in ("mp_like", "doubling")]
     code = ("import json, sys, thermoformal.cli as cli; "
             "mods = ('scipy', 'scipy.stats', 'scipy.special', 'scipy.sparse'); "
             "print(sorted(m for m in mods if m in sys.modules)); "
-            "code, _ = cli.run(json.loads(sys.argv[1]), sys.argv[2]); "
-            "print(code, 'scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg), str(tmp_path)],
+            "runs = [cli.run(cfg, sys.argv[2]) for cfg in json.loads(sys.argv[1])]; "
+            "print([(code, s['results']['primitive']) for code, s in runs], "
+            "'scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfgs), str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split("\n")[:2] == ["[]", f"{cli.EXIT_OK} False"]
+    assert out.split("\n")[:2] == [
+        "[]", f"[({cli.EXIT_OK}, False), ({cli.EXIT_OK}, True)] False"]

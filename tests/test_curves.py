@@ -16,7 +16,7 @@ COS1 = O.fourier_cos(1)
 def doubling_cos_curve():
     return Cv.free_energy_curve(M.doubling_map(), O.zero, COS1,
                                 t_max=0.5, steps=41, scheme="collocation",
-                                n=512, keep_triples=True)
+                                n=512)
 
 
 class TestFreeEnergyCurve:
@@ -61,8 +61,9 @@ class TestFreeEnergyCurve:
         g = T.map_geometry(M.doubling_map(), "collocation", 512)
         W = g.weights(pot.fn(g.points))
         A = T.build_matrix(M.doubling_map(), pot, "collocation", 512).A
-        assert np.array_equal(g.matrix(W, pot).A, A)
-        assert np.array_equal(c.triples[7].matrix.A, A)
+        assert np.array_equal(T.TransferMatrix(geometry=g, weights=W, potential=pot).A, A)
+        A0 = T.build_matrix(M.doubling_map(), O.zero, "collocation", 512).A
+        assert np.array_equal(c.base.matrix.A, A0)
         lam, _, _, _, errors = T.leading_triples(g, W[None], [pot.name])
         assert errors == [None]
         assert lam[0] == c.lam[7]
@@ -79,13 +80,14 @@ class TestFreeEnergyCurve:
         # 21 dense n x n matrices would take 21 * n^2 * 8 bytes
         assert peak < 4 * n * n * 8
         i0 = int(np.flatnonzero(c.t == 0.0)[0])
-        assert c.triples is None
         assert c.base.lam == c.lam[i0]
 
-    def test_keep_triples_base_is_t0(self, doubling_cos_curve):
+    def test_base_is_the_t0_triple(self, doubling_cos_curve):
         c = doubling_cos_curve
-        i0 = int(np.flatnonzero(c.t == 0.0)[0])
-        assert c.base is c.triples[i0]
+        ref = T.leading_triple(T.build_matrix(M.doubling_map(), O.zero, "collocation", 512))
+        assert c.base.matrix.potential is O.zero
+        assert c.base.lam == ref.lam and c.base.iterations == ref.iterations
+        assert np.array_equal(c.base.h, ref.h) and np.array_equal(c.base.nu, ref.nu)
 
     def test_admissibility_guard_warns(self):
         with pytest.warns(UserWarning):
@@ -106,6 +108,19 @@ def _tilted(m, phi, psi, t_max, steps):
             for t in Cv.symmetric_grid(t_max, steps)]
 
 
+def _record_solves(monkeypatch):
+    """Record ``(W, names, result)`` of each ``leading_triples`` call that
+    ``free_energy_curve`` makes."""
+    calls = []
+
+    def spy(g, W, names):
+        calls.append((W, names, T.leading_triples(g, W, names)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(Cv, "leading_triples", spy)
+    return calls
+
+
 _MP = M.mp_like_map()
 BATCH_CASES = [(M.doubling_map(), O.zero, COS1, 0.5),
                (_MP, O.zero, O.neg_log_deriv(_MP), 0.25)]
@@ -116,18 +131,18 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
     @pytest.mark.parametrize("m, phi, psi, t_max", BATCH_CASES, ids=["doubling", "mp_like"])
-    def test_matches_per_t_solve(self, m, phi, psi, t_max, scheme):
+    def test_matches_per_t_solve(self, monkeypatch, m, phi, psi, t_max, scheme):
         n = 256
-        c = Cv.free_energy_curve(m, phi, psi, t_max, 9, scheme=scheme, n=n,
-                                 keep_triples=True)
-        for (t, pot), tr in zip(_tilted(m, phi, psi, t_max, 9), c.triples):
+        calls = _record_solves(monkeypatch)
+        c = Cv.free_energy_curve(m, phi, psi, t_max, 9, scheme=scheme, n=n)
+        [(W, names, (lam, h, nu, its, _))] = calls
+        for k, (t, pot) in enumerate(_tilted(m, phi, psi, t_max, 9)):
             ref = T.leading_triple(T.build_matrix(m, pot, scheme, n))
-            assert np.array_equal(tr.matrix.A, ref.matrix.A)
-            assert tr.matrix.potential.name == pot.name
-            assert abs(tr.lam - ref.lam) <= 1e-13 * ref.lam
-            assert abs(tr.iterations - ref.iterations) <= 1
-            assert np.allclose(tr.h, ref.h, rtol=1e-8, atol=0)
-            assert np.allclose(tr.nu, ref.nu, rtol=1e-8, atol=1e-300)
+            assert np.array_equal(W[k], ref.matrix.weights)
+            assert names[k] == pot.name
+            assert c.lam[k] == lam[k] == ref.lam
+            assert its[k] == ref.iterations
+            assert np.array_equal(h[k], ref.h) and np.array_equal(nu[k], ref.nu)
 
     @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
     @pytest.mark.parametrize("m, phi, psi, t_max", BATCH_CASES, ids=["doubling", "mp_like"])
@@ -146,13 +161,17 @@ class TestBatchedSolve:
 
     def test_blocks_do_not_change_the_curve(self, monkeypatch):
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
-        whole = Cv.free_energy_curve(*args, n=128, keep_triples=True)
+        calls = _record_solves(monkeypatch)
+        whole = Cv.free_energy_curve(*args, n=128)
         monkeypatch.setattr(Cv, "GRID_BLOCK", 3)
-        blocks = Cv.free_energy_curve(*args, n=128, keep_triples=True)
+        blocks = Cv.free_energy_curve(*args, n=128)
+        assert [W.shape[0] for W, _, _ in calls] == [11, 3, 3, 3, 2]
         assert np.array_equal(whole.lam, blocks.lam)
         assert np.array_equal(whole.E, blocks.E)
-        assert blocks.base is blocks.triples[5]
-        assert [tr.iterations for tr in whole.triples] == [tr.iterations for tr in blocks.triples]
+        assert blocks.base.lam == whole.base.lam == blocks.lam[5]
+        assert np.array_equal(blocks.base.h, whole.base.h)
+        its = [out[3] for _, _, out in calls]
+        assert np.array_equal(its[0], np.concatenate(its[1:]))
 
     @pytest.mark.parametrize("scheme, inverter", [("collocation", "branch_preimages"),
                                                   ("ulam", "_invert_lift")])
@@ -175,27 +194,25 @@ class TestBatchedSolve:
         assert isinstance(errors[1], ReducibleMatrixError)
         assert "doubling/b has a zero row or column" in str(errors[1])
 
-    def test_failing_column_names_first_failing_t(self, monkeypatch):
+    def test_failing_column_names_first_failing_t(self, monkeypatch, grid_triples):
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
-        its = [tr.iterations for tr in
-               Cv.free_energy_curve(*args, n=128, keep_triples=True).triples]
+        its = [tr.iterations for tr in grid_triples(*args, "collocation", 128)]
         cap = max(its) - 1
         first = Cv.symmetric_grid(0.25, 11)[int(np.argmax(np.array(its) > cap))]
         assert first != -0.25                   # not simply the first column
         monkeypatch.setattr(Cv, "GRID_BLOCK", 4)
-        monkeypatch.setattr(Cv, "leading_triples",
-                            lambda *a, **k: T.leading_triples(*a, max_iter=cap, **k))
+        monkeypatch.setattr(T, "MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match=f"^eigen-solve failed at t={first}: "):
             Cv.free_energy_curve(*args, n=128)
 
 
 class TestFreeEnergyMc:
     def test_zero_t_exact(self, doubling_cos_curve):
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         assert Cv.free_energy_mc(M.doubling_map(), st, COS1.fn, 0.0, 10, 100, seed=1) == 0.0
 
     def test_constant_observable(self, doubling_cos_curve):
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         val = Cv.free_energy_mc(M.doubling_map(), st,
                                 lambda x: np.full_like(np.asarray(x), 0.8),
                                 0.5, 17, 500, seed=3)
@@ -203,7 +220,7 @@ class TestFreeEnergyMc:
 
     def test_matches_spectral(self, doubling_cos_curve):
         c = doubling_cos_curve
-        st = T.equilibrium_measure(c.triples[20])
+        st = T.equilibrium_measure(c.base)
         for t in (-0.4, 0.2, 0.4):
             mc = Cv.free_energy_mc(M.doubling_map(), st, COS1.fn, t,
                                    n=30, samples=100_000, seed=21)
@@ -212,34 +229,33 @@ class TestFreeEnergyMc:
 
 
 class TestDerivativeChecks:
-    def test_zero_observable_all_zero(self):
-        c = Cv.free_energy_curve(M.doubling_map(), O.zero, O.constant(0.0),
-                                 t_max=0.1, steps=5, scheme="ulam", n=64,
-                                 keep_triples=True)
-        eq = [T.equilibrium_measure(tr) for tr in c.triples]
+    def test_zero_observable_all_zero(self, grid_triples):
+        args = (M.doubling_map(), O.zero, O.constant(0.0), 0.1, 5, "ulam", 64)
+        c = Cv.free_energy_curve(*args[:5], scheme="ulam", n=64)
+        eq = [T.equilibrium_measure(tr) for tr in grid_triples(*args)]
         rep = Cv.derivative_checks(c, eq, O.constant(0.0))
         assert rep.max_mean_residual == 0.0
         assert rep.e1_zero_residual == 0.0
         assert rep.bounds_ok
 
-    def test_doubling_cos_narrow_grid(self):
+    def test_doubling_cos_narrow_grid(self, grid_triples):
         # narrow t-window makes the central-difference error at 0 negligible
-        c = Cv.free_energy_curve(M.doubling_map(), O.zero, COS1, t_max=0.05,
-                                 steps=41, scheme="collocation", n=512,
-                                 keep_triples=True)
-        eq = [T.equilibrium_measure(tr) for tr in c.triples]
+        args = (M.doubling_map(), O.zero, COS1, 0.05, 41, "collocation", 512)
+        c = Cv.free_energy_curve(*args[:5], scheme="collocation", n=512)
+        eq = [T.equilibrium_measure(tr) for tr in grid_triples(*args)]
         rep = Cv.derivative_checks(c, eq, COS1)
         assert rep.e1_zero_residual < 1e-6
         assert rep.bounds_ok
 
-    def test_residual_shrinks_with_step(self, doubling_cos_curve):
+    def test_residual_shrinks_with_step(self, doubling_cos_curve, grid_triples):
         c41 = doubling_cos_curve
-        eq41 = [T.equilibrium_measure(tr) for tr in c41.triples]
+        args = (M.doubling_map(), O.zero, COS1, 0.5)
+        eq41 = [T.equilibrium_measure(tr)
+                for tr in grid_triples(*args, 41, "collocation", 512)]
         r41 = Cv.derivative_checks(c41, eq41, COS1).max_mean_residual
-        c81 = Cv.free_energy_curve(M.doubling_map(), O.zero, COS1, t_max=0.5,
-                                   steps=81, scheme="collocation", n=512,
-                                   keep_triples=True)
-        eq81 = [T.equilibrium_measure(tr) for tr in c81.triples]
+        c81 = Cv.free_energy_curve(*args, 81, scheme="collocation", n=512)
+        eq81 = [T.equilibrium_measure(tr)
+                for tr in grid_triples(*args, 81, "collocation", 512)]
         r81 = Cv.derivative_checks(c81, eq81, COS1).max_mean_residual
         assert r81 < r41
         assert r81 < 5 * c81.step ** 2 + 1e-5
@@ -299,7 +315,7 @@ class TestRateFunction:
 class TestLdp:
     def test_interval_containing_mean(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         rep = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, -0.15, 0.15,
                                [20, 40], 20_000, seed=9, rate=rf)
         assert abs(rep.rate_bound) < 1e-4
@@ -308,7 +324,7 @@ class TestLdp:
 
     def test_reproducible(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         reps = [Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
                                  [20, 30], 20_000, seed=3, rate=rf)
                 for _ in range(2)]
@@ -317,7 +333,7 @@ class TestLdp:
     def test_smallest_n_keeps_its_stream(self, doubling_cos_curve):
         # the smallest n counts the orbits a one-horizon run would draw
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         args = (M.doubling_map(), st, COS1.fn, 0.25, 0.45)
         many = Cv.ldp_empirical(*args, [30, 10, 20], 20_000, seed=6, rate=rf,
                                 batch_size=4096)
@@ -326,7 +342,7 @@ class TestLdp:
 
     def test_repeated_n_counts_equal(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         rep = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
                                [20, 20, 40], 20_000, seed=2, rate=rf)
         assert rep.n_values.tolist() == [20, 20, 40]
@@ -335,7 +351,7 @@ class TestLdp:
     def test_small_sample_keeps_sign(self, doubling_cos_curve):
         # shrinking m inflates variance but the decay rate stays negative
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.triples[20])
+        st = T.equilibrium_measure(doubling_cos_curve.base)
         big = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
                                [10, 20], 200_000, seed=4, rate=rf)
         small = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -146,6 +147,34 @@ class TestAssemblyMatchesReference:
         ref = _reference_ulam(m, phi, n)
         assert np.max(np.abs(tm.A - ref)) <= 16 * n * np.finfo(float).eps * np.max(ref)
         assert tm.transport is None
+
+
+class TestRandomLifts:
+    """Properties of the phi = 0 matrices and of the JSON form on random lifts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_monotone_pw_maps(), st.sampled_from([16, 17, 100, 128]))
+    def test_collocation_rows_sum_to_degree(self, m, n):
+        # each preimage of a centre enters two hats with weights 1 - w and w
+        A = T.build_matrix(m, O.zero, "collocation", n).A
+        assert np.max(np.abs(A.sum(axis=1) - m.degree)) <= 8 * np.finfo(float).eps * m.degree
+
+    @settings(max_examples=150, deadline=None)
+    @given(_monotone_pw_maps(), st.sampled_from([16, 17, 100, 128]))
+    def test_ulam_columns_are_image_lengths(self, m, n):
+        # column j sums the image lengths of the pieces of source cell j
+        A = T.build_matrix(m, O.zero, "ulam", n).A
+        expect = n * np.diff(m.lift(np.arange(n + 1) / n))
+        assert np.max(np.abs(A.sum(axis=0) - expect)) <= 16 * n * np.finfo(float).eps * m.degree
+
+    @settings(max_examples=150, deadline=None)
+    @given(_monotone_pw_maps())
+    def test_json_roundtrip(self, m):
+        obj = M.map_to_json(m)
+        m2 = M.map_from_json(json.loads(json.dumps(obj)))
+        assert M.map_to_json(m2) == obj
+        xs = np.linspace(-1.0, 2.0, 301)
+        assert np.array_equal(m.lift(xs), m2.lift(xs))
 
 
 class TestBuildMatrix:
@@ -297,13 +326,14 @@ class TestLeadingTriple:
                 for s in ("collocation", "ulam")]
         assert abs(lams[0] - lams[1]) < 1e-3
 
-    def test_rotation_nonconstant_potential_diverges(self):
+    def test_rotation_nonconstant_potential_diverges(self, monkeypatch):
         # no spectral gap for an isometry with non-constant weight: the
         # iteration must report non-convergence carrying its last iterate
         from thermoformal.errors import ConvergenceError
         tm = T.build_matrix(M.rotation_map(), O.fourier_cos(1, 0.1), "ulam", 256)
+        monkeypatch.setattr(T, "MAX_ITER", 2000)
         with pytest.raises(ConvergenceError) as exc:
-            T.leading_triple(tm, max_iter=2000)
+            T.leading_triple(tm)
         assert exc.value.last_iterate is not None
 
     def test_rotation_not_primitive(self):

@@ -124,9 +124,10 @@ class TestCltEmpirical:
 
     def test_refuses_coboundary(self, doubling_state):
         d, tr, st = doubling_state
+        const = lambda x: np.full_like(np.asarray(x), 2.0)
+        vr = S.clt_variance(d, tr, const, 64)
         with pytest.raises(CoboundaryRefusedError):
-            S.clt_empirical(d, st, lambda x: np.full_like(np.asarray(x), 2.0),
-                            n=50, samples=1000, seed=1)
+            S.clt_empirical(d, st, const, n=50, samples=1000, seed=1, variance=vr)
 
 
 class TestSampling:
