@@ -69,24 +69,27 @@ def _grid_log_deriv_modulus(m: MapSpec):
     return float(np.max(block_max) * LOG_DERIV_SAMPLES)      # NaN propagates
 
 
-def _depth_n_contractions(m: MapSpec, centers, N, cell_width):
+def _depth_n_contractions(m: MapSpec, centers, N, cell_width, preimages=None):
     """Contraction of every depth-N branch at every center.
 
     Returns (contr, pts): arrays of shape (G^N, n_centers); row ordering is
     the lexicographic branch id of :func:`thermoformal.maps.inverse_branches`.
+    ``preimages``, when given, are the (G, n_centers) level-1 preimages of
+    the centers, used instead of inverting them.
     """
     pts = centers[None, :]
     contr = np.ones_like(pts)
     g = m.degree
-    for _ in range(N):
+    for level in range(N):
         n_words, n_c = pts.shape
-        pre = branch_preimages(m, pts.ravel()).reshape(g, n_words, n_c)
+        pre = branch_preimages(m, pts.ravel()) if level or preimages is None else preimages
+        pre = pre.reshape(g, n_words, n_c)
         pts = pre.swapaxes(0, 1).reshape(n_words * g, n_c)    # parent-major
         contr = np.repeat(contr, g, axis=0) * branch_lipschitz(m, pts, cell_width)
     return contr, pts
 
 
-def _check_condition(m, N, gamma, resolution, variant, rho=None):
+def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None):
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if resolution < 16:
@@ -95,6 +98,9 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None):
         raise ValueError("N must be >= 1")
     if variant == "Cprime" and m.derivative is None:
         raise ValueError(f"condition (C') needs derivative data; map {m.name} has none")
+    if preimages is not None and np.shape(preimages) != (m.degree, resolution):
+        raise ValueError(f"preimages must have shape (degree, resolution) = "
+                         f"({m.degree}, {resolution})")
 
     w = 1.0 / resolution
     centers = (np.arange(resolution) + 0.5) * w
@@ -108,7 +114,7 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None):
         mode = MODE_CENTER_ONLY
         inflation = 1.0
 
-    contr, pts = _depth_n_contractions(m, centers, N, w)
+    contr, pts = _depth_n_contractions(m, centers, N, w, preimages)
     idx = np.argmin(contr, axis=0)
     cols = np.arange(resolution)
     raw = contr[idx, cols]
@@ -132,15 +138,20 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None):
     )
 
 
-def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None):
+def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None):
     """Grid certificate for condition (C) at iterate N and target gamma.
 
     Each of ``resolution`` equal cells is witnessed at its center by the
     minimum depth-N branch contraction, inflated by exp(N * rho * cellwidth)
     to cover the whole cell.  Falls back to a flagged center-value mode when
     no modulus is available (Hölder-only map, no user rho).
+
+    ``preimages`` lets a caller that has already inverted the centers (the
+    collocation geometry at n = ``resolution`` holds them, reduced to
+    [0, 1)) hand them in: they are the first level of every depth, so the
+    certificate then inverts only from level 2 on.
     """
-    return _check_condition(m, N, gamma, resolution, "C", rho)
+    return _check_condition(m, N, gamma, resolution, "C", rho, preimages)
 
 
 def check_condition_Cprime(m: MapSpec, N, gamma, resolution, rho=None):

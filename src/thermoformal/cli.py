@@ -34,8 +34,9 @@ from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_t
 SCHEMA_VERSION = 1
 
 #: Largest ``steps`` (t-grid points), ``s_steps`` (s-grid points),
-#: ``v_count`` (v-grid points), ``n_max`` and ``lag_max`` (correlation lags)
-#: a job may ask for.
+#: ``v_count`` (v-grid points), ``n_max`` and ``lag_max`` (correlation lags),
+#: certification depth (``N``, ``guard_N``) and orbit length (``orbit_n``,
+#: ``mc_orbit_n``, the entries of ``n_list``) a job may ask for.
 MAX_GRID_STEPS = 10_001
 #: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
 #: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` and the
@@ -190,7 +191,7 @@ def _cap_cells(p, degree, depth, resolution):
 def _validate_params(command, params, map_name, degree):
     p = params
     if command == "certify":
-        _num(p, "N", lo=1, integer=True)
+        _num(p, "N", lo=1, hi=MAX_GRID_STEPS, integer=True)
         gamma = _num(p, "gamma")
         _require(0.0 < gamma < 1.0, "gamma must lie in (0,1)", "params.gamma")
         _num(p, "resolution", lo=16, integer=True)
@@ -207,7 +208,7 @@ def _validate_params(command, params, map_name, degree):
             _num(p, "n_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
         if command == "clt":
             _num(p, "lag_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            _num(p, "orbit_n", lo=1, integer=True)
+            _num(p, "orbit_n", lo=1, hi=MAX_GRID_STEPS, integer=True)
             _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
         if command in ("free-energy", "rate-function", "ldp"):
             _num(p, "t_max", lo=1e-9)
@@ -223,14 +224,14 @@ def _validate_params(command, params, map_name, degree):
                 _require(np.min(np.abs(ts - t)) <= 1e-9 * p["t_max"],
                          "must be a point of the t-grid symmetric_grid(t_max, steps)",
                          f"params.mc_t_values[{i}]")
-            _num(p, "mc_orbit_n", lo=1, integer=True)
+            _num(p, "mc_orbit_n", lo=1, hi=MAX_GRID_STEPS, integer=True)
             _num(p, "mc_samples", lo=1, hi=MAX_SAMPLES, integer=True)
         if command in ("rate-function", "ldp"):
             _num(p, "s_steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
         if command == "ldp":
             _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
                      "n_list must be a nonempty list", "params.n_list")
-            _num_list(p, "n_list", lo=1, integer=True)
+            _num_list(p, "n_list", lo=1, hi=MAX_GRID_STEPS, integer=True)
             _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
             _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
         if command == "response":
@@ -239,7 +240,7 @@ def _validate_params(command, params, map_name, degree):
                 _num(p, "v_min", lo=0.0)
                 _require(_num(p, "v_max") < 2.0, "v_max must be < 2", "params.v_max")
             _require(_num(p, "v_min") < _num(p, "v_max"), "need v_min < v_max", "params.v_min")
-            _num(p, "guard_N", lo=1, integer=True)
+            _num(p, "guard_N", lo=1, hi=MAX_GRID_STEPS, integer=True)
             gamma = _num(p, "guard_gamma")
             _require(0.0 < gamma < 1.0, "guard_gamma must lie in (0,1)", "params.guard_gamma")
             _num(p, "guard_resolution", lo=16, integer=True)

@@ -14,8 +14,11 @@ from .certify import check_condition_C, potential_admissible
 from .errors import LegendreDegenerateError, ThermoformalError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
-from .operator import (EquilibriumState, SpectralTriple, TransferMatrix, build_matrix,
-                       equilibrium_measure, leading_triple, leading_triples, map_geometry)
+from .operator import (EquilibriumState, SpectralTriple, TransferMatrix,
+                       equilibrium_measure, leading_triples, map_geometry)
+# Unused here since every grid is solved in batches, but the benchmark's
+# layer tracer (``benchmarks/layertrace.py``) rebinds these names.
+from .operator import build_matrix, leading_triple  # noqa: F401
 from .statistics import mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
@@ -25,10 +28,14 @@ T_MAX_LADDER = 4.0
 #: free_energy_curve solves its grid GRID_BLOCK potentials at a time, so the
 #: memory of the batched solve does not grow with the number of grid points.
 GRID_BLOCK = 64
+#: response_scan prepares and solves its v-grid MEMBER_BLOCK family members
+#: at a time; each member holds a geometry of its own until its block is solved.
+MEMBER_BLOCK = 4
 
 
 def ordered_map(fn, items):
-    """``[fn(x) for x in items]``: the grid points, solved in order on one thread.
+    """``[fn(x) for x in items]``: the family members of a response block,
+    prepared in order on one thread.
 
     A module-level name so that the benchmark's layer tracer
     (``benchmarks/layertrace.py``) can rebind ``curves.ordered_map``.
@@ -428,31 +435,65 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
     stopping the scan.  Derivatives are central differences at the grid
     step; the Richardson diagnostics compare them with the double-step
     estimates on the shared interior points.
+
+    Each member's map is inverted once (:func:`map_geometry`); a collocation
+    guard at resolution n reads the level-1 preimages of that geometry
+    rather than inverting the centres again.  :func:`leading_triples`
+    solves ``MEMBER_BLOCK`` members at a time, each on its own geometry and
+    exactly as ``leading_triple(build_matrix(...))`` would.  A member whose
+    assembly or solve fails gets NaN in ``lam`` and ``mean_obs`` and True
+    in ``solve_failed``.
     """
     vs = np.asarray(v_grid, dtype=float)
     if vs.size < 5:
         raise ValueError("need at least 5 grid points")
 
-    def solve(v):
+    def prepare(v):
+        """The member's geometry, entry weights, potential and guard verdict;
+        geometry and weights are None when the assembly fails."""
         mv = family(float(v))
         pot = phi(mv) if callable(phi) and not isinstance(phi, PotentialSpec) else phi
+        try:
+            g = map_geometry(mv, scheme, n)
+            w = g.weights(pot.fn(g.points))
+        except ThermoformalError:
+            g = w = None
         ok = True
         if guard is not None:
             gN, ggamma, gres = guard
-            ok = check_condition_C(mv, gN, ggamma, gres).passed
-        try:
-            triple = leading_triple(build_matrix(mv, pot, scheme, n))
-        except ThermoformalError:
-            return math.nan, math.nan, ok, True
-        state = equilibrium_measure(triple)
-        mean = float(np.asarray(obs(state.grid), dtype=float) @ state.mu)
-        return triple.lam, mean, ok, False
+            # The collocation points at n = gres are the guard's level-1 preimages.
+            share = g is not None and scheme == "collocation" and gres == n
+            ok = check_condition_C(mv, gN, ggamma, gres,
+                                   preimages=g.points[:, 0] if share else None).passed
+        return g, w, pot, ok
 
-    solved = ordered_map(solve, vs)
-    lams = np.array([s[0] for s in solved])
-    means = np.array([s[1] for s in solved])
-    guard_ok = None if guard is None else np.array([s[2] for s in solved], dtype=bool)
-    failed = np.array([s[3] for s in solved], dtype=bool)
+    lams = np.full(vs.size, math.nan)
+    means = np.full(vs.size, math.nan)
+    guard_ok = np.ones(vs.size, dtype=bool)
+    failed = np.ones(vs.size, dtype=bool)
+    obs_vals = np.asarray(obs((np.arange(n) + 0.5) / n), dtype=float)
+
+    # A function, so that a block's geometries are freed before the next
+    # block is prepared.
+    def solve_block(start):
+        block = ordered_map(prepare, vs[start:start + MEMBER_BLOCK])
+        guard_ok[start:start + len(block)] = [ok for _, _, _, ok in block]
+        built = [(i, g, w, pot) for i, (g, w, pot, _) in enumerate(block, start) if g is not None]
+        if not built:
+            return
+        idx, geoms, ws, pots = zip(*built)
+        lam, h, nu, its, errors = leading_triples(geoms, ws, [p.name for p in pots])
+        for j, i in enumerate(idx):
+            if errors[j] is None:
+                triple = SpectralTriple(matrix=TransferMatrix(geoms[j], ws[j], pots[j]),
+                                        lam=float(lam[j]), h=h[j], nu=nu[j],
+                                        iterations=int(its[j]))
+                lams[i] = triple.lam
+                means[i] = float(obs_vals @ equilibrium_measure(triple).mu)
+                failed[i] = False
+
+    for start in range(0, vs.size, MEMBER_BLOCK):
+        solve_block(start)
 
     dv = vs[1] - vs[0]
     dlam, d2lam = _central_differences(lams, vs)
@@ -467,6 +508,6 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
         v=vs, lam=lams, pressure=np.log(lams), mean_obs=means,
         dlam=dlam, d2lam=d2lam,
         richardson_first=rich1, richardson_second=rich2,
-        guard_passed=guard_ok,
+        guard_passed=guard_ok if guard is not None else None,
         solve_failed=failed,
     )

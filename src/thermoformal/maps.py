@@ -372,34 +372,40 @@ def iterate_map(m: MapSpec, power):
 # ---------------------------------------------------------------------------
 
 def smooth_step(x):
-    """C-infinity step: 0 for x<=0, 1 for x>=1, exp(-1/x)-weighted blend inside."""
-    x = np.asarray(x, dtype=float)
+    """C-infinity step: 0 for x<=0, 1 for x>=1, exp(-1/x)-weighted blend inside.
+
+    The exponentials are evaluated only inside (0, 1).
+    """
+    x0 = np.asarray(x, dtype=float)
+    x = np.atleast_1d(x0)
+    out = np.where(x <= 0.0, 0.0, np.minimum(x, 1.0))   # NaN stays NaN
     inside = (x > 0.0) & (x < 1.0)
-    xs = np.where(inside, x, 0.5)
+    xs = x[inside]
     with np.errstate(over="ignore"):        # 1/x = inf below ~5.6e-309: a = 0
         a = np.exp(-1.0 / xs)
     b = np.exp(-1.0 / (1.0 - xs))
-    out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, a / (a + b)))
-    return out if out.shape else float(out)
+    out[inside] = a / (a + b)
+    return out.reshape(x0.shape) if x0.shape else float(out[0])
 
 
 def smooth_step_deriv(x):
     """Derivative of :func:`smooth_step`; zero outside (0, 1).
 
     Exactly zero where exp(-1/x) underflows (x below about 1.3e-3), where
-    1/x^2 may overflow and the product would be 0 * inf.
+    1/x^2 may overflow and the product would be 0 * inf.  The exponentials
+    are evaluated only inside (0, 1).
     """
-    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x, dtype=float)
+    x = np.atleast_1d(x0)
+    out = np.zeros(x.shape)
     inside = (x > 0.0) & (x < 1.0)
-    xs = np.where(inside, x, 0.5)
     with np.errstate(over="ignore"):
-        a = np.exp(-1.0 / xs)
-    inside &= a > 0.0
-    xs = np.where(inside, xs, 0.5)
+        a = np.exp(-1.0 / x[inside])
+    inside[inside] = a > 0.0
+    a, xs = a[a > 0.0], x[inside]
     b = np.exp(-1.0 / (1.0 - xs))
-    val = a * b * (1.0 / xs ** 2 + 1.0 / (1.0 - xs) ** 2) / (a + b) ** 2
-    out = np.where(inside, val, 0.0)
-    return out if out.shape else float(out)
+    out[inside] = a * b * (1.0 / xs ** 2 + 1.0 / (1.0 - xs) ** 2) / (a + b) ** 2
+    return out.reshape(x0.shape) if x0.shape else float(out[0])
 
 
 def doubling_map():

@@ -309,43 +309,89 @@ def _gather_table(lines, n):
 
 
 def _gather_sum(weights, index, v):
-    """sum_r weights[r] * v[:, index[r]], added in the order of r.
+    """sum_r weights[r] * v[k, index[r]] for each column k, added in the
+    order of r.
 
+    ``index`` is either one (width, n) table that every column reads, or
+    (width, K, n) flat indices into ``v.ravel()``, one table per column.
     One column is gathered in one step; a batch slot by slot, which keeps
     its temporaries in cache.  Both add the slots in the same order, so a
     column's sums do not depend on its batch.
     """
     if v.shape[0] == 1:
-        return (weights * v[0].take(index)[:, None]).sum(axis=0)
-    out = weights[0] * np.take(v, index[0], axis=1)
+        return (weights * v[0].take(index).reshape(weights.shape)).sum(axis=0)
+    vals, axis = (v, 1) if index.ndim == 2 else (v.ravel(), None)
+    out = weights[0] * np.take(vals, index[0], axis=axis)
     for w, i in zip(weights[1:], index[1:]):
-        out += w * np.take(v, i, axis=1)
+        out += w * np.take(vals, i, axis=axis)
     return out
 
 
-def leading_triples(g: MapGeometry, W, names):
+def _batch_tables(g, W):
+    """``(WR, CR, WC, RC)``: the (width, K, n) weights and the indices of
+    the row and column gather tables of a batch.
+
+    With one shared geometry the indices are its (width, n) tables.  With
+    one geometry per column, each column's tables are stacked, padded to
+    the widest with weight 0 at the column's own first element, and
+    indexed flat into the (K, n) iterate.  Padding adds 0 to a sum after
+    the column's own slots, so its sums are those of its own tables.
+    """
+    if isinstance(g, MapGeometry):
+        return (g.gathered(W, g.row_table), g.row_cols,
+                g.gathered(W, g.col_table), g.col_rows)
+    K, n = len(g), g[0].n
+    if any(gk.n != n for gk in g):
+        raise ValueError("the geometries of one batch must share n")
+    out = []
+    for lines, other in (("rows", "cols"), ("cols", "rows")):
+        # Uncached tables: the geometries live only as long as their batch.
+        tables = [_gather_table(getattr(gk, lines), n) for gk in g]
+        weights = np.zeros((max(t.shape[0] for t in tables), K, n))
+        flat = np.empty(weights.shape, dtype=np.int64)
+        flat[:] = (np.arange(K) * n)[:, None]
+        for k, (gk, w, t) in enumerate(zip(g, W, tables)):
+            weights[:t.shape[0], k] = np.append(w, 0.0)[t]
+            flat[:t.shape[0], k] += np.append(getattr(gk, other), 0)[t]
+        out += [weights, flat]
+    return tuple(out)
+
+
+def _keep_columns(index, cols, n):
+    """The gather ``index`` of the columns at positions ``cols``, as the
+    columns of a smaller batch: flat per-column indices are re-offset to
+    the new positions, a shared table is kept as it is."""
+    if index.ndim == 2:
+        return index
+    return index[:, cols] - ((cols - np.arange(cols.size)) * n)[:, None]
+
+
+def leading_triples(g, W, names):
     """Leading eigendata of the K matrices ``TransferMatrix(g, W[k])`` at
     once, by two-sided power iteration.
 
-    ``W`` is a (K, nnz) array of entry weights (:meth:`MapGeometry.weights`)
-    and ``names[k]`` names column k's potential in its error message.
-    Right vectors h and left vectors nu are iterated together; lambda is
-    the two-sided Rayleigh quotient, and a column stops when lambda's
-    relative change is at most ``POWER_TOL`` and both residuals are below
-    ``RESIDUAL_TOL * lambda``, or fails after ``MAX_ITER`` steps.  The
-    products run on fixed-width gather tables of the unmerged entries, per
-    row for ``A x`` and per column for ``A^T y``, so no matrix is formed.
-    A stopped column is retired from the batch; every operation acts on
-    one column alone, so a column's result does not depend on the batch
-    it is solved in.
+    ``g`` is one :class:`MapGeometry` shared by the columns, with ``W`` a
+    (K, nnz) array of entry weights (:meth:`MapGeometry.weights`), or a
+    sequence of K geometries of one n, column k having geometry ``g[k]``
+    and weights ``W[k]``.  ``names[k]`` names column k's potential in its
+    error message.  Right vectors h and left vectors nu are iterated
+    together; lambda is the two-sided Rayleigh quotient, and a column stops
+    when lambda's relative change is at most ``POWER_TOL`` and both
+    residuals are below ``RESIDUAL_TOL * lambda``, or fails after
+    ``MAX_ITER`` steps.  The products run on fixed-width gather tables of
+    the unmerged entries, per row for ``A x`` and per column for ``A^T y``,
+    so no matrix is formed.  A stopped column is retired from the batch;
+    every operation acts on one column alone, so a column's result does
+    not depend on the batch it is solved in.
 
     Returns ``(lam, h, nu, iterations, errors)``: arrays over the columns,
     and per column None or the error that makes its triple meaningless (a
     zero row or column, no convergence, or a non-positive h).
     """
-    K, n = W.shape[0], g.n
-    WR, WC = g.gathered(W, g.row_table), g.gathered(W, g.col_table)   # (width, K, n)
-    CR, RC = g.row_cols, g.col_rows
+    K = len(W)
+    geoms = [g] * K if isinstance(g, MapGeometry) else g
+    n = geoms[0].n
+    WR, CR, WC, RC = _batch_tables(g, W)      # weights (width, K, n)
 
     lam_out = np.full(K, math.nan)
     X_out = np.full((K, n), math.nan)
@@ -356,10 +402,12 @@ def leading_triples(g: MapGeometry, W, names):
     zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
     for k in np.flatnonzero(zero_line):
         errors[k] = ReducibleMatrixError(
-            f"matrix for {g.map_name}/{names[k]} has a zero row or column")
+            f"matrix for {geoms[k].map_name}/{names[k]} has a zero row or column")
 
     active = np.flatnonzero([e is None for e in errors])
-    WR, WC = WR[:, active], WC[:, active]
+    if active.size < K:
+        WR, WC = WR[:, active], WC[:, active]
+        CR, RC = _keep_columns(CR, active, n), _keep_columns(RC, active, n)
     X = np.full((active.size, n), 1.0 / n)
     Y = np.full((active.size, n), 1.0 / n)
     AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
@@ -385,6 +433,8 @@ def leading_triples(g: MapGeometry, W, names):
                 lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
                 active, lam, X, Y = active[keep], lam[keep], X[keep], Y[keep]
                 AX, ATY, WR, WC = AX[keep], ATY[keep], WR[:, keep], WC[:, keep]
+                cols = np.flatnonzero(keep)
+                CR, RC = _keep_columns(CR, cols, n), _keep_columns(RC, cols, n)
         lam_prev = lam
     for j, k in enumerate(active):
         errors[k] = ConvergenceError(

@@ -85,6 +85,25 @@ class TestConditionC:
         children = hi.bound.reshape(256, 2).max(axis=1)
         assert np.all(children[margin_ok] < lo.gamma)
 
+    @pytest.mark.parametrize("m", [M.mp_like_map(), M.derived_expanding_map(1.3),
+                                   M.MapSpec(name="h", degree=2, lift=M.doubling_map().lift)],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_given_preimages_match_inverted(self, m, N):
+        # the collocation geometry at n = resolution holds the level-1
+        # preimages of the centres, reduced to [0, 1)
+        from thermoformal import operator as T
+        pre = T.map_geometry(m, "collocation", 64).points[:, 0]
+        own = C.check_condition_C(m, N, 0.9, 64)
+        given = C.check_condition_C(m, N, 0.9, 64, preimages=pre)
+        for field in ("witness_branch", "witness_preimage", "bound", "raw_bound", "failures"):
+            assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
+        assert (given.passed, given.mode) == (own.passed, own.mode)
+
+    def test_preimages_shape_checked(self):
+        with pytest.raises(ValueError, match="preimages must have shape"):
+            C.check_condition_C(M.doubling_map(), 1, 0.9, 64, preimages=np.zeros((2, 32)))
+
 
 # a derivative that is NaN on the last block only: the modulus must stay NaN
 _NAN_TAIL = SimpleNamespace(name="nan_tail",

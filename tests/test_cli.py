@@ -332,6 +332,17 @@ class TestMain:
         (job("clt", params={"n": 64, "lag_max": cli.MAX_GRID_STEPS + 1}), "params.lag_max"),
         (job("response", params={"n": 64, "v_count": 5, "guard_resolution": 10 ** 12}),
          "params.guard_resolution"),
+        # degree 1: the cell cap does not grow with the depth, the depth cap does
+        (job("certify", map={"kind": "builtin", "name": "rotation"},
+             params={"N": cli.MAX_GRID_STEPS + 1}), "params.N"),
+        (job("response", map={"kind": "builtin", "name": "rotation"},
+             params={"n": 64, "v_count": 5, "guard_N": cli.MAX_GRID_STEPS + 1}),
+         "params.guard_N"),
+        (job("clt", params={"n": 64, "orbit_n": cli.MAX_GRID_STEPS + 1}), "params.orbit_n"),
+        (job("free-energy", params={"n": 64, "mc_t_values": [0.1],
+                                    "mc_orbit_n": cli.MAX_GRID_STEPS + 1}),
+         "params.mc_orbit_n"),
+        (job("ldp", params={"n_list": [20, cli.MAX_GRID_STEPS + 1]}), "params.n_list[1]"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermoformal import certify as C
 from thermoformal import curves as Cv
 from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
-from thermoformal.errors import ConvergenceError, LegendreDegenerateError, ReducibleMatrixError
+from thermoformal.errors import (ConvergenceError, LegendreDegenerateError,
+                                 ReducibleMatrixError, ThermoformalError)
 
 COS1 = O.fourier_cos(1)
 
@@ -206,6 +208,77 @@ class TestBatchedSolve:
             Cv.free_energy_curve(*args, n=128)
 
 
+def _holed(lo, hi):
+    """A potential that is -inf on [lo, hi]: rows whose preimages all lie
+    there have zero weight."""
+    return O.PotentialSpec(name=f"hole[{lo},{hi}]",
+                           fn=lambda x: np.where((x >= lo) & (x <= hi), -np.inf, 0.0))
+
+
+SINK_VS = np.linspace(0.5, 1.5, 7)
+
+
+class TestPerMemberSolve:
+    """leading_triples with one geometry per column, against
+    leading_triple(build_matrix(...)) on each member alone."""
+
+    @staticmethod
+    def _members(scheme, n, pots):
+        ms = [M.derived_expanding_map(v) for v in SINK_VS]
+        geoms = [T.map_geometry(m, scheme, n) for m in ms]
+        ws = [g.weights(p.fn(g.points)) for g, p in zip(geoms, pots)]
+        return ms, geoms, ws
+
+    @staticmethod
+    def _reference(m, pot, scheme, n):
+        try:
+            return T.leading_triple(T.build_matrix(m, pot, scheme, n))
+        except (ReducibleMatrixError, ConvergenceError) as exc:
+            return exc
+
+    @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+    @pytest.mark.parametrize("cap", [None, "median"])
+    def test_columns_match_members_alone(self, monkeypatch, scheme, cap):
+        n, phi = 128, O.fourier_cos(1, 0.1)
+        pots = [phi] * SINK_VS.size
+        pots[3] = _holed(0.2, 0.8)                 # a zero-row member mid-block
+        ms, geoms, ws = self._members(scheme, n, pots)
+        assert len({g.col_table.shape[0] for g in geoms}) > 1   # tables padded
+        if cap is not None:                     # some members fail to converge
+            its = [self._reference(m, phi, scheme, n).iterations for m in ms]
+            monkeypatch.setattr(T, "MAX_ITER", int(np.median(its)))
+        lam, h, nu, its, errors = T.leading_triples(geoms, ws, [p.name for p in pots])
+        kinds = set()
+        for k, (m, pot) in enumerate(zip(ms, pots)):
+            ref = self._reference(m, pot, scheme, n)
+            if isinstance(ref, Exception):
+                assert type(errors[k]) is type(ref) and str(errors[k]) == str(ref)
+                assert np.isnan(lam[k])
+                kinds.add(type(ref))
+                continue
+            assert errors[k] is None
+            assert lam[k] == ref.lam and its[k] == ref.iterations
+            assert np.array_equal(h[k], ref.h) and np.array_equal(nu[k], ref.nu)
+        assert ReducibleMatrixError in kinds
+        assert (ConvergenceError in kinds) == (cap is not None)
+
+    def test_shared_geometry_as_a_list(self):
+        # a list of one geometry repeated gives what the shared tables give
+        g = T.map_geometry(M.mp_like_map(), "collocation", 128)
+        grid = _tilted(M.mp_like_map(), O.zero, COS1, 0.5, 5)
+        W = np.stack([g.weights(pot.fn(g.points)) for _, pot in grid])
+        names = [pot.name for _, pot in grid]
+        shared = T.leading_triples(g, W, names)
+        listed = T.leading_triples([g] * len(grid), list(W), names)
+        for a, b in zip(shared[:4], listed[:4]):
+            assert np.array_equal(a, b)
+
+    def test_geometries_must_share_n(self):
+        gs = [T.map_geometry(M.doubling_map(), "collocation", n) for n in (32, 64)]
+        with pytest.raises(ValueError, match="share n"):
+            T.leading_triples(gs, [g.weights(np.zeros(g.points.shape)) for g in gs], ["a", "b"])
+
+
 class TestFreeEnergyMc:
     def test_zero_t_exact(self, doubling_cos_curve):
         st = T.equilibrium_measure(doubling_cos_curve.base)
@@ -393,6 +466,85 @@ class TestResponseScan:
         sc = Cv.response_scan(fam, phi, lambda x: np.asarray(x),
                               np.linspace(0.0, 1.0, 5), "collocation", 64)
         assert np.all(np.isfinite(sc.lam))
+
+
+def _per_member_scan(family, phi, obs, vs, scheme, n, guard):
+    """The response scan solved one member at a time: guard, then
+    leading_triple(build_matrix(...)), a NaN row when the solve fails."""
+    lam, mean, ok, failed = [], [], [], []
+    for v in vs:
+        mv = family(float(v))
+        pot = phi(mv) if not isinstance(phi, O.PotentialSpec) else phi
+        if guard is not None:
+            ok.append(C.check_condition_C(mv, *guard).passed)
+        try:
+            triple = T.leading_triple(T.build_matrix(mv, pot, scheme, n))
+        except ThermoformalError:
+            lam.append(np.nan), mean.append(np.nan), failed.append(True)
+            continue
+        state = T.equilibrium_measure(triple)
+        lam.append(triple.lam)
+        mean.append(float(np.asarray(obs(state.grid), dtype=float) @ state.mu))
+        failed.append(False)
+    return (np.array(lam), np.array(mean), np.array(ok, dtype=bool) if guard else None,
+            np.array(failed))
+
+
+class TestResponseBatches:
+    """response_scan against the per-member path, bit for bit."""
+
+    @pytest.mark.parametrize("scheme, n, guard, phi", [
+        ("collocation", 64, (1, 0.7, 64), O.fourier_cos(1, 0.1)),
+        ("collocation", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
+        ("collocation", 64, (1, 0.7, 128), O.fourier_cos(1, 0.1)),
+        ("collocation", 64, None, lambda mv: O.neg_log_deriv(mv, 0.1)),
+        ("ulam", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
+    ], ids=["guard-n", "guard-depth-2", "guard-resolution-2n", "no-guard", "ulam"])
+    def test_matches_per_member_path(self, scheme, n, guard, phi):
+        vs = np.linspace(0.5, 1.5, 11)             # blocks 4, 4, 3
+        sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, scheme, n, guard)
+        lam, mean, ok, failed = _per_member_scan(M.derived_expanding_map, phi, COS1.fn,
+                                                 vs, scheme, n, guard)
+        assert sc.lam.tobytes() == lam.tobytes()
+        assert sc.mean_obs.tobytes() == mean.tobytes()
+        assert np.array_equal(sc.solve_failed, failed)
+        if guard is None:
+            assert sc.guard_passed is None
+        else:
+            assert np.array_equal(sc.guard_passed, ok)
+
+    def test_failed_members_give_nan_rows(self, monkeypatch):
+        vs, phi = np.linspace(0.5, 1.5, 9), O.fourier_cos(1, 0.1)
+        its = [T.leading_triple(T.build_matrix(M.derived_expanding_map(v), phi,
+                                               "collocation", 64)).iterations for v in vs]
+        monkeypatch.setattr(T, "MAX_ITER", int(np.median(its)))
+        sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, n=64,
+                              guard=(1, 0.7, 64))
+        lam, mean, _, failed = _per_member_scan(M.derived_expanding_map, phi, COS1.fn,
+                                                vs, "collocation", 64, None)
+        assert 0 < failed.sum() < vs.size
+        assert np.array_equal(sc.solve_failed, failed)
+        assert np.isnan(sc.lam[failed]).all() and np.isnan(sc.mean_obs[failed]).all()
+        assert sc.lam.tobytes() == lam.tobytes() and sc.mean_obs.tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("guard, guard_calls", [((1, 0.7, 64), 0), ((2, 0.7, 64), 1),
+                                                    ((1, 0.7, 128), 1)])
+    def test_each_member_inverted_once(self, monkeypatch, guard, guard_calls):
+        # the guard at resolution n reads the geometry's level-1 preimages
+        calls = {"operator": 0, "certify": 0}
+
+        def counted(name, real):
+            def inverse(*args):
+                calls[name] += 1
+                return real(*args)
+            return inverse
+
+        for mod, name in ((T, "operator"), (C, "certify")):
+            monkeypatch.setattr(mod, "branch_preimages", counted(name, mod.branch_preimages))
+        vs = np.linspace(0.5, 1.5, 5)
+        Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn, vs,
+                         n=64, guard=guard)
+        assert calls == {"operator": vs.size, "certify": guard_calls * vs.size}
 
 
 class TestSymmetricGrid:

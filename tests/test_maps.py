@@ -342,6 +342,23 @@ class TestBuiltins:
             d = M.derived_expanding_map(1.2).derivative(np.array([1e-200, -1e-200]))
             assert d.tolist() == [2.0 - 1.2, 2.0 - 1.2]
 
+    @pytest.mark.parametrize("fn", [M.smooth_step, M.smooth_step_deriv])
+    def test_smooth_step_elementwise(self, fn):
+        # the exponentials run on the in-range elements only: every element
+        # must get what it gets alone, out-of-range and underflowing ones too
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-1.0, 2.0, 200), rng.uniform(0.0, 2e-3, 50),
+                            [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0),
+                             1e-301, 1e-310, 5e-324, -1e-300, 1.0 + 1e-15, 3.0, -np.inf, np.inf]])
+        rng.shuffle(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = fn(x)
+            alone = np.array([fn(v) for v in x])
+            assert isinstance(fn(0.25), float)
+            assert fn(x[:250].reshape(25, 10)).shape == (25, 10)
+        assert batch.tobytes() == alone.tobytes()
+
     def test_catalog_contents(self):
         cat = M.builtin_maps()
         assert {"doubling", "rotation", "mp_like", "derived_expanding"} <= set(cat)
