@@ -30,14 +30,10 @@ from .curves import (
     response_scan,
 )
 from .maps import (
-    InverseBranchPoint,
     MapSpec,
-    OrbitSample,
-    birkhoff_sum,
     builtin_maps,
     derived_expanding_map,
     doubling_map,
-    inverse_branches,
     iterate_map,
     map_eval,
     map_from_json,
@@ -61,12 +57,12 @@ from .operator import (
     SpectralTriple,
     TransferMatrix,
     build_matrix,
+    dominant_class,
     equilibrium_measure,
     from_dense,
     gap_ratio,
     invariance_defect,
     leading_triple,
-    primitivity_power,
 )
 from .statistics import (
     CorrelationSeries,

@@ -72,8 +72,10 @@ def _grid_log_deriv_modulus(m: MapSpec):
 def _depth_n_contractions(m: MapSpec, centers, N, cell_width, preimages=None):
     """Contraction of every depth-N branch at every center.
 
-    Returns (contr, pts): arrays of shape (G^N, n_centers); row ordering is
-    the lexicographic branch id of :func:`thermoformal.maps.inverse_branches`.
+    Returns (contr, pts): arrays of shape (G^N, n_centers); rows are in
+    lexicographic branch-id order, base G in the slice index of
+    :func:`thermoformal.maps.branch_preimages` at each level, with the first
+    inversion (of the centers themselves) as the most significant digit.
     ``preimages``, when given, are the (G, n_centers) level-1 preimages of
     the centers, used instead of inverting them.
     """

@@ -28,8 +28,8 @@ from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
 from .maps import builtin_maps, map_from_json, map_to_json
 from .observables import observable_from_json
-from .operator import (MAX_DENSE_N, build_matrix, equilibrium_measure, fourier_testfns,
-                       gap_ratio, invariance_defect, leading_triple, primitivity_power)
+from .operator import (MAX_DENSE_N, build_matrix, dominant_class, equilibrium_measure,
+                       fourier_testfns, gap_ratio, invariance_defect, leading_triple)
 
 SCHEMA_VERSION = 1
 
@@ -287,13 +287,19 @@ def _spectral_objects(cfg):
 def _handler_spectrum(cfg):
     m, phi, triple = _spectral_objects(cfg)
     state = equilibrium_measure(triple)
+    gap, cls = gap_ratio(triple), dominant_class(triple.matrix, state.mu)
     results = {
         "lambda": triple.lam,
         "pressure": triple.pressure,
-        "gap_ratio": gap_ratio(triple),
-        "primitive": primitivity_power(triple.matrix) is not None,
+        "gap_ratio": gap.ratio,
+        "primitive": cls.primitive,
         "iterations": triple.iterations,
         "invariance_defect_fourier5": invariance_defect(m, state, fourier_testfns(5)),
+        "gap_residual": gap.residual,
+        "gap_resolved": gap.resolved,
+        "class_size": cls.size,
+        "class_period": cls.period,
+        "mass_outside_class": cls.mass_outside,
     }
     table = ("spectrum", ["x", "h", "nu", "mu"],
              list(zip(triple.grid.tolist(), triple.h.tolist(), triple.nu.tolist(),
@@ -307,11 +313,13 @@ def _handler_correlations(cfg):
     g = observable_from_json(cfg["observables"]["g"], m, "observables.g")
     psi = observable_from_json(cfg["observables"]["psi"], m, "observables.psi")
     series = stats_mod.correlations(m, state, g.fn, psi.fn, cfg["params"]["n_max"])
+    gap = gap_ratio(triple)
     results = {
         "tau_hat": series.tau_hat,
         "prefactor": series.prefactor,
         "C0": float(series.values[0]),
-        "gap_ratio": gap_ratio(triple),
+        "gap_ratio": gap.ratio,
+        "gap_resolved": gap.resolved,
     }
     table = ("correlations", ["lag", "C"],
              list(zip(series.lags.tolist(), series.values.tolist())))

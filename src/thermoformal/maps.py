@@ -42,12 +42,6 @@ ORBIT_DITHER = 2.0 ** -48
 ORBIT_BLOCK = 8192
 
 
-def circle_dist(x, y):
-    """Distance on R/Z: min(|x-y|, 1-|x-y|) after mod-1 reduction."""
-    d = np.abs(np.mod(x, 1.0) - np.mod(y, 1.0))
-    return np.minimum(d, 1.0 - d)
-
-
 def wrap01(x):
     """Reduce float x to the fundamental domain [0, 1).
 
@@ -99,28 +93,6 @@ def deriv_at(m: MapSpec, x):
     if m.derivative is None:
         raise ValueError(f"map {m.name} has no derivative data")
     return m.derivative(wrap01(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
-class InverseBranchPoint:
-    """One depth-n preimage y of x with its accumulated contraction factor.
-
-    ``contraction`` is L_n(y): the product of depth-1 branch Lipschitz
-    factors (1/f' for C^1 maps) along the orbit y, f(y), ..., f^{n-1}(y).
-    """
-
-    x: float
-    branch_id: int
-    depth: int
-    y: float
-    contraction: float
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    start: float
-    length: int
-    birkhoff_value: float
 
 
 def branch_preimages(m: MapSpec, x):
@@ -236,50 +208,6 @@ def branch_lipschitz(m: MapSpec, y, cell_width=None):
     h = 0.5 * (cell_width if cell_width is not None else DEFAULT_CELL_WIDTH)
     yy = wrap01(y)
     return (2.0 * h) / (m.lift(yy + h) - m.lift(yy - h))
-
-
-def inverse_branches(m: MapSpec, x, depth):
-    """Enumerate all G^depth preimages of x with contraction factors.
-
-    Branch ids are lexicographic in the per-level slice index: the first
-    inversion level (applied to x itself) is the most significant digit of
-    the base-G id.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    x0 = float(wrap01(np.asarray(x, dtype=float)))
-    pts = np.array([x0])
-    contr = np.array([1.0])
-    ids = np.array([0], dtype=np.int64)
-    g = m.degree
-    for _ in range(depth):
-        pre = branch_preimages(m, pts)          # (g, len(pts))
-        fac = branch_lipschitz(m, pre)
-        pts = pre.T.reshape(-1)                 # parent-major, slice-minor
-        contr = (contr[:, None] * fac.T).reshape(-1)
-        ids = (ids[:, None] * g + np.arange(g)[None, :]).reshape(-1)
-    return [
-        InverseBranchPoint(x=x0, branch_id=int(i), depth=depth,
-                           y=float(wrap01(p)), contraction=float(cval))
-        for i, p, cval in zip(ids, pts, contr)
-    ]
-
-
-def birkhoff_sum(m: MapSpec, psi, x, n):
-    """S_n(psi)(x) = sum_{j<n} psi(f^j x); x may be an array."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = orbit_birkhoff_samples(m, x, n, psi)
-    if total.shape == ():
-        return float(total)
-    return total
-
-
-def orbit_sample(m: MapSpec, psi, x, n) -> OrbitSample:
-    """Birkhoff sum packaged with its orbit metadata."""
-    return OrbitSample(start=float(wrap01(np.asarray(x, dtype=float))),
-                       length=int(n),
-                       birkhoff_value=float(birkhoff_sum(m, psi, x, n)))
 
 
 def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):

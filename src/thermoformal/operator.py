@@ -38,13 +38,8 @@ POWER_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 #: A column still running after MAX_ITER steps fails with ConvergenceError.
 MAX_ITER = 20000
-#: The deflated gap estimate runs GAP_ITERS fixed-seed steps and averages the
-#: log norm ratios of the last GAP_WINDOW.
-GAP_ITERS = 400
-GAP_WINDOW = 50
-GAP_SEED = 0x5EED
-#: primitivity_power tries the powers 1, 2, 4, ... up to MAX_PRIMITIVITY_POWER.
-MAX_PRIMITIVITY_POWER = 8
+#: The gap estimate runs GAP_KRYLOV Arnoldi steps on the deflated operator.
+GAP_KRYLOV = 40
 
 
 @dataclass(frozen=True)
@@ -255,46 +250,62 @@ def from_dense(A, potential: Optional[PotentialSpec] = None) -> TransferMatrix:
     return TransferMatrix(geometry=g, weights=A[rows, cols], potential=potential)
 
 
-def primitivity_power(tm: TransferMatrix):
-    """Smallest k in {1,2,4,8} with (pattern of A)^k > 0, else None.
+@dataclass(frozen=True)
+class DominantClass:
+    """The strongly connected class of A's pattern that holds the cell where
+    mu is largest: its size, its period (the gcd of its cycle lengths; 0
+    for one cell without a loop) and the mu-mass outside it.  ``primitive``
+    says the class is all n cells with period 1, which holds exactly when A
+    is primitive (irreducible and aperiodic), wherever mu peaks."""
+    size: int
+    period: int
+    mass_outside: float
+    primitive: bool
 
-    Exact on the pattern P of A > 0, read from the entries merged in
-    ``A``'s own order.  P^k > 0 needs every row and every column of P^k
-    full, hence at least n length-k paths out of each cell and into each
-    cell; those path counts (capped at n) cost k ``np.bincount`` sweeps
-    over P's entries, and only when they all reach n are the rows of P^k
-    formed, as packed bits, and tested for fullness.  Row i of P Q is the
-    OR of the rows of Q at the columns of row i of P: one ``|=`` per slot
-    of P's row gather table.
+
+def dominant_class(tm: TransferMatrix, mu) -> DominantClass:
+    """The class of s = argmax mu in the graph with an edge i -> j for each
+    positive entry A[i, j]; the weights are nonnegative, so an entry is
+    positive when one of its unmerged parts is.
+
+    The class is the set of cells reachable from s that also reach s: one
+    breadth-first search along the positive slots of the row gather table
+    and one along those of the column table.  Its period is the gcd of
+    level(i) + 1 - level(j) over its edges i -> j, with the levels of the
+    forward search: a shortest path from s to a class cell stays in the
+    class, so these are the levels of a search within the class.
     """
-    g, n = tm.geometry, tm.n
-    keys, slot = np.unique(g.rows * n + g.cols, return_inverse=True)
-    merged = np.zeros(keys.size)
-    np.add.at(merged, slot, tm.weights)
-    keys = keys[merged > 0]
-    rows, cols = keys // n, keys % n
-    out_paths = in_paths = np.ones(n)
-    Pk, k_formed, k = None, 0, 1
-    while k <= MAX_PRIMITIVITY_POWER:
-        for _ in range(k - k // 2):          # path length k // 2 -> k
-            out_paths = np.minimum(np.bincount(rows, out_paths[cols], n), n)
-            in_paths = np.minimum(np.bincount(cols, in_paths[rows], n), n)
-        if min(out_paths.min(), in_paths.min()) >= n:
-            if Pk is None:
-                # Packed rows of P^0 = I, plus a zero row n that the
-                # padding slots of the gather table read.
-                Pk = np.zeros((n + 1, -(-n // 8)), dtype=np.uint8)
-                Pk[np.arange(n), np.arange(n) // 8] = 128 >> (np.arange(n) % 8)
-                slot_cols = np.append(cols, n)[_gather_table(rows, n)]
-            for _ in range(k - k_formed):
-                Pk, prev = np.zeros_like(Pk), Pk
-                for c in slot_cols:
-                    Pk[:n] |= prev[c]
-            k_formed = k
-            if (Pk[:n] == np.packbits(np.ones(n, dtype=bool))).all():
-                return k
-        k *= 2
-    return None
+    g = tm.geometry
+    s = int(np.argmax(mu))
+    level = _bfs_levels(tm._row_weights[:, 0], g.row_cols, s)
+    col_weights = g.gathered(tm.weights[None], g.col_table)[:, 0]
+    inside = (level >= 0) & (_bfs_levels(col_weights, g.col_rows, s) >= 0)
+    edge = (tm.weights > 0) & inside[g.rows] & inside[g.cols]
+    period = int(np.gcd.reduce(level[g.rows[edge]] + 1 - level[g.cols[edge]]))
+    size = int(np.count_nonzero(inside))
+    return DominantClass(size=size, period=period, mass_outside=float(mu[~inside].sum()),
+                         primitive=size == tm.n and period == 1)
+
+
+def _bfs_levels(weights, ends, s):
+    """Breadth-first levels from ``s`` along the slots of positive weight of
+    a (width, n) gather table whose slots lead to ``ends``, -1 where not
+    reached.  Plain Python over adjacency lists: a search can take
+    hundreds of levels, each far too small for an array step to pay.  A
+    slot of weight 0 leads back to ``s``, which is already reached."""
+    adj = np.where(weights > 0, ends, s).T.tolist()
+    level = [-1] * len(adj)
+    level[s], frontier, d = 0, [s], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return np.array(level)
 
 
 def _gather_table(lines, n):
@@ -462,28 +473,77 @@ def leading_triple(tm: TransferMatrix) -> SpectralTriple:
                           iterations=int(its[0]))
 
 
-def gap_ratio(t: SpectralTriple) -> float:
-    """|lambda_2| / lambda, |lambda_2| by fixed-seed power iteration on
-    A - lambda h (x) nu, each step one gather matvec ``tm @ v``, read off as
-    a windowed geometric mean of norm ratios (robust to complex pairs)."""
+@dataclass(frozen=True)
+class GapEstimate:
+    """|lambda_2| / lambda read off the deflated operator (:func:`gap_ratio`):
+    the ratio, the residual norm of its Ritz pair, and whether it is
+    resolved."""
+    ratio: float
+    residual: float
+    resolved: bool
+
+
+def gap_ratio(t: SpectralTriple) -> GapEstimate:
+    """|lambda_2| / lambda by ``GAP_KRYLOV`` Arnoldi steps on the deflated
+    operator B = A - lambda h nu^T, started from the deflated Weyl vector
+    frac(i g) - 1/2, g = (sqrt 5 - 1) / 2: no random numbers are drawn.
+    See :func:`_krylov_gap`."""
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    return _krylov_gap(t, np.arange(1, t.matrix.n + 1) * golden % 1.0 - 0.5)
+
+
+def _krylov_gap(t: SpectralTriple, v) -> GapEstimate:
+    """Arnoldi on B = A - lambda h nu^T from the start vector ``v``.
+
+    Each step is one gather matvec ``tm @ q`` and a classical Gram-Schmidt
+    pass done twice (CGS2); the ratio is the leading Ritz value of the
+    k x k Hessenberg matrix (``np.linalg.eig``) over lambda, with k =
+    ``GAP_KRYLOV`` or n - 1, whichever is smaller.  The estimate is
+    resolved when the Krylov space is invariant (a subdiagonal entry at
+    most machine epsilon times lambda, or k = n - 1), or else when all of:
+
+    * the Ritz residual is at most 1e-8 lambda;
+    * the ratio at k / 2 steps agrees with it to 1e-5;
+    * for Ulam, it is not within 1e-3 of e^{max phi} / lambda, the bound
+      that Ulam's piecewise-constant discretization puts on its essential
+      spectrum, so that a ratio there is most likely that bound and not
+      an eigenvalue of the operator.
+    """
     tm, lam, h, nu = t.matrix, t.lam, t.h, t.nu
-    rng = np.random.default_rng(GAP_SEED)
-    v = rng.standard_normal(tm.n)
-    v -= h * float(nu @ v)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        return 0.0
-    v /= nrm
-    ratios = []
-    for _ in range(GAP_ITERS):
-        w = tm @ v - lam * h * float(nu @ v)
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-300:
-            return 0.0
-        ratios.append(nrm)
-        v = w / nrm
-    tail = ratios[-GAP_WINDOW:]
-    return float(np.exp(np.mean(np.log(tail)))) / lam
+    k = min(GAP_KRYLOV, tm.n - 1)
+    invariant = k == tm.n - 1
+    Q, H = np.zeros((k + 1, tm.n)), np.zeros((k + 1, k))
+    v = v - h * float(nu @ v)
+    Q[0] = v / np.linalg.norm(v)
+    for j in range(k):
+        w = tm @ Q[j] - (lam * float(nu @ Q[j])) * h
+        for _ in range(2):
+            c = Q[:j + 1] @ w
+            w -= c @ Q[:j + 1]
+            H[:j + 1, j] += c
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] <= np.finfo(float).eps * lam:
+            k, invariant = j + 1, True
+            break
+        Q[j + 1] = w / H[j + 1, j]
+    theta, residual = _leading_ritz(H, k)
+    ratio = theta / lam
+    resolved = invariant or (residual <= 1e-8 * lam
+                             and abs(_leading_ritz(H, k // 2)[0] / lam - ratio) <= 1e-5)
+    if resolved and not invariant and tm.geometry.scheme == "ulam":
+        g = tm.geometry
+        cell = g.coef > 0
+        essential = float(np.max(tm.weights[cell] / (g.scale * g.coef[cell]))) / lam
+        resolved = abs(ratio - essential) > 1e-3
+    return GapEstimate(ratio=ratio, residual=residual, resolved=resolved)
+
+
+def _leading_ritz(H, k):
+    """|theta| and the residual norm |H[k, k-1]| |y_k| of the Ritz pair
+    (theta, y) of largest modulus of the k-step Hessenberg matrix."""
+    vals, vecs = np.linalg.eig(H[:k, :k])
+    i = int(np.argmax(np.abs(vals)))
+    return float(abs(vals[i])), float(abs(H[k, k - 1]) * abs(vecs[-1, i]))
 
 
 def equilibrium_measure(t: SpectralTriple) -> EquilibriumState:

@@ -95,9 +95,10 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     """Green-Kubo variance sigma^2 = C_v(0) + 2 sum_{j<=lag_max} C_v(j).
 
     v is psi centered to zero mu-mean.  The spectral tail bound
-    gap^(lag_max+1)/(1-gap) * C_v(0) controls the truncated series; the
-    coboundary flag fires when sigma^2 falls below 10x that bound or below
-    the absolute floor (discretization noise scale).
+    gap^(lag_max+1)/(1-gap) * C_v(0) controls the truncated series when the
+    gap estimate is resolved, and is None otherwise; the coboundary flag
+    fires when sigma^2 falls below 10x that bound or below the absolute
+    floor (discretization noise scale).
     """
     if lag_max < 1:
         raise ValueError("lag_max must be >= 1")
@@ -110,10 +111,8 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     sigma2 = float(c0 + 2.0 * np.sum(series.values[1:]))
 
     gap = gap_ratio(triple)
-    if gap < 1.0:
-        tail = float(abs(c0) * gap ** (lag_max + 1) / (1.0 - gap))
-    else:
-        tail = None
+    tail = (float(abs(c0) * gap.ratio ** (lag_max + 1) / (1.0 - gap.ratio))
+            if gap.resolved and gap.ratio < 1.0 else None)
     flag_level = COBOUNDARY_ABS_TOL if tail is None else max(10.0 * tail, COBOUNDARY_ABS_TOL)
     return VarianceReport(
         sigma2=sigma2,

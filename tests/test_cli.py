@@ -386,9 +386,9 @@ class TestMain:
 
 
 def test_cli_import_and_spectrum_leave_scipy_unloaded(tmp_path):
-    # importing the CLI loads no scipy module, and spectrum jobs load no
-    # scipy.sparse either: on a map whose path counts never all reach n
-    # (mp_like), and on a primitive one, whose P^k is formed (doubling)
+    # importing the CLI loads no scipy module, and spectrum jobs load neither
+    # scipy.sparse nor numpy.random (the gap estimate draws no random
+    # numbers): on a reducible map (mp_like) and on a primitive one (doubling)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     cfgs = [job("spectrum", map={"kind": "builtin", "name": name}, params={"n": 64})
@@ -398,8 +398,34 @@ def test_cli_import_and_spectrum_leave_scipy_unloaded(tmp_path):
             "print(sorted(m for m in mods if m in sys.modules)); "
             "runs = [cli.run(cfg, sys.argv[2]) for cfg in json.loads(sys.argv[1])]; "
             "print([(code, s['results']['primitive']) for code, s in runs], "
-            "'scipy.sparse' in sys.modules)")
+            "'scipy.sparse' in sys.modules, 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(cfgs), str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out.split("\n")[:2] == [
-        "[]", f"[({cli.EXIT_OK}, False), ({cli.EXIT_OK}, True)] False"]
+        "[]", f"[({cli.EXIT_OK}, False), ({cli.EXIT_OK}, True)] False False"]
+
+
+def test_spectrum_bytes_independent_of_blas_threads(tmp_path):
+    # the gap's Arnoldi projections run through BLAS gemv: one BLAS thread
+    # and the default thread count must write the same artifact bytes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, thermoformal.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+    cfgs = {"mp": job("spectrum", map={"kind": "builtin", "name": "mp_like"},
+                      params={"scheme": "ulam", "n": 4096}),
+            "cos": job("spectrum", potential={"kind": "fourier_cos", "k": 1},
+                       params={"scheme": "collocation", "n": 4096})}
+    for name, cfg in cfgs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        artifacts = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"{name}-{threads}"
+            subprocess.run([sys.executable, "-c", code, "spectrum", "--config",
+                            str(tmp_path / f"{name}.json"), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            artifacts.append([(out / f).read_bytes() for f in ("summary.json", "spectrum.csv")])
+        assert artifacts[0] == artifacts[1], name

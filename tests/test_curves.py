@@ -571,7 +571,7 @@ def test_grid_solves_skip_gap_and_primitivity(monkeypatch, tmp_path):
     for mod in (T, cli, S):
         monkeypatch.setattr(mod, "gap_ratio", boom)
     for mod in (T, cli):
-        monkeypatch.setattr(mod, "primitivity_power", boom)
+        monkeypatch.setattr(mod, "dominant_class", boom)
 
     curve = Cv.free_energy_curve(M.doubling_map(), O.zero, COS1, t_max=0.4, steps=5,
                                  scheme="collocation", n=64)

@@ -62,36 +62,52 @@ class TestEval:
         assert np.all(M.map_eval(m, 0.15 - 2.0 ** -55) == 0.0)
 
 
+def _circle_dist(x, y):
+    d = np.abs(np.mod(x, 1.0) - np.mod(y, 1.0))
+    return np.minimum(d, 1.0 - d)
+
+
+def _preimages(m, x, depth):
+    """All G^depth depth-``depth`` preimages of x in [0, 1), parent-major,
+    with their contraction factors: the products of the depth-1 branch
+    Lipschitz factors along each preimage's orbit."""
+    ys, contr = M.wrap01(np.array([x], dtype=float)), np.ones(1)
+    for _ in range(depth):
+        pre = M.branch_preimages(m, ys)              # (G, len(ys))
+        contr = (contr * M.branch_lipschitz(m, pre)).T.ravel()
+        ys = M.wrap01(pre).T.ravel()
+    return ys, contr
+
+
 class TestInverseBranches:
     def test_doubling_depth1(self):
         d = M.doubling_map()
-        br = M.inverse_branches(d, 0.0, 1)
-        assert sorted(b.y for b in br) == [0.0, 0.5]
-        assert all(b.contraction == pytest.approx(0.5, abs=1e-14) for b in br)
+        ys, contr = _preimages(d, 0.0, 1)
+        assert sorted(ys) == [0.0, 0.5]
+        assert all(c == pytest.approx(0.5, abs=1e-14) for c in contr)
 
     def test_doubling_depth3(self):
         d = M.doubling_map()
-        br = M.inverse_branches(d, 0.4321, 3)
-        assert len(br) == 8
-        assert all(b.contraction == pytest.approx(0.125, abs=1e-14) for b in br)
-        ys = sorted(b.y for b in br)
-        assert min(np.diff(ys)) > 1e-6  # pairwise distinct
+        ys, contr = _preimages(d, 0.4321, 3)
+        assert len(ys) == 8
+        assert all(c == pytest.approx(0.125, abs=1e-14) for c in contr)
+        assert min(np.diff(np.sort(ys))) > 1e-6  # pairwise distinct
 
     def test_mp_witness_contraction(self):
         # oracle: invert the explicit lift with an independent root-finder
         # and evaluate 1/f' from the closed-form bump derivative
         mp = M.mp_like_map()
-        br = M.inverse_branches(mp, 0.5, 1)
-        assert len(br) == 2
-        inside = [b for b in br if 0.25 <= b.y <= 0.75]
-        assert inside, "at least one preimage must lie in [1/4, 3/4]"
+        ys, contr = _preimages(mp, 0.5, 1)
+        assert len(ys) == 2
+        inside = (0.25 <= ys) & (ys <= 0.75)
+        assert inside.any(), "at least one preimage must lie in [1/4, 3/4]"
         lift = lambda y: y + _mp_bump(y)
         y_oracle = brentq(lambda y: lift(y) - 0.5, 0.0, 0.5, xtol=1e-14)
         contraction_oracle = 1.0 / (1.0 + _mp_bump_deriv(y_oracle))
-        b0 = min(br, key=lambda b: b.y)
-        assert b0.y == pytest.approx(y_oracle, abs=1e-10)
-        assert b0.contraction == pytest.approx(contraction_oracle, abs=1e-10)
-        assert all(b.contraction < 1.0 for b in inside)
+        b0 = np.argmin(ys)
+        assert ys[b0] == pytest.approx(y_oracle, abs=1e-10)
+        assert contr[b0] == pytest.approx(contraction_oracle, abs=1e-10)
+        assert np.all(contr[inside] < 1.0)
 
     @pytest.mark.parametrize("mapname", ["doubling", "mp_like", "rotation"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -99,31 +115,30 @@ class TestInverseBranches:
         m = M.builtin_maps()[mapname]()
         rng = np.random.default_rng(7)
         for x in rng.random(12):
-            for b in M.inverse_branches(m, x, depth):
-                y = b.y
+            for y in _preimages(m, x, depth)[0]:
                 for _ in range(depth):
                     y = M.map_eval(m, y)
-                assert M.circle_dist(y, x) < 1e-9
+                assert _circle_dist(y, x) < 1e-9
 
     def test_degree_count(self):
         m = M.derived_expanding_map(1.2)
         rng = np.random.default_rng(3)
         for x in rng.random(100):
-            assert len(M.inverse_branches(m, x, 2)) == 4
+            assert len(_preimages(m, x, 2)[0]) == 4
 
     def test_contraction_is_product_of_depth1_factors(self):
         # brute-force composition oracle for n <= 3
         m = M.mp_like_map()
         x = 0.37
         for n in (2, 3):
-            got = sorted(b.contraction for b in M.inverse_branches(m, x, n))
+            got = sorted(_preimages(m, x, n)[1])
             # compose depth-1 enumerations by hand
             frontier = [(x, 1.0)]
             for _ in range(n):
                 nxt = []
                 for z, c in frontier:
-                    for b in M.inverse_branches(m, z, 1):
-                        nxt.append((b.y, c * b.contraction))
+                    for y in M.branch_preimages(m, z)[:, 0]:
+                        nxt.append((float(M.wrap01(y)), c * float(M.branch_lipschitz(m, y))))
                 frontier = nxt
             want = sorted(c for _, c in frontier)
             assert np.allclose(got, want, rtol=1e-9)
@@ -254,7 +269,7 @@ class TestInvertLift:
     def test_inverse_branches_rejects_non_finite(self, x):
         for m in (M.mp_like_map(), _holder_map()):
             with pytest.raises(BranchInversionError):
-                M.inverse_branches(m, x, 1)
+                _preimages(m, x, 1)
 
     @pytest.mark.parametrize("make", [M.mp_like_map, lambda: M.derived_expanding_map(1.2)],
                              ids=["mp_like", "derived_expanding(1.2)"])
@@ -283,15 +298,15 @@ class TestInvertLift:
 class TestBirkhoff:
     def test_constant(self):
         d = M.doubling_map()
-        assert M.birkhoff_sum(d, lambda x: 2.5 * np.ones_like(x), 0.123, 7) == pytest.approx(17.5, abs=1e-12)
+        assert M.orbit_birkhoff_samples(d, 0.123, 7, lambda x: 2.5 * np.ones_like(x)) == pytest.approx(17.5, abs=1e-12)
 
     def test_fixed_point(self):
         d = M.doubling_map()
-        assert M.birkhoff_sum(d, lambda x: x, 0.0, 11) == 0.0
+        assert M.orbit_birkhoff_samples(d, 0.0, 11, lambda x: x) == 0.0
 
     def test_period_two(self):
         d = M.doubling_map()
-        val = M.birkhoff_sum(d, lambda x: np.cos(2 * np.pi * x), 1.0 / 3.0, 2)
+        val = M.orbit_birkhoff_samples(d, 1.0 / 3.0, 2, lambda x: np.cos(2 * np.pi * x))
         assert val == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -495,7 +510,7 @@ class TestOrbitSampler:
         y = x0.copy()
         for _ in range(12):
             y = M.wrap01(d.lift(y))
-        assert np.max(M.circle_dist(x, y)) < 1e-9
+        assert np.max(_circle_dist(x, y)) < 1e-9
 
 
 def _whole_array_orbit(m, x0, n, psi, rng=None, end=None):
@@ -554,7 +569,7 @@ class TestOrbitBlocks:
     def test_zero_dimensional_start(self, m, psi):
         x0, want_end = 0.3183098861837907, np.empty(1)
         want = _whole_array_orbit(m, np.array([x0]), 7, psi, end=want_end)
-        assert M.birkhoff_sum(m, psi, np.float64(x0), 7) == want[0]
+        assert M.orbit_birkhoff_samples(m, np.float64(x0), 7, psi) == want[0]
         end = np.empty(())
         got = M.orbit_birkhoff_samples(m, np.array(x0), 7, psi, end=end)
         assert got.shape == () and got == want[0]

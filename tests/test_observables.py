@@ -76,6 +76,7 @@ class TestJson:
 class TestOrbitSample:
     def test_constant_observable(self):
         d = M.doubling_map()
-        s = M.orbit_sample(d, lambda x: np.full_like(np.asarray(x), 1.5), 0.2, 8)
-        assert s.birkhoff_value == pytest.approx(12.0, abs=1e-12)
-        assert s.length == 8 and s.start == pytest.approx(0.2)
+        x = np.array([0.2])
+        total = M.orbit_birkhoff_samples(d, x, 8, lambda x: np.full_like(np.asarray(x), 1.5))
+        assert total.shape == (1,) and total[0] == pytest.approx(12.0, abs=1e-12)
+        assert x[0] == 0.2           # the start is left as it was

@@ -251,7 +251,7 @@ class TestLeadingTriple:
         assert tr.lam == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(tr.h - 1.0)) < 1e-10
         assert np.max(np.abs(tr.nu - 1.0 / 256)) < 1e-12
-        assert T.primitivity_power(tr.matrix) is not None
+        assert T.dominant_class(tr.matrix, T.equilibrium_measure(tr).mu).primitive
 
     def test_doubling_log_half(self):
         tm = T.build_matrix(M.doubling_map(), O.constant(-np.log(2.0)), "ulam", 64)
@@ -261,7 +261,7 @@ class TestLeadingTriple:
         for tr in doubling_triples.values():
             assert abs(tr.nu.sum() - 1.0) < 1e-12
             assert abs(float(tr.h @ tr.nu) - 1.0) < 1e-10
-            assert 0.0 <= T.gap_ratio(tr) < 1.0
+            assert 0.0 <= T.gap_ratio(tr).ratio < 1.0
             assert tr.lam > 0 and tr.h.min() > 0 and tr.nu.min() >= 0
 
     def test_eigen_residuals(self):
@@ -337,9 +337,19 @@ class TestLeadingTriple:
         assert exc.value.last_iterate is not None
 
     def test_rotation_not_primitive(self):
-        tm = T.build_matrix(M.rotation_map(), O.zero, "ulam", 64)
-        tr = T.leading_triple(tm)
-        assert T.primitivity_power(tr.matrix) is None
+        # A rotation by 1/4 permutes the 64 Ulam cells in 4-cycles: the
+        # class of the leading cell is one cycle, of period 4.
+        quarter = T.leading_triple(T.build_matrix(M.rotation_map(0.25), O.zero, "ulam", 64))
+        cls = T.dominant_class(quarter.matrix, T.equilibrium_measure(quarter).mu)
+        assert (cls.primitive, cls.size, cls.period) == (False, 4, 4)
+        assert cls.mass_outside == pytest.approx(60 / 64, abs=1e-12)
+        # The golden rotation spreads each cell over two neighbours, which
+        # makes its matrix primitive although the map has no spectral gap:
+        # the gap estimate sits near 1 and is not resolved.
+        tr = T.leading_triple(T.build_matrix(M.rotation_map(), O.zero, "ulam", 64))
+        assert T.dominant_class(tr.matrix, T.equilibrium_measure(tr).mu).primitive
+        gap = T.gap_ratio(tr)
+        assert gap.ratio > 0.99 and not gap.resolved
         assert tr.lam == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_row_rejected(self):
@@ -351,30 +361,56 @@ class TestLeadingTriple:
             T.leading_triple(bad)
 
 
-def _dense_primitivity_power(A, max_power=8):
-    """Reference: smallest k in {1,2,4,8} with (pattern of A)^k > 0, by
-    dense float32 squaring of the pattern."""
+def _dense_primitive(A):
+    """Reference: the pattern P of A > 0 is primitive when P^k > 0 for some
+    k, and then for every k above Wielandt's bound (n-1)^2 + 1.  Dense
+    float32 squaring of the pattern, stopped early once P^k > 0 or once a
+    square repeats its pattern (every later square then repeats it too)."""
+    n = A.shape[0]
     P = (A > 0).astype(np.float32)
     k = 1
-    while k <= max_power:
-        if P.min() > 0:
-            return k
-        if 2 * k > max_power:
-            return None
-        P = (P @ P > 0).astype(np.float32)
-        k *= 2
-    return None
+    while P.min() == 0 and k <= (n - 1) ** 2 + 1:
+        Q = (P @ P > 0).astype(np.float32)
+        if np.array_equal(Q, P):
+            break
+        P, k = Q, 2 * k
+    return bool(P.min() > 0)
+
+
+def _dense_class(A, s):
+    """Reference: the size and period of the class of cell s in the pattern
+    of A > 0.  The class is the cells that s reaches and that reach s; its
+    period is the gcd of the lengths k <= 4n of closed walks through s,
+    which covers a walk from s around each simple cycle of the class once
+    and twice."""
+    n = A.shape[0]
+    P = (A > 0).astype(np.float32)
+    fwd = np.zeros(n, dtype=bool)
+    back = np.zeros(n, dtype=bool)
+    fwd[s] = back[s] = True
+    for _ in range(n):
+        fwd |= fwd.astype(np.float32) @ P > 0
+        back |= P @ back.astype(np.float32) > 0
+    walk = np.zeros(n, dtype=np.float32)
+    walk[s] = 1.0
+    period = 0
+    for k in range(1, 4 * n + 1):
+        walk = (walk @ P > 0).astype(np.float32)
+        if walk[s]:
+            period = math.gcd(period, k)
+    return int(np.count_nonzero(fwd & back)), period
 
 
 @st.composite
 def _patterns(draw):
     # random 0/1 entries of a drawn density on top of a permutation, which
-    # keeps every row and column nonzero; every k in {1,2,4,8} and None occur
+    # keeps every row and column nonzero; primitive, reducible and periodic
+    # patterns all occur
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     P = rng.random((n, n)) < draw(st.floats(0.0, 0.6))
     P[np.arange(n), draw(st.permutations(range(n)))] = True
-    return P.astype(float)
+    return P.astype(float), draw(st.integers(0, n - 1))
 
 
 class TestPrimitivityPower:
@@ -384,20 +420,29 @@ class TestPrimitivityPower:
                  for n in (16, 32, 64, 128, 256, 512, 1024)]
         cases += [(M.derived_expanding_map(v), n) for v in (0.5, 0.8, 1.0, 1.4)
                   for n in (16, 64, 256, 512)]
-        powers = set()
+        verdicts = set()
         for m, n in cases:
             tm = T.build_matrix(m, O.zero, scheme, n)
-            expect = _dense_primitivity_power(tm.A)
-            assert T.primitivity_power(T.from_dense(tm.A)) == expect, (m.name, n)
+            mu = np.random.default_rng(n).random(n)
+            expect = _dense_primitive(tm.A)
+            assert T.dominant_class(T.from_dense(tm.A), mu).primitive == expect, (m.name, n)
             # the built matrix's unmerged entries give the same pattern
-            assert T.primitivity_power(tm) == expect, (m.name, n)
-            powers.add(expect)
-        assert {4, 8, None} <= powers
+            assert T.dominant_class(tm, mu).primitive == expect, (m.name, n)
+            verdicts.add(expect)
+        assert verdicts == {True, False}
 
     @settings(max_examples=300, deadline=None)
     @given(_patterns())
-    def test_random_patterns_match_dense(self, P):
-        assert T.primitivity_power(T.from_dense(P)) == _dense_primitivity_power(P)
+    def test_random_patterns_match_dense(self, case):
+        P, s = case
+        n = P.shape[0]
+        mu = np.full(n, 0.5 / n)
+        mu[s] = 1.0
+        cls = T.dominant_class(T.from_dense(P), mu)
+        size, period = _dense_class(P, s)
+        assert (cls.size, cls.period) == (size, period)
+        assert cls.mass_outside == pytest.approx((n - size) * 0.5 / n, abs=1e-12)
+        assert cls.primitive == _dense_primitive(P)
 
     def test_from_dense_is_exact(self):
         import scipy.sparse as sp
@@ -405,6 +450,64 @@ class TestPrimitivityPower:
         assert T.from_dense(tm.A).A.tobytes() == tm.A.tobytes()
         v = np.random.default_rng(3).random(128)       # no cancellation
         assert np.allclose(tm @ v, sp.csr_array(tm.A) @ v, rtol=1e-14, atol=0.0)
+
+
+class TestGapRatio:
+    """The Arnoldi gap estimate.  For doubling with phi = cos 2 pi x the
+    Ruelle-Fredholm determinant's second zero gives |lambda_2| / lambda =
+    0.4154475 (its period-p points are k / (2^p - 1))."""
+
+    @staticmethod
+    def _triple(m, phi, scheme, n):
+        return T.leading_triple(T.build_matrix(m, phi, scheme, n))
+
+    def test_collocation_matches_determinant(self):
+        d, cos = M.doubling_map(), O.fourier_cos(1)
+        fine = T.gap_ratio(self._triple(d, cos, "collocation", 4096))
+        assert fine.resolved and abs(fine.ratio - 0.4154475) < 1e-6
+        assert T.gap_ratio(self._triple(d, cos, "collocation", 1024)).resolved
+
+    def test_whole_deflated_space_gives_dense_eigenvalue(self):
+        # with n - 1 <= GAP_KRYLOV the Krylov space is the whole deflated
+        # space, so the ratio is the dense second eigenvalue
+        for m, phi, scheme, n in ((M.mp_like_map(), O.fourier_cos(1, 0.1), "collocation", 32),
+                                  (M.derived_expanding_map(0.8), O.fourier_cos(1, 0.5), "ulam", 40)):
+            tr = self._triple(m, phi, scheme, n)
+            ev = np.sort(np.abs(np.linalg.eigvals(tr.matrix.A)))
+            gap = T.gap_ratio(tr)
+            assert gap.resolved and abs(gap.ratio - ev[-2] / tr.lam) < 1e-12, m.name
+
+    def test_ulam_essential_bound_unresolved(self):
+        # Ulam's ratio sits on e^{max phi} / lambda = 0.93551, its bound on
+        # the essential spectrum, although its Ritz residual is tiny
+        tr = self._triple(M.doubling_map(), O.fourier_cos(1), "ulam", 1024)
+        gap = T.gap_ratio(tr)
+        assert abs(gap.ratio - 0.93512) < 1e-5 and abs(np.e / tr.lam - 0.93551) < 1e-5
+        assert gap.residual < 1e-8 * tr.lam and not gap.resolved
+
+    def test_unresolved_cases(self):
+        # mp_like's deflated operator has not converged in 40 steps
+        gap = T.gap_ratio(self._triple(M.mp_like_map(), O.zero, "ulam", 4096))
+        assert not gap.resolved and gap.residual > 1e-3
+        # doubling at phi = 0: the deflated operator is nilpotent, so any
+        # ratio is rounding noise
+        for scheme in ("collocation", "ulam"):
+            assert not T.gap_ratio(self._triple(M.doubling_map(), O.zero, scheme, 1024)).resolved
+        # doubling at phi = 0.25 cos: a converged Ritz value of the matrix
+        # (0.15816, the determinant gives 0.1262) that moved between 20 and
+        # 40 steps
+        gap = T.gap_ratio(self._triple(M.doubling_map(), O.fourier_cos(1, 0.25),
+                                       "collocation", 1024))
+        assert abs(gap.ratio - 0.15816) < 1e-5 and gap.residual < 1e-12
+        assert not gap.resolved
+
+    def test_random_start_agrees(self):
+        n = 1024
+        tr = self._triple(M.doubling_map(), O.fourier_cos(1), "collocation", n)
+        weyl = T.gap_ratio(tr)
+        rand = T._krylov_gap(tr, np.random.default_rng(1).standard_normal(n))
+        assert weyl.resolved and rand.resolved
+        assert abs(weyl.ratio - rand.ratio) < 1e-9
 
 
 class TestEquilibrium:

@@ -58,7 +58,7 @@ class TestCorrelations:
         st = T.equilibrium_measure(tr)
         cs = S.correlations(mp, st, COS, COS, 30)
         assert cs.tau_hat is not None
-        assert cs.tau_hat <= T.gap_ratio(tr) + 0.05
+        assert cs.tau_hat <= T.gap_ratio(tr).ratio + 0.05
         assert cs.tau_hat < 1.0
 
 
@@ -84,6 +84,22 @@ class TestCltVariance:
         vr = S.clt_variance(d, tr, cob.fn, 64)
         assert vr.sigma2 < 1e-6
         assert vr.coboundary
+
+    def test_tail_bound_needs_resolved_gap(self):
+        # doubling, phi = cos 2 pi x, n = 1024: collocation resolves the gap;
+        # Ulam's ratio sits on its essential bound and is not resolved
+        d = M.doubling_map()
+        for scheme, resolved in (("collocation", True), ("ulam", False)):
+            tr = T.leading_triple(T.build_matrix(d, O.fourier_cos(1), scheme, 1024))
+            gap = T.gap_ratio(tr)
+            vr = S.clt_variance(d, tr, SIN, 64)
+            assert gap.resolved is resolved, scheme
+            if resolved:
+                assert vr.tail_bound == pytest.approx(
+                    vr.series.values[0] * gap.ratio ** 65 / (1 - gap.ratio), rel=1e-12)
+            else:
+                assert vr.tail_bound is None
+            assert not vr.coboundary
 
     def test_shift_invariance(self, doubling_state):
         d, tr, st = doubling_state
