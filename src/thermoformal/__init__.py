@@ -53,12 +53,10 @@ from .observables import (
     observable_library,
 )
 from .operator import (
-    EquilibriumState,
     SpectralTriple,
     TransferMatrix,
     build_matrix,
     dominant_class,
-    equilibrium_measure,
     from_dense,
     gap_ratio,
     invariance_defect,
@@ -70,7 +68,6 @@ from .statistics import (
     clt_empirical,
     clt_variance,
     correlations,
-    pressure,
 )
 
 __version__ = "0.1.0"

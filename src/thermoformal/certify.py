@@ -111,7 +111,10 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None)
         rho = _grid_log_deriv_modulus(m)
     if rho is not None:
         mode = MODE_CERTIFIED
-        inflation = math.exp(N * rho * w)
+        try:
+            inflation = math.exp(N * rho * w)
+        except OverflowError:           # so large that no cell can pass
+            inflation = math.inf
     else:
         mode = MODE_CENTER_ONLY
         inflation = 1.0

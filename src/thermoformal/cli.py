@@ -28,8 +28,8 @@ from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
 from .maps import builtin_maps, map_from_json, map_to_json
 from .observables import observable_from_json
-from .operator import (MAX_DENSE_N, build_matrix, dominant_class, equilibrium_measure,
-                       fourier_testfns, gap_ratio, invariance_defect, leading_triple)
+from .operator import (MAX_DENSE_N, build_matrix, dominant_class, fourier_testfns,
+                       gap_ratio, invariance_defect, leading_triple)
 
 SCHEMA_VERSION = 1
 
@@ -112,8 +112,8 @@ def validate(config):
     command = config.get("command")
     _require(command in COMMANDS, f"command must be one of {COMMANDS}", "command")
 
-    resolved = {"schema_version": SCHEMA_VERSION, "command": command,
-                "seed": _num({"seed": config.get("seed", 0)}, "seed", integer=True, path="")}
+    seed = _num({"seed": config.get("seed", 0)}, "seed", lo=0, integer=True, path="")
+    resolved = {"schema_version": SCHEMA_VERSION, "command": command, "seed": seed}
 
     if command == "response":
         fam = config.get("map", {"kind": "builtin", "name": "derived_expanding"})
@@ -286,15 +286,14 @@ def _spectral_objects(cfg):
 
 def _handler_spectrum(cfg):
     m, phi, triple = _spectral_objects(cfg)
-    state = equilibrium_measure(triple)
-    gap, cls = gap_ratio(triple), dominant_class(triple.matrix, state.mu)
+    gap, cls = gap_ratio(triple), dominant_class(triple.matrix, triple.mu)
     results = {
         "lambda": triple.lam,
         "pressure": triple.pressure,
         "gap_ratio": gap.ratio,
         "primitive": cls.primitive,
         "iterations": triple.iterations,
-        "invariance_defect_fourier5": invariance_defect(m, state, fourier_testfns(5)),
+        "invariance_defect_fourier5": invariance_defect(m, triple, fourier_testfns(5)),
         "gap_residual": gap.residual,
         "gap_resolved": gap.resolved,
         "class_size": cls.size,
@@ -303,16 +302,15 @@ def _handler_spectrum(cfg):
     }
     table = ("spectrum", ["x", "h", "nu", "mu"],
              list(zip(triple.grid.tolist(), triple.h.tolist(), triple.nu.tolist(),
-                      state.mu.tolist())))
+                      triple.mu.tolist())))
     return EXIT_OK, results, [table]
 
 
 def _handler_correlations(cfg):
     m, phi, triple = _spectral_objects(cfg)
-    state = equilibrium_measure(triple)
     g = observable_from_json(cfg["observables"]["g"], m, "observables.g")
     psi = observable_from_json(cfg["observables"]["psi"], m, "observables.psi")
-    series = stats_mod.correlations(m, state, g.fn, psi.fn, cfg["params"]["n_max"])
+    series = stats_mod.correlations(m, triple, g.fn, psi.fn, cfg["params"]["n_max"])
     gap = gap_ratio(triple)
     results = {
         "tau_hat": series.tau_hat,
@@ -328,7 +326,6 @@ def _handler_correlations(cfg):
 
 def _handler_clt(cfg):
     m, phi, triple = _spectral_objects(cfg)
-    state = equilibrium_measure(triple)
     psi = observable_from_json(cfg["observable"], m, "observable")
     p = cfg["params"]
     var = stats_mod.clt_variance(m, triple, psi.fn, p["lag_max"])
@@ -343,7 +340,7 @@ def _handler_clt(cfg):
         results["ks_statistic"] = None
         results["refused"] = "coboundary: sigma^2 flagged zero, CLT normalization degenerate"
     else:
-        rep = stats_mod.clt_empirical(m, state, psi.fn, p["orbit_n"], p["samples"],
+        rep = stats_mod.clt_empirical(m, triple.mu, psi.fn, p["orbit_n"], p["samples"],
                                       cfg["seed"], variance=var)
         results["ks_statistic"] = rep.ks_statistic
         tables.append(("clt_qq", ["level", "sample_quantile", "gaussian_quantile"],
@@ -371,10 +368,9 @@ def _handler_free_energy(cfg):
         "admissible_at_endpoints": curve.admissible_at_endpoints,
     }
     if p["mc_t_values"]:
-        state = equilibrium_measure(curve.base)
         mc = {}
         for t in p["mc_t_values"]:
-            val = curves_mod.free_energy_mc(m, state, psi.fn, float(t),
+            val = curves_mod.free_energy_mc(m, curve.base.mu, psi.fn, float(t),
                                             p["mc_orbit_n"], p["mc_samples"], cfg["seed"])
             i = int(np.argmin(np.abs(curve.t - float(t))))   # validated: t is on the grid
             mc[str(t)] = {"mc": val, "spectral": float(curve.E[i]),
@@ -404,8 +400,7 @@ def _handler_ldp(cfg):
     m, phi, psi, curve = _curve_from_cfg(cfg)
     p = cfg["params"]
     rate = curves_mod.rate_function(curve, p["s_steps"])
-    state = equilibrium_measure(curve.base)
-    rep = curves_mod.ldp_empirical(m, state, psi.fn, p["a"], p["b"],
+    rep = curves_mod.ldp_empirical(m, curve.base.mu, psi.fn, p["a"], p["b"],
                                    [int(x) for x in p["n_list"]],
                                    p["samples"], cfg["seed"], rate)
     results = {

@@ -14,8 +14,7 @@ from .certify import check_condition_C, potential_admissible
 from .errors import LegendreDegenerateError, ThermoformalError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
-from .operator import (EquilibriumState, SpectralTriple, TransferMatrix,
-                       equilibrium_measure, leading_triples, map_geometry)
+from .operator import SpectralTriple, leading_triples, map_geometry
 # Unused here since every grid is solved in batches, but the benchmark's
 # layer tracer (``benchmarks/layertrace.py``) rebinds these names.
 from .operator import build_matrix, leading_triple  # noqa: F401
@@ -132,15 +131,13 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
         pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
         vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
         vals[block == 0.0] = phi_vals
-        W = g.weights(vals)
-        lam, h, nu, its, errors = leading_triples(g, W, [p.name for p in pots])
-        for t, exc in zip(block, errors):
-            if exc is not None:
-                raise type(exc)(f"eigen-solve failed at t={t}: {exc}") from exc
-        lams[start:start + block.size] = lam
+        triples = leading_triples(g, g.weights(vals), pots)
+        for t, tr in zip(block, triples):
+            if isinstance(tr, Exception):
+                raise type(tr)(f"eigen-solve failed at t={t}: {tr}") from tr
+        lams[start:start + block.size] = [tr.lam for tr in triples]
         for k in np.flatnonzero(block == 0.0):
-            base = SpectralTriple(matrix=TransferMatrix(geometry=g, weights=W[k], potential=phi),
-                                  lam=float(lam[k]), h=h[k], nu=nu[k], iterations=int(its[k]))
+            base = triples[k]
 
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
@@ -169,10 +166,11 @@ def default_t_max(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec, eps):
     return t
 
 
-def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
+def free_energy_mc(m: MapSpec, mu, psi: Callable,
                    t: float, n: int, samples: int, seed: int,
                    batch_size=1 << 16) -> float:
-    """(1/n) log int e^(t S_n psi) dmu by Monte Carlo over mu-samples.
+    """(1/n) log int e^(t S_n psi) dmu by Monte Carlo over samples of the
+    cell masses ``mu``.
 
     log-sum-exp throughout; the estimator is (logsumexp_i t*S_n(x_i) -
     log m)/n, bitwise reproducible under the seed-splitting rule.
@@ -185,7 +183,7 @@ def free_energy_mc(m: MapSpec, state: EquilibriumState, psi: Callable,
     vals = np.empty(samples)
 
     def batch(start, take, rng):
-        x0 = sample_from_state(state, take, rng)
+        x0 = sample_from_state(mu, take, rng)
         vals[start:start + take] = t * orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
 
     mc_map(batch, samples, batch_size, seed)
@@ -201,26 +199,26 @@ class DerivativeCheckReport:
     mean_values: np.ndarray
 
 
-def derivative_checks(curve: FreeEnergyCurve, equilibria: Sequence[EquilibriumState],
+def derivative_checks(curve: FreeEnergyCurve, triples: Sequence[SpectralTriple],
                       psi: PotentialSpec) -> DerivativeCheckReport:
     """Identity and envelope checks for the free-energy derivative.
 
     Verifies E'(t) = int psi dmu_{phi+t psi} pointwise (central differences
-    on the curve grid), E'(0) against the base state, and the centered
+    on the curve grid), E'(0) against the base triple, and the centered
     envelope t*inf(psi_c) <= E_c(t) <= t*sup(psi_c) for t>0 (reversed for
     t<0), where psi_c = psi - int psi dmu_phi and E_c(t) = E(t) - t * that
     mean.
     """
     ts = curve.t
-    if len(equilibria) != ts.size:
-        raise ValueError("need one equilibrium state per grid point")
-    means = np.array([float(np.asarray(psi.fn(st.grid)) @ st.mu) for st in equilibria])
+    if len(triples) != ts.size:
+        raise ValueError("need one spectral triple per grid point")
+    means = np.array([float(np.asarray(psi.fn(tr.grid)) @ tr.mu) for tr in triples])
     interior = slice(1, ts.size - 1)
     max_resid = float(np.max(np.abs(curve.E1[interior] - means[interior])))
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     e1_zero = float(abs(curve.E1[i0] - means[i0]))
 
-    base = equilibria[i0]
+    base = triples[i0]
     c = means[i0]
     psi_vals = np.asarray(psi.fn(base.grid), dtype=float) - c
     lo, hi = float(np.min(psi_vals)), float(np.max(psi_vals))
@@ -339,7 +337,7 @@ class LdpReport:
     censored: bool
 
 
-def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
+def ldp_empirical(m: MapSpec, mu, psi: Callable,
                   a: float, b: float, n_list: Sequence[int], samples: int,
                   seed: int, rate: RateFunction,
                   batch_size=1 << 17) -> LdpReport:
@@ -362,7 +360,7 @@ def ldp_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     steps = np.diff(n_values, prepend=0)
 
     def batch(_, take, rng):
-        x = sample_from_state(state, take, rng)
+        x = sample_from_state(mu, take, rng)
         total = np.zeros(take)
         counts = np.zeros(n_values.size, dtype=np.int64)
         for ni, n in enumerate(n_values):
@@ -482,14 +480,10 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
         if not built:
             return
         idx, geoms, ws, pots = zip(*built)
-        lam, h, nu, its, errors = leading_triples(geoms, ws, [p.name for p in pots])
-        for j, i in enumerate(idx):
-            if errors[j] is None:
-                triple = SpectralTriple(matrix=TransferMatrix(geoms[j], ws[j], pots[j]),
-                                        lam=float(lam[j]), h=h[j], nu=nu[j],
-                                        iterations=int(its[j]))
-                lams[i] = triple.lam
-                means[i] = float(obs_vals @ equilibrium_measure(triple).mu)
+        for i, tr in zip(idx, leading_triples(geoms, ws, pots)):
+            if not isinstance(tr, Exception):
+                lams[i] = tr.lam
+                means[i] = float(obs_vals @ tr.mu)
                 failed[i] = False
 
     for start in range(0, vs.size, MEMBER_BLOCK):

@@ -44,6 +44,7 @@ GAP_KRYLOV = 40
 
 @dataclass(frozen=True)
 class SpectralTriple:
+    """One matrix's leading eigendata (lambda, h, nu) and equilibrium state ``mu``."""
     matrix: TransferMatrix
     lam: float
     h: np.ndarray
@@ -58,15 +59,14 @@ class SpectralTriple:
     def pressure(self):
         return math.log(self.lam)
 
-
-@dataclass(frozen=True)
-class EquilibriumState:
-    triple: SpectralTriple
-    mu: np.ndarray
-
-    @property
-    def grid(self):
-        return self.triple.grid
+    @cached_property
+    def mu(self):
+        """mu_i = h_i nu_i, checked to be within 1e-10 of unit mass already."""
+        raw = self.h * self.nu
+        total = float(raw.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"h,nu normalization defect {total - 1.0:.3e} exceeds 1e-10")
+        return raw / total
 
     @property
     def density(self):
@@ -377,15 +377,14 @@ def _keep_columns(index, cols, n):
     return index[:, cols] - ((cols - np.arange(cols.size)) * n)[:, None]
 
 
-def leading_triples(g, W, names):
-    """Leading eigendata of the K matrices ``TransferMatrix(g, W[k])`` at
-    once, by two-sided power iteration.
+def leading_triples(g, W, potentials):
+    """Leading eigendata of the K matrices ``TransferMatrix(g, W[k],
+    potentials[k])`` at once, by two-sided power iteration.
 
     ``g`` is one :class:`MapGeometry` shared by the columns, with ``W`` a
     (K, nnz) array of entry weights (:meth:`MapGeometry.weights`), or a
     sequence of K geometries of one n, column k having geometry ``g[k]``
-    and weights ``W[k]``.  ``names[k]`` names column k's potential in its
-    error message.  Right vectors h and left vectors nu are iterated
+    and weights ``W[k]``.  Right vectors h and left vectors nu are iterated
     together; lambda is the two-sided Rayleigh quotient, and a column stops
     when lambda's relative change is at most ``POWER_TOL`` and both
     residuals are below ``RESIDUAL_TOL * lambda``, or fails after
@@ -395,9 +394,9 @@ def leading_triples(g, W, names):
     every operation acts on one column alone, so a column's result does
     not depend on the batch it is solved in.
 
-    Returns ``(lam, h, nu, iterations, errors)``: arrays over the columns,
-    and per column None or the error that makes its triple meaningless (a
-    zero row or column, no convergence, or a non-positive h).
+    Returns one entry per column: its :class:`SpectralTriple`, or the
+    error that makes its triple meaningless (a zero row or column, no
+    convergence, or a non-positive h).
     """
     K = len(W)
     geoms = [g] * K if isinstance(g, MapGeometry) else g
@@ -408,14 +407,9 @@ def leading_triples(g, W, names):
     X_out = np.full((K, n), math.nan)
     Y_out = np.full((K, n), math.nan)
     its_out = np.zeros(K, dtype=np.int64)
-    errors = [None] * K
     # A zero row or column leaves the leading eigendata ill-defined.
     zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
-    for k in np.flatnonzero(zero_line):
-        errors[k] = ReducibleMatrixError(
-            f"matrix for {geoms[k].map_name}/{names[k]} has a zero row or column")
-
-    active = np.flatnonzero([e is None for e in errors])
+    active = np.flatnonzero(~zero_line)
     if active.size < K:
         WR, WC = WR[:, active], WC[:, active]
         CR, RC = _keep_columns(CR, active, n), _keep_columns(RC, active, n)
@@ -447,6 +441,14 @@ def leading_triples(g, W, names):
                 cols = np.flatnonzero(keep)
                 CR, RC = _keep_columns(CR, cols, n), _keep_columns(RC, cols, n)
         lam_prev = lam
+    # Built after the iteration: built before, they leave about 0.3 MB more
+    # peak RSS on a spectrum job at n = 4096.
+    mats = [TransferMatrix(geometry=gk, weights=w, potential=pot)
+            for gk, w, pot in zip(geoms, W, potentials)]
+    errors = [None] * K
+    for k in np.flatnonzero(zero_line):
+        errors[k] = ReducibleMatrixError(
+            f"matrix for {geoms[k].map_name}/{mats[k].potential_name} has a zero row or column")
     for j, k in enumerate(active):
         errors[k] = ConvergenceError(
             f"power iteration did not converge in {MAX_ITER} iterations "
@@ -459,18 +461,19 @@ def leading_triples(g, W, names):
             errors[k] = ReducibleMatrixError(
                 "leading right vector is not strictly positive; "
                 "discretization is not primitive enough for a spectral triple")
-    return lam_out, X_out / mass[:, None], NU, its_out, errors
+    H = X_out / mass[:, None]
+    return [e if e is not None else SpectralTriple(matrix=mats[k], lam=float(lam_out[k]), h=H[k],
+                                                   nu=NU[k], iterations=int(its_out[k]))
+            for k, e in enumerate(errors)]
 
 
 def leading_triple(tm: TransferMatrix) -> SpectralTriple:
     """The leading triple of one matrix: :func:`leading_triples` on its
     weights alone, raising that column's error."""
-    lam, h, nu, its, errors = leading_triples(tm.geometry, tm.weights[None],
-                                              [tm.potential_name])
-    if errors[0] is not None:
-        raise errors[0]
-    return SpectralTriple(matrix=tm, lam=float(lam[0]), h=h[0], nu=nu[0],
-                          iterations=int(its[0]))
+    [triple] = leading_triples(tm.geometry, tm.weights[None], [tm.potential])
+    if isinstance(triple, Exception):
+        raise triple
+    return triple
 
 
 @dataclass(frozen=True)
@@ -546,23 +549,14 @@ def _leading_ritz(H, k):
     return float(abs(vals[i])), float(abs(H[k, k - 1]) * abs(vecs[-1, i]))
 
 
-def equilibrium_measure(t: SpectralTriple) -> EquilibriumState:
-    """mu_i = h_i nu_i, checked to be within 1e-10 of unit mass already."""
-    raw = t.h * t.nu
-    total = float(raw.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"h,nu normalization defect {total - 1.0:.3e} exceeds 1e-10")
-    return EquilibriumState(triple=t, mu=raw / total)
-
-
-def invariance_defect(m: MapSpec, state: EquilibriumState,
+def invariance_defect(m: MapSpec, t: SpectralTriple,
                       testfns: Sequence[Callable]) -> float:
     """max over test functions g of |int g(f x) dmu - int g dmu|."""
-    x = state.grid
+    x = t.grid
     fx = map_eval(m, x)
     worst = 0.0
     for g in testfns:
-        defect = abs(float(g(fx) @ state.mu) - float(g(x) @ state.mu))
+        defect = abs(float(g(fx) @ t.mu) - float(g(x) @ t.mu))
         worst = max(worst, defect)
     return worst
 

@@ -1,4 +1,5 @@
-"""Pressure, correlation decay, Green-Kubo variance, and CLT diagnostics."""
+"""Correlation decay, Green-Kubo variance, CLT diagnostics, and the seeded
+Monte Carlo batch runner."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
-from .operator import EquilibriumState, SpectralTriple, equilibrium_measure, gap_ratio
+from .operator import SpectralTriple, gap_ratio
 
 #: Absolute variance floor for the coboundary flag; discretization noise in
 #: the Green-Kubo series sits orders of magnitude above the spectral tail
@@ -21,13 +22,6 @@ COBOUNDARY_ABS_TOL = 1e-6
 NOISE_FLOOR = 1e-12
 #: The CLT Q-Q table has QUANTILE_LEVELS evenly spaced levels in (0, 1).
 QUANTILE_LEVELS = 99
-
-
-def pressure(lam: float) -> float:
-    """Topological pressure log(lambda)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return math.log(lam)
 
 
 @dataclass(frozen=True)
@@ -48,36 +42,26 @@ class VarianceReport:
     mean: float
 
 
-def _normalized_push(state: EquilibriumState, vec, n_steps):
-    """Iterates of (A/lambda) applied to an h-weighted density vector."""
-    tm = state.triple.matrix
-    lam = state.triple.lam
-    out = [vec]
-    w = vec
-    for _ in range(n_steps):
-        w = (tm @ w) / lam
-        out.append(w)
-    return out
-
-
-def correlations(m: MapSpec, state: EquilibriumState, g: Callable,
+def correlations(m: MapSpec, triple: SpectralTriple, g: Callable,
                  psi: Callable, n_max: int) -> CorrelationSeries:
     """C(k) = int (g o f^k) psi dmu - int g dmu int psi dmu, spectrally.
 
     Uses int (g o f^k) psi dmu = <nu, g * (A/lambda)^k (psi h)> on the grid,
     so the decay rate reflects the discretized operator rather than Monte
-    Carlo noise.  tau_hat is the log-linear fit over lags above the noise
-    floor ``NOISE_FLOOR`` (None when everything is below it).
+    Carlo noise.  Each lag is read off as the push runs, so only one
+    pushed vector is held.  tau_hat is the log-linear fit over lags above
+    the noise floor ``NOISE_FLOOR`` (None when everything is below it).
     """
-    x = state.grid
-    nu = state.triple.nu
-    h = state.triple.h
+    tm, lam, nu, mu, x = triple.matrix, triple.lam, triple.nu, triple.mu, triple.grid
     gx = np.asarray(g(x), dtype=float)
     psix = np.asarray(psi(x), dtype=float)
-    mean_g = float(gx @ state.mu)
-    mean_psi = float(psix @ state.mu)
-    pushes = _normalized_push(state, psix * h, n_max)
-    vals = np.array([float(nu @ (gx * w)) - mean_g * mean_psi for w in pushes])
+    mean_g, mean_psi = float(gx @ mu), float(psix @ mu)
+    vals = np.empty(n_max + 1)
+    w = psix * triple.h
+    for k in range(n_max + 1):
+        if k:
+            w = (tm @ w) / lam
+        vals[k] = float(nu @ (gx * w)) - mean_g * mean_psi
     lags = np.arange(n_max + 1)
 
     keep = (lags >= 1) & (np.abs(vals) > NOISE_FLOOR)
@@ -102,11 +86,9 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     """
     if lag_max < 1:
         raise ValueError("lag_max must be >= 1")
-    state = equilibrium_measure(triple)
-    x = state.grid
-    mean = float(np.asarray(psi(x), dtype=float) @ state.mu)
+    mean = float(np.asarray(psi(triple.grid), dtype=float) @ triple.mu)
     v = lambda z, psi=psi, c=mean: np.asarray(psi(z), dtype=float) - c
-    series = correlations(m, state, v, v, lag_max)
+    series = correlations(m, triple, v, v, lag_max)
     c0 = series.values[0]
     sigma2 = float(c0 + 2.0 * np.sum(series.values[1:]))
 
@@ -124,15 +106,16 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     )
 
 
-def sample_from_state(state: EquilibriumState, size, rng):
-    """Draw from mu by inverse CDF over cells with intra-cell uniform jitter."""
-    cum = np.cumsum(state.mu)
+def sample_from_state(mu, size, rng):
+    """Draw from the cell masses ``mu`` by inverse CDF over cells with
+    intra-cell uniform jitter."""
+    cum = np.cumsum(mu)
     cum[-1] = 1.0
     u = rng.random(size)
     cells = np.searchsorted(cum, u, side="right")
     x = rng.random(out=u)           # the jitter, in place on u
     x += cells
-    x /= state.mu.size
+    x /= mu.size
     return x
 
 
@@ -183,15 +166,16 @@ class CltEmpiricalReport:
     quantiles: np.ndarray          # (levels, empirical, gaussian)
 
 
-def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
+def clt_empirical(m: MapSpec, mu, psi: Callable,
                   n: int, samples: int, seed: int,
                   variance: VarianceReport, batch_size=1 << 16) -> CltEmpiricalReport:
     """KS distance between the law of S_n(v)/sqrt(n) and N(0, sigma^2).
 
     sigma^2 and the mean come from the Green-Kubo report ``variance``
     (:func:`clt_variance`); a flagged-coboundary variance is refused.
-    Orbits start from mu-samples; batches use seeds split from the master
-    seed by counter, so the result is bitwise reproducible.
+    Orbits start from samples of the cell masses ``mu``; batches use seeds
+    split from the master seed by counter, so the result is bitwise
+    reproducible.
     """
     # Imported here: scipy.stats costs every job its start-up time and memory.
     from scipy import stats as sps
@@ -207,7 +191,7 @@ def clt_empirical(m: MapSpec, state: EquilibriumState, psi: Callable,
     vals = np.empty(samples)
 
     def batch(start, take, rng):
-        x0 = sample_from_state(state, take, rng)
+        x0 = sample_from_state(mu, take, rng)
         s = orbit_birkhoff_samples(m, x0, n, centered, rng=rng)
         vals[start:start + take] = s / math.sqrt(n)
 

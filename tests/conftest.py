@@ -13,11 +13,9 @@ def _grid_triples(m, phi, psi, t_max, steps, scheme, n):
     pots = [phi if t == 0.0 else O.combine(phi, psi, t)
             for t in Cv.symmetric_grid(t_max, steps)]
     W = np.stack([g.weights(pot.fn(g.points)) for pot in pots])
-    lam, h, nu, its, errors = T.leading_triples(g, W, [pot.name for pot in pots])
-    assert errors == [None] * len(pots)
-    return [T.SpectralTriple(matrix=T.TransferMatrix(geometry=g, weights=W[k], potential=pot),
-                             lam=float(lam[k]), h=h[k], nu=nu[k], iterations=int(its[k]))
-            for k, pot in enumerate(pots)]
+    triples = T.leading_triples(g, W, pots)
+    assert all(isinstance(tr, T.SpectralTriple) for tr in triples)
+    return triples
 
 
 @pytest.fixture(scope="session")

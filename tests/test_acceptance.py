@@ -53,8 +53,7 @@ def test_criterion_01_doubling_flat_case(doubling_1024):
         assert abs(tr.lam - 2.0) < 1e-10, scheme
         assert abs(tr.pressure - math.log(2.0)) < 1e-10, scheme
         assert np.max(np.abs(tr.h - 1.0)) < 1e-8, scheme
-        mu = T.equilibrium_measure(tr).mu
-        assert np.max(np.abs(mu - 1.0 / 1024)) < 1e-8, scheme
+        assert np.max(np.abs(tr.mu - 1.0 / 1024)) < 1e-8, scheme
         assert elapsed < 5.0, f"{scheme} took {elapsed:.2f}s"
     _report(1, "doubling phi=0: lambda=2, pressure=log2, h and mu uniform, "
                f"runtimes {', '.join(f'{s}={t:.2f}s' for s, (_, t) in out.items())}")
@@ -79,12 +78,11 @@ def test_criterion_03_mp_equilibrium_two_schemes():
     assert h_gap < 1e-3
     # the nonconstant structure of the state sits in mu = h nu (the exact
     # operator pins h to the constant eigenfunction, since L1 = deg * 1)
-    states = {s: T.equilibrium_measure(tr) for s, tr in triples.items()}
-    for st in states.values():
-        dens = st.density
+    for tr in triples.values():
+        dens = tr.density
         assert dens.max() - dens.min() > 1.0
-    defects = {s: T.invariance_defect(mp, st, T.fourier_testfns(5))
-               for s, st in states.items()}
+    defects = {s: T.invariance_defect(mp, tr, T.fourier_testfns(5))
+               for s, tr in triples.items()}
     assert all(v < 1e-3 for v in defects.values())
     _report(3, f"mp_like phi=0: lambda=2 within 1e-8, h scheme gap {h_gap:.2e} < 1e-3, "
                f"equilibrium density nonconstant, invariance defects "
@@ -145,7 +143,6 @@ def test_criterion_06_clt_variance_and_ks():
     t0 = time.perf_counter()
     d = M.doubling_map()
     tr = T.leading_triple(T.build_matrix(d, O.zero, "ulam", 1024))
-    st = T.equilibrium_measure(tr)
     var = S.clt_variance(d, tr, COS, lag_max=64)
     assert abs(var.sigma2 - 0.5) < 1e-6
     assert not var.coboundary
@@ -156,7 +153,7 @@ def test_criterion_06_clt_variance_and_ks():
     assert var_cob.sigma2 < 1e-6
     assert var_cob.coboundary
 
-    rep = S.clt_empirical(d, st, COS, n=50, samples=100_000, seed=8, variance=var)
+    rep = S.clt_empirical(d, tr.mu, COS, n=50, samples=100_000, seed=8, variance=var)
     assert rep.ks_statistic < 0.02
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -174,17 +171,15 @@ def test_criterion_07_free_energy(cos_curves_512, grid_triples):
                                        steps=21, scheme="ulam", n=256)
     assert np.max(np.abs(const_curve.E - 0.9 * const_curve.t)) < 1e-12
 
-    st = T.equilibrium_measure(c41.base)
     mc_gaps = {}
     for t in (-0.4, 0.2, 0.4):
-        mc = Cv.free_energy_mc(d, st, COS, t, n=30, samples=100_000, seed=21)
+        mc = Cv.free_energy_mc(d, c41.base.mu, COS, t, n=30, samples=100_000, seed=21)
         i = int(np.argmin(np.abs(c41.t - t)))
         mc_gaps[t] = abs(c41.E[i] - mc)
         assert mc_gaps[t] < 0.02
 
-    eq81 = [T.equilibrium_measure(tr)
-            for tr in grid_triples(d, O.zero, COS1, 0.5, 81, "collocation", 512)]
-    resid = Cv.derivative_checks(c81, eq81, COS1).max_mean_residual
+    tr81 = grid_triples(d, O.zero, COS1, 0.5, 81, "collocation", 512)
+    resid = Cv.derivative_checks(c81, tr81, COS1).max_mean_residual
     assert resid < 1e-4
     _report(7, f"free energy: E(0)=0 exact, affine |E-tc|<1e-12, MC gaps "
                f"{ {k: float(f'{v:.4f}') for k, v in mc_gaps.items()} } < 0.02, "
@@ -222,8 +217,7 @@ def test_criterion_09_ldp():
     curve = Cv.free_energy_curve(d, O.zero, COS1, t_max=2.0, steps=81,
                                  scheme="collocation", n=512)
     rate = Cv.rate_function(curve, 201)
-    st = T.equilibrium_measure(curve.base)
-    rep = Cv.ldp_empirical(d, st, COS, 0.3, 0.5, [20, 40, 80],
+    rep = Cv.ldp_empirical(d, curve.base.mu, COS, 0.3, 0.5, [20, 40, 80],
                            1_000_000, seed=42, rate=rate)
     assert not rep.censored
     assert abs(rep.gap) < 0.05

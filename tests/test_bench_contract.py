@@ -57,7 +57,6 @@ def test_ldp_orbit_steps(layertrace, monkeypatch):
                                     tracer._count_orbit))
     d, psi, samples = M.doubling_map(), O.fourier_cos(1), 300
     curve = Cv.free_energy_curve(d, O.zero, psi, t_max=1.0, steps=11, n=32)
-    state = T.EquilibriumState(triple=None, mu=np.full(32, 1.0 / 32))
-    Cv.ldp_empirical(d, state, psi.fn, 0.1, 0.5, [8, 3, 5], samples, seed=1,
+    Cv.ldp_empirical(d, np.full(32, 1.0 / 32), psi.fn, 0.1, 0.5, [8, 3, 5], samples, seed=1,
                      rate=Cv.rate_function(curve, 21), batch_size=128)
     assert tracer.counts["maps.orbit_steps"] == samples * 8

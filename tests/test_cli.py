@@ -96,6 +96,17 @@ class TestRun:
             params={"N": 2, "gamma": 0.9, "resolution": 64}))
         assert code == cli.EXIT_CERTIFY_FAIL and not summary["results"]["passed"]
 
+    def test_certify_overflowing_inflation_fails_every_cell(self, tmp_path, capsys):
+        # exp(N * rho / resolution) overflows: the inflation is infinite
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(job("certify", params={"resolution": 64, "rho": 1e300})))
+        code = cli.main(["certify", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_CERTIFY_FAIL and "Traceback" not in out.err
+        results = json.loads(out.out)["results"]
+        assert results["failure_count"] == 64 and results["rho"] == 1e300
+        assert results["worst_bound"] is None and "worst_bound" in results["non_finite"]
+
     def test_certify_uncertified_mode(self):
         # Hölder-only lift: no modulus available, center-value mode
         code, summary = cli.run(job(
@@ -343,6 +354,10 @@ class TestMain:
                                     "mc_orbit_n": cli.MAX_GRID_STEPS + 1}),
          "params.mc_orbit_n"),
         (job("ldp", params={"n_list": [20, cli.MAX_GRID_STEPS + 1]}), "params.n_list[1]"),
+        # a negative seed would reach numpy's SeedSequence in the Monte Carlo jobs
+        (job("clt", seed=-1), "seed"),
+        (job("ldp", seed=-1), "seed"),
+        (job("free-energy", params={"n": 64, "mc_t_values": [0.1]}, seed=-1), "seed"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

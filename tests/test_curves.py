@@ -66,9 +66,8 @@ class TestFreeEnergyCurve:
         assert np.array_equal(T.TransferMatrix(geometry=g, weights=W, potential=pot).A, A)
         A0 = T.build_matrix(M.doubling_map(), O.zero, "collocation", 512).A
         assert np.array_equal(c.base.matrix.A, A0)
-        lam, _, _, _, errors = T.leading_triples(g, W[None], [pot.name])
-        assert errors == [None]
-        assert lam[0] == c.lam[7]
+        [tr] = T.leading_triples(g, W[None], [pot])
+        assert tr.lam == c.lam[7]
 
     def test_t_grid_keeps_only_the_base_triple(self):
         n = 256
@@ -111,12 +110,12 @@ def _tilted(m, phi, psi, t_max, steps):
 
 
 def _record_solves(monkeypatch):
-    """Record ``(W, names, result)`` of each ``leading_triples`` call that
-    ``free_energy_curve`` makes."""
+    """Record ``(W, potentials, triples)`` of each ``leading_triples`` call
+    that ``free_energy_curve`` makes."""
     calls = []
 
-    def spy(g, W, names):
-        calls.append((W, names, T.leading_triples(g, W, names)))
+    def spy(g, W, potentials):
+        calls.append((W, potentials, T.leading_triples(g, W, potentials)))
         return calls[-1][2]
 
     monkeypatch.setattr(Cv, "leading_triples", spy)
@@ -137,14 +136,16 @@ class TestBatchedSolve:
         n = 256
         calls = _record_solves(monkeypatch)
         c = Cv.free_energy_curve(m, phi, psi, t_max, 9, scheme=scheme, n=n)
-        [(W, names, (lam, h, nu, its, _))] = calls
+        [(W, pots, triples)] = calls
         for k, (t, pot) in enumerate(_tilted(m, phi, psi, t_max, 9)):
             ref = T.leading_triple(T.build_matrix(m, pot, scheme, n))
+            tr = triples[k]
             assert np.array_equal(W[k], ref.matrix.weights)
-            assert names[k] == pot.name
-            assert c.lam[k] == lam[k] == ref.lam
-            assert its[k] == ref.iterations
-            assert np.array_equal(h[k], ref.h) and np.array_equal(nu[k], ref.nu)
+            assert pots[k].name == pot.name == tr.matrix.potential_name
+            assert c.lam[k] == tr.lam == ref.lam
+            assert tr.iterations == ref.iterations
+            assert np.array_equal(tr.h, ref.h) and np.array_equal(tr.nu, ref.nu)
+            assert np.array_equal(tr.mu, ref.mu)
 
     @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
     @pytest.mark.parametrize("m, phi, psi, t_max", BATCH_CASES, ids=["doubling", "mp_like"])
@@ -152,14 +153,15 @@ class TestBatchedSolve:
         g = T.map_geometry(m, scheme, 128)
         grid = _tilted(m, phi, psi, t_max, 7)
         W = np.stack([g.weights(pot.fn(g.points)) for _, pot in grid])
-        names = [pot.name for _, pot in grid]
-        lam, h, nu, its, errors = T.leading_triples(g, W, names)
-        assert errors == [None] * len(grid)
-        assert len(set(its.tolist())) > 1       # columns retire at different steps
-        for k in range(len(grid)):
-            lam1, h1, nu1, its1, _ = T.leading_triples(g, W[k:k + 1], names[k:k + 1])
-            assert lam1[0] == lam[k] and its1[0] == its[k]
-            assert np.array_equal(h1[0], h[k]) and np.array_equal(nu1[0], nu[k])
+        pots = [pot for _, pot in grid]
+        triples = T.leading_triples(g, W, pots)
+        assert all(isinstance(tr, T.SpectralTriple) for tr in triples)
+        # columns retire at different steps
+        assert len({tr.iterations for tr in triples}) > 1
+        for k, tr in enumerate(triples):
+            [one] = T.leading_triples(g, W[k:k + 1], pots[k:k + 1])
+            assert one.lam == tr.lam and one.iterations == tr.iterations
+            assert np.array_equal(one.h, tr.h) and np.array_equal(one.nu, tr.nu)
 
     def test_blocks_do_not_change_the_curve(self, monkeypatch):
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
@@ -172,8 +174,8 @@ class TestBatchedSolve:
         assert np.array_equal(whole.E, blocks.E)
         assert blocks.base.lam == whole.base.lam == blocks.lam[5]
         assert np.array_equal(blocks.base.h, whole.base.h)
-        its = [out[3] for _, _, out in calls]
-        assert np.array_equal(its[0], np.concatenate(its[1:]))
+        its = [[tr.iterations for tr in out] for _, _, out in calls]
+        assert its[0] == sum(its[1:], [])
 
     @pytest.mark.parametrize("scheme, inverter", [("collocation", "branch_preimages"),
                                                   ("ulam", "_invert_lift")])
@@ -191,10 +193,11 @@ class TestBatchedSolve:
         g = T.map_geometry(M.doubling_map(), "ulam", 32)
         W = np.stack([g.weights(np.zeros(g.points.shape))] * 3)
         W[1, g.rows == 5] = 0.0
-        _, _, _, _, errors = T.leading_triples(g, W, ["a", "b", "c"])
-        assert errors[0] is None and errors[2] is None
-        assert isinstance(errors[1], ReducibleMatrixError)
-        assert "doubling/b has a zero row or column" in str(errors[1])
+        pots = [O.PotentialSpec(name=name, fn=O.zero.fn) for name in "abc"]
+        out = T.leading_triples(g, W, pots)
+        assert isinstance(out[0], T.SpectralTriple) and isinstance(out[2], T.SpectralTriple)
+        assert isinstance(out[1], ReducibleMatrixError)
+        assert "doubling/b has a zero row or column" in str(out[1])
 
     def test_failing_column_names_first_failing_t(self, monkeypatch, grid_triples):
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
@@ -247,18 +250,17 @@ class TestPerMemberSolve:
         if cap is not None:                     # some members fail to converge
             its = [self._reference(m, phi, scheme, n).iterations for m in ms]
             monkeypatch.setattr(T, "MAX_ITER", int(np.median(its)))
-        lam, h, nu, its, errors = T.leading_triples(geoms, ws, [p.name for p in pots])
+        out = T.leading_triples(geoms, ws, pots)
         kinds = set()
         for k, (m, pot) in enumerate(zip(ms, pots)):
             ref = self._reference(m, pot, scheme, n)
             if isinstance(ref, Exception):
-                assert type(errors[k]) is type(ref) and str(errors[k]) == str(ref)
-                assert np.isnan(lam[k])
+                assert type(out[k]) is type(ref) and str(out[k]) == str(ref)
                 kinds.add(type(ref))
                 continue
-            assert errors[k] is None
-            assert lam[k] == ref.lam and its[k] == ref.iterations
-            assert np.array_equal(h[k], ref.h) and np.array_equal(nu[k], ref.nu)
+            assert isinstance(out[k], T.SpectralTriple)
+            assert out[k].lam == ref.lam and out[k].iterations == ref.iterations
+            assert np.array_equal(out[k].h, ref.h) and np.array_equal(out[k].nu, ref.nu)
         assert ReducibleMatrixError in kinds
         assert (ConvergenceError in kinds) == (cap is not None)
 
@@ -267,35 +269,37 @@ class TestPerMemberSolve:
         g = T.map_geometry(M.mp_like_map(), "collocation", 128)
         grid = _tilted(M.mp_like_map(), O.zero, COS1, 0.5, 5)
         W = np.stack([g.weights(pot.fn(g.points)) for _, pot in grid])
-        names = [pot.name for _, pot in grid]
-        shared = T.leading_triples(g, W, names)
-        listed = T.leading_triples([g] * len(grid), list(W), names)
-        for a, b in zip(shared[:4], listed[:4]):
-            assert np.array_equal(a, b)
+        pots = [pot for _, pot in grid]
+        shared = T.leading_triples(g, W, pots)
+        listed = T.leading_triples([g] * len(grid), list(W), pots)
+        for a, b in zip(shared, listed):
+            assert a.lam == b.lam and a.iterations == b.iterations
+            assert np.array_equal(a.h, b.h) and np.array_equal(a.nu, b.nu)
 
     def test_geometries_must_share_n(self):
         gs = [T.map_geometry(M.doubling_map(), "collocation", n) for n in (32, 64)]
         with pytest.raises(ValueError, match="share n"):
-            T.leading_triples(gs, [g.weights(np.zeros(g.points.shape)) for g in gs], ["a", "b"])
+            T.leading_triples(gs, [g.weights(np.zeros(g.points.shape)) for g in gs],
+                              [O.zero, O.zero])
 
 
 class TestFreeEnergyMc:
     def test_zero_t_exact(self, doubling_cos_curve):
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        assert Cv.free_energy_mc(M.doubling_map(), st, COS1.fn, 0.0, 10, 100, seed=1) == 0.0
+        mu = doubling_cos_curve.base.mu
+        assert Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, 0.0, 10, 100, seed=1) == 0.0
 
     def test_constant_observable(self, doubling_cos_curve):
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        val = Cv.free_energy_mc(M.doubling_map(), st,
+        mu = doubling_cos_curve.base.mu
+        val = Cv.free_energy_mc(M.doubling_map(), mu,
                                 lambda x: np.full_like(np.asarray(x), 0.8),
                                 0.5, 17, 500, seed=3)
         assert val == pytest.approx(0.4, abs=1e-12)
 
     def test_matches_spectral(self, doubling_cos_curve):
         c = doubling_cos_curve
-        st = T.equilibrium_measure(c.base)
+        mu = c.base.mu
         for t in (-0.4, 0.2, 0.4):
-            mc = Cv.free_energy_mc(M.doubling_map(), st, COS1.fn, t,
+            mc = Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, t,
                                    n=30, samples=100_000, seed=21)
             i = int(np.argmin(np.abs(c.t - t)))
             assert abs(c.E[i] - mc) < 0.02
@@ -305,8 +309,7 @@ class TestDerivativeChecks:
     def test_zero_observable_all_zero(self, grid_triples):
         args = (M.doubling_map(), O.zero, O.constant(0.0), 0.1, 5, "ulam", 64)
         c = Cv.free_energy_curve(*args[:5], scheme="ulam", n=64)
-        eq = [T.equilibrium_measure(tr) for tr in grid_triples(*args)]
-        rep = Cv.derivative_checks(c, eq, O.constant(0.0))
+        rep = Cv.derivative_checks(c, grid_triples(*args), O.constant(0.0))
         assert rep.max_mean_residual == 0.0
         assert rep.e1_zero_residual == 0.0
         assert rep.bounds_ok
@@ -315,21 +318,18 @@ class TestDerivativeChecks:
         # narrow t-window makes the central-difference error at 0 negligible
         args = (M.doubling_map(), O.zero, COS1, 0.05, 41, "collocation", 512)
         c = Cv.free_energy_curve(*args[:5], scheme="collocation", n=512)
-        eq = [T.equilibrium_measure(tr) for tr in grid_triples(*args)]
-        rep = Cv.derivative_checks(c, eq, COS1)
+        rep = Cv.derivative_checks(c, grid_triples(*args), COS1)
         assert rep.e1_zero_residual < 1e-6
         assert rep.bounds_ok
 
     def test_residual_shrinks_with_step(self, doubling_cos_curve, grid_triples):
         c41 = doubling_cos_curve
         args = (M.doubling_map(), O.zero, COS1, 0.5)
-        eq41 = [T.equilibrium_measure(tr)
-                for tr in grid_triples(*args, 41, "collocation", 512)]
-        r41 = Cv.derivative_checks(c41, eq41, COS1).max_mean_residual
+        tr41 = grid_triples(*args, 41, "collocation", 512)
+        r41 = Cv.derivative_checks(c41, tr41, COS1).max_mean_residual
         c81 = Cv.free_energy_curve(*args, 81, scheme="collocation", n=512)
-        eq81 = [T.equilibrium_measure(tr)
-                for tr in grid_triples(*args, 81, "collocation", 512)]
-        r81 = Cv.derivative_checks(c81, eq81, COS1).max_mean_residual
+        tr81 = grid_triples(*args, 81, "collocation", 512)
+        r81 = Cv.derivative_checks(c81, tr81, COS1).max_mean_residual
         assert r81 < r41
         assert r81 < 5 * c81.step ** 2 + 1e-5
 
@@ -388,8 +388,8 @@ class TestRateFunction:
 class TestLdp:
     def test_interval_containing_mean(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        rep = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, -0.15, 0.15,
+        mu = doubling_cos_curve.base.mu
+        rep = Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, -0.15, 0.15,
                                [20, 40], 20_000, seed=9, rate=rf)
         assert abs(rep.rate_bound) < 1e-4
         assert abs(rep.extrapolated) < 0.05
@@ -397,8 +397,8 @@ class TestLdp:
 
     def test_reproducible(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        reps = [Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
+        mu = doubling_cos_curve.base.mu
+        reps = [Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
                                  [20, 30], 20_000, seed=3, rate=rf)
                 for _ in range(2)]
         assert np.array_equal(reps[0].counts, reps[1].counts)
@@ -406,8 +406,8 @@ class TestLdp:
     def test_smallest_n_keeps_its_stream(self, doubling_cos_curve):
         # the smallest n counts the orbits a one-horizon run would draw
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        args = (M.doubling_map(), st, COS1.fn, 0.25, 0.45)
+        mu = doubling_cos_curve.base.mu
+        args = (M.doubling_map(), mu, COS1.fn, 0.25, 0.45)
         many = Cv.ldp_empirical(*args, [30, 10, 20], 20_000, seed=6, rate=rf,
                                 batch_size=4096)
         one = Cv.ldp_empirical(*args, [10], 20_000, seed=6, rate=rf, batch_size=4096)
@@ -415,8 +415,8 @@ class TestLdp:
 
     def test_repeated_n_counts_equal(self, doubling_cos_curve):
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        rep = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
+        mu = doubling_cos_curve.base.mu
+        rep = Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
                                [20, 20, 40], 20_000, seed=2, rate=rf)
         assert rep.n_values.tolist() == [20, 20, 40]
         assert rep.counts[0] == rep.counts[1] > 0
@@ -424,10 +424,10 @@ class TestLdp:
     def test_small_sample_keeps_sign(self, doubling_cos_curve):
         # shrinking m inflates variance but the decay rate stays negative
         rf = Cv.rate_function(doubling_cos_curve, 101)
-        st = T.equilibrium_measure(doubling_cos_curve.base)
-        big = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
+        mu = doubling_cos_curve.base.mu
+        big = Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
                                [10, 20], 200_000, seed=4, rate=rf)
-        small = Cv.ldp_empirical(M.doubling_map(), st, COS1.fn, 0.25, 0.45,
+        small = Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
                                  [10, 20], 2_000, seed=4, rate=rf)
         assert np.all(big.rates < 0) and np.all(small.rates < 0)
 
@@ -482,9 +482,8 @@ def _per_member_scan(family, phi, obs, vs, scheme, n, guard):
         except ThermoformalError:
             lam.append(np.nan), mean.append(np.nan), failed.append(True)
             continue
-        state = T.equilibrium_measure(triple)
         lam.append(triple.lam)
-        mean.append(float(np.asarray(obs(state.grid), dtype=float) @ state.mu))
+        mean.append(float(np.asarray(obs(triple.grid), dtype=float) @ triple.mu))
         failed.append(False)
     return (np.array(lam), np.array(mean), np.array(ok, dtype=bool) if guard else None,
             np.array(failed))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -251,7 +252,7 @@ class TestLeadingTriple:
         assert tr.lam == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(tr.h - 1.0)) < 1e-10
         assert np.max(np.abs(tr.nu - 1.0 / 256)) < 1e-12
-        assert T.dominant_class(tr.matrix, T.equilibrium_measure(tr).mu).primitive
+        assert T.dominant_class(tr.matrix, tr.mu).primitive
 
     def test_doubling_log_half(self):
         tm = T.build_matrix(M.doubling_map(), O.constant(-np.log(2.0)), "ulam", 64)
@@ -340,14 +341,14 @@ class TestLeadingTriple:
         # A rotation by 1/4 permutes the 64 Ulam cells in 4-cycles: the
         # class of the leading cell is one cycle, of period 4.
         quarter = T.leading_triple(T.build_matrix(M.rotation_map(0.25), O.zero, "ulam", 64))
-        cls = T.dominant_class(quarter.matrix, T.equilibrium_measure(quarter).mu)
+        cls = T.dominant_class(quarter.matrix, quarter.mu)
         assert (cls.primitive, cls.size, cls.period) == (False, 4, 4)
         assert cls.mass_outside == pytest.approx(60 / 64, abs=1e-12)
         # The golden rotation spreads each cell over two neighbours, which
         # makes its matrix primitive although the map has no spectral gap:
         # the gap estimate sits near 1 and is not resolved.
         tr = T.leading_triple(T.build_matrix(M.rotation_map(), O.zero, "ulam", 64))
-        assert T.dominant_class(tr.matrix, T.equilibrium_measure(tr).mu).primitive
+        assert T.dominant_class(tr.matrix, tr.mu).primitive
         gap = T.gap_ratio(tr)
         assert gap.ratio > 0.99 and not gap.resolved
         assert tr.lam == pytest.approx(1.0, abs=1e-10)
@@ -513,40 +514,34 @@ class TestGapRatio:
 class TestEquilibrium:
     def test_doubling_uniform(self, doubling_triples):
         for tr in doubling_triples.values():
-            st = T.equilibrium_measure(tr)
-            assert np.max(np.abs(st.mu - 1.0 / 256)) < 1e-12
-            assert abs(st.mu.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(tr.mu - 1.0 / 256)) < 1e-12
+            assert abs(tr.mu.sum() - 1.0) < 1e-12
 
     def test_mp_nonuniform_density(self):
         tr = T.leading_triple(T.build_matrix(M.mp_like_map(), O.zero, "ulam", 512))
-        st = T.equilibrium_measure(tr)
-        d = st.density
+        d = tr.density
         assert d.max() - d.min() > 1.0
-        assert abs(st.mu.sum() - 1.0) < 1e-10
+        assert abs(tr.mu.sum() - 1.0) < 1e-10
 
     def test_normalization_gate(self, doubling_triples):
-        tr = doubling_triples["ulam"]
-        bad = T.SpectralTriple(matrix=tr.matrix, lam=tr.lam, h=2.0 * tr.h, nu=tr.nu,
-                               iterations=tr.iterations)
+        bad = dataclasses.replace(doubling_triples["ulam"], h=2.0 * doubling_triples["ulam"].h)
         with pytest.raises(ValueError):
-            T.equilibrium_measure(bad)
+            bad.mu
 
 
 class TestInvarianceDefect:
     def test_doubling_exact(self, doubling_triples):
-        st = T.equilibrium_measure(doubling_triples["ulam"])
         d = M.doubling_map()
-        defect = T.invariance_defect(d, st, [lambda x: np.cos(2 * np.pi * np.asarray(x))])
+        defect = T.invariance_defect(d, doubling_triples["ulam"],
+                                     [lambda x: np.cos(2 * np.pi * np.asarray(x))])
         assert defect < 1e-10
 
     def test_constant_testfn(self, doubling_triples):
-        st = T.equilibrium_measure(doubling_triples["collocation"])
-        defect = T.invariance_defect(M.doubling_map(), st,
+        defect = T.invariance_defect(M.doubling_map(), doubling_triples["collocation"],
                                      [lambda x: np.full_like(np.asarray(x), 4.2)])
         assert defect == 0.0
 
     def test_mp_small_defect(self):
         mp = M.mp_like_map()
         tr = T.leading_triple(T.build_matrix(mp, O.zero, "collocation", 1024))
-        st = T.equilibrium_measure(tr)
-        assert T.invariance_defect(mp, st, T.fourier_testfns(5)) < 1e-3
+        assert T.invariance_defect(mp, tr, T.fourier_testfns(5)) < 1e-3
