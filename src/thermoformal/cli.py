@@ -232,6 +232,11 @@ def _validate_params(command, params, map_name, degree):
             _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
                      "n_list must be a nonempty list", "params.n_list")
             _num_list(p, "n_list", lo=1, hi=MAX_GRID_STEPS, integer=True)
+            seen = set()
+            for i, n_i in enumerate(p["n_list"]):    # the rate is fitted through them
+                _require(n_i not in seen, "n_list entries must be distinct",
+                         f"params.n_list[{i}]")
+                seen.add(n_i)
             _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
             _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
         if command == "response":

@@ -350,12 +350,15 @@ def ldp_empirical(m: MapSpec, mu, psi: Callable,
     mu-probability (as far as the starts are mu-distributed), and the
     smallest n draws the stream it drew when every n had orbits of its own.
 
-    r_hat(n) is extrapolated linearly in 1/n; the comparison value is
+    r_hat(n) is extrapolated linearly in 1/n, so the n must be distinct
+    (``ValueError`` otherwise); the comparison value is
     -inf over [a,b] of the rate function (endpoints and interior s-grid).
     Zero counts at the largest n yield a censored (lower-bound-only) report.
     """
     if not a < b:
         raise ValueError("need a < b")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError("n_list must not repeat an n: the rate is fitted through them")
     n_values = np.asarray(sorted(n_list), dtype=int)
     steps = np.diff(n_values, prepend=0)
 

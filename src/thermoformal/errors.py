@@ -18,6 +18,10 @@ class ReducibleMatrixError(ThermoformalError):
     """Matrix has a zero row/column; leading eigendata ill-defined."""
 
 
+class NonFiniteWeightsError(ThermoformalError):
+    """Matrix entry weights are not all finite (exp(phi) overflowed, or phi is NaN)."""
+
+
 class ConvergenceError(ThermoformalError):
     """Iteration hit the cap; carries the last iterate for inspection."""
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ReducibleMatrixError
+from .errors import ConvergenceError, NonFiniteWeightsError, ReducibleMatrixError
 from .maps import MapSpec, branch_preimages, map_eval, wrap01, _invert_lift
 from .observables import PotentialSpec
 
@@ -100,15 +100,23 @@ class MapGeometry:
     def weights(self, values):
         """Entry weights for potential values at ``points``; leading axes of
         ``values`` beyond the shape of ``points`` index potentials, so the
-        result has shape ``(..., nnz)``."""
-        w = self.scale * np.exp(values) * self.coef
+        result has shape ``(..., nnz)``.  A value past about 709 overflows
+        exp to an infinite weight without a warning; :func:`leading_triples`
+        reports that potential's column."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.scale * np.exp(values) * self.coef
         return w.reshape(w.shape[:w.ndim - self.coef.ndim] + (-1,))
 
     def gathered(self, W, table):
         """The (K, nnz) weights ``W`` laid out on a (width, n) gather table
-        as a (width, K, n) array, weight 0 in the padding."""
-        Wp = np.concatenate([W, np.zeros((W.shape[0], 1))], axis=1)
-        return np.ascontiguousarray(np.moveaxis(Wp[:, table], 1, 0))
+        as a (width, K, n) array, weight 0 in the padding.  Each slot is
+        taken straight into its place, so the table is the only copy."""
+        out = np.empty((table.shape[0], W.shape[0], self.n))
+        for t, slot in zip(table, out):
+            # "clip" reads the padding index nnz as nnz - 1; those are zeroed.
+            np.take(W, t, axis=1, out=slot, mode="clip")
+            np.copyto(slot, 0.0, where=t == W.shape[1])
+        return out
 
     @cached_property
     def row_table(self):
@@ -368,13 +376,81 @@ def _batch_tables(g, W):
     return tuple(out)
 
 
-def _keep_columns(index, cols, n):
-    """The gather ``index`` of the columns at positions ``cols``, as the
-    columns of a smaller batch: flat per-column indices are re-offset to
-    the new positions, a shared table is kept as it is."""
-    if index.ndim == 2:
-        return index
-    return index[:, cols] - ((cols - np.arange(cols.size)) * n)[:, None]
+def _retire(done, weights, indices, batch, n):
+    """Retire the ``done`` columns of a batch in place.
+
+    The live columns past the new live count m move into the freed slots
+    below it, in order, and every array comes back as a view of its first
+    m columns: ``weights`` and ``indices`` are the (width, K, n) arrays of
+    :func:`_batch_tables`, ``batch`` arrays have the column first.  A
+    moved column's flat per-column indices are re-offset by (dst - src) n;
+    a shared (width, n) index table is returned as it is.
+    """
+    m = done.size - np.count_nonzero(done)
+    dst, src = np.flatnonzero(done[:m]), m + np.flatnonzero(~done[m:])
+    for a in batch:
+        a[dst] = a[src]
+    for w in weights:
+        w[:, dst] = w[:, src]
+    for index in indices:
+        if index.ndim == 3:
+            index[:, dst] = index[:, src] + ((dst - src) * n)[:, None]
+    return ([w[:, :m] for w in weights],
+            [index if index.ndim == 2 else index[:, :m] for index in indices],
+            [a[:m] for a in batch])
+
+
+def _power_iteration(WR, CR, WC, RC, skip, n):
+    """The batch loop of :func:`leading_triples` on the tables of
+    :func:`_batch_tables`, over the columns that ``skip`` does not mark
+    and that have no zero row or column.
+
+    Returns ``(zero_line, lam, X, Y, its)``, one row per column: whether
+    it has a zero row or column, then lambda, the right and left iterates
+    and the step at which it stopped.  A column still running after
+    ``MAX_ITER`` steps has its last iterate and ``its`` 0; one that never
+    started has NaN and 0.  The batch's arrays die on return, so none is
+    held while the results are built (held, they added about 0.3 MB of
+    peak RSS to a spectrum job at n = 4096).
+    """
+    K = WR.shape[1]
+    lam_out = np.full(K, math.nan)
+    X_out = np.full((K, n), math.nan)
+    Y_out = np.full((K, n), math.nan)
+    its_out = np.zeros(K, dtype=np.int64)
+    # A zero row or column leaves the leading eigendata ill-defined.
+    zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
+    active = np.arange(K)
+    (WR, WC), (CR, RC), (active,) = _retire(skip | zero_line, (WR, WC), (CR, RC), (active,), n)
+    X = np.full((active.size, n), 1.0 / n)
+    Y = np.full((active.size, n), 1.0 / n)
+    AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+    lam_prev = np.full(active.size, math.nan)
+    for its in range(1, MAX_ITER + 1):
+        if active.size == 0:
+            break
+        lam = (Y * AX).sum(axis=1) / (Y * X).sum(axis=1)
+        X = AX / np.abs(AX).sum(axis=1, keepdims=True)
+        Y = ATY / np.abs(ATY).sum(axis=1, keepdims=True)
+        AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+        # Residuals only where lambda settled: nu's first, since it passes
+        # last, then h's where nu's passed.
+        done = np.abs(lam - lam_prev) <= POWER_TOL * np.abs(lam)
+        for P, V in ((ATY, Y), (AX, X)):
+            if done.any():
+                # A slice, not an index, when every column is in: no copies.
+                sel = slice(None) if done.all() else np.flatnonzero(done)
+                res = (np.abs(P[sel] - lam[sel, None] * V[sel]).max(axis=1)
+                       / np.abs(V[sel]).max(axis=1))
+                done[sel] = res < RESIDUAL_TOL * np.abs(lam[sel])
+        if done.any():
+            k = active[done]
+            lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
+            (WR, WC), (CR, RC), (active, lam, X, Y, AX, ATY) = _retire(
+                done, (WR, WC), (CR, RC), (active, lam, X, Y, AX, ATY), n)
+        lam_prev = lam
+    lam_out[active], X_out[active], Y_out[active] = lam_prev, X, Y
+    return zero_line, lam_out, X_out, Y_out, its_out
 
 
 def leading_triples(g, W, potentials):
@@ -388,59 +464,30 @@ def leading_triples(g, W, potentials):
     together; lambda is the two-sided Rayleigh quotient, and a column stops
     when lambda's relative change is at most ``POWER_TOL`` and both
     residuals are below ``RESIDUAL_TOL * lambda``, or fails after
-    ``MAX_ITER`` steps.  The products run on fixed-width gather tables of
+    ``MAX_ITER`` steps.  The residuals are computed only for the columns
+    whose lambda settled: nu's first, since it passes last, and h's only
+    where nu's passed.  The products run on fixed-width gather tables of
     the unmerged entries, per row for ``A x`` and per column for ``A^T y``,
-    so no matrix is formed.  A stopped column is retired from the batch;
-    every operation acts on one column alone, so a column's result does
-    not depend on the batch it is solved in.
+    so no matrix is formed.
+
+    The live columns are kept in the first slots of the batch.  A column
+    that stops (or never starts: weights not all finite, or a zero row or
+    column) is retired in place: the last live columns move into the
+    freed slots, and the arrays shrink to views of the live ones.  Every
+    operation acts on one column alone, so a column's result does not
+    depend on the batch it is solved in, nor on its slot.
 
     Returns one entry per column: its :class:`SpectralTriple`, or the
-    error that makes its triple meaningless (a zero row or column, no
-    convergence, or a non-positive h).
+    error that makes its triple meaningless (weights not all finite, a
+    zero row or column, no convergence, or a non-positive h).
     """
     K = len(W)
     geoms = [g] * K if isinstance(g, MapGeometry) else g
     n = geoms[0].n
-    WR, CR, WC, RC = _batch_tables(g, W)      # weights (width, K, n)
-
-    lam_out = np.full(K, math.nan)
-    X_out = np.full((K, n), math.nan)
-    Y_out = np.full((K, n), math.nan)
-    its_out = np.zeros(K, dtype=np.int64)
-    # A zero row or column leaves the leading eigendata ill-defined.
-    zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
-    active = np.flatnonzero(~zero_line)
-    if active.size < K:
-        WR, WC = WR[:, active], WC[:, active]
-        CR, RC = _keep_columns(CR, active, n), _keep_columns(RC, active, n)
-    X = np.full((active.size, n), 1.0 / n)
-    Y = np.full((active.size, n), 1.0 / n)
-    AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
-    lam_prev = np.full(active.size, math.nan)
-    for its in range(1, MAX_ITER + 1):
-        if active.size == 0:
-            break
-        lam = (Y * AX).sum(axis=1) / (Y * X).sum(axis=1)
-        X = AX / np.abs(AX).sum(axis=1, keepdims=True)
-        Y = ATY / np.abs(ATY).sum(axis=1, keepdims=True)
-        AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
-        # The residuals are computed only for the columns whose lambda settled.
-        settled = np.abs(lam - lam_prev) <= POWER_TOL * np.abs(lam)
-        if settled.any():
-            # A slice, not a mask, when every column settled: no copies.
-            done, sel = settled.copy(), slice(None) if settled.all() else settled
-            res_h, res_nu = (np.abs(P[sel] - lam[sel, None] * V[sel]).max(axis=1)
-                             / np.abs(V[sel]).max(axis=1) for P, V in ((AX, X), (ATY, Y)))
-            tol = RESIDUAL_TOL * np.abs(lam[sel])
-            done[sel] = (res_h < tol) & (res_nu < tol)
-            if done.any():
-                k, keep = active[done], ~done
-                lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
-                active, lam, X, Y = active[keep], lam[keep], X[keep], Y[keep]
-                AX, ATY, WR, WC = AX[keep], ATY[keep], WR[:, keep], WC[:, keep]
-                cols = np.flatnonzero(keep)
-                CR, RC = _keep_columns(CR, cols, n), _keep_columns(RC, cols, n)
-        lam_prev = lam
+    # Weights that are not all finite make no operator.
+    finite = np.array([np.isfinite(w).all() for w in W])
+    zero_line, lam_out, X_out, Y_out, its_out = _power_iteration(*_batch_tables(g, W),
+                                                                  ~finite, n)
     # Built after the iteration: built before, they leave about 0.3 MB more
     # peak RSS on a spectrum job at n = 4096.
     mats = [TransferMatrix(geometry=gk, weights=w, potential=pot)
@@ -449,10 +496,15 @@ def leading_triples(g, W, potentials):
     for k in np.flatnonzero(zero_line):
         errors[k] = ReducibleMatrixError(
             f"matrix for {geoms[k].map_name}/{mats[k].potential_name} has a zero row or column")
-    for j, k in enumerate(active):
+    for k in np.flatnonzero(~finite):
+        errors[k] = NonFiniteWeightsError(
+            f"matrix for {geoms[k].map_name}/{mats[k].potential_name} has entry weights "
+            f"that are not all finite: exp(phi) overflows, or phi is NaN")
+    for k in np.flatnonzero((its_out == 0) & finite & ~zero_line):
         errors[k] = ConvergenceError(
             f"power iteration did not converge in {MAX_ITER} iterations "
-            f"(lambda ~ {float(lam[j])})", last_iterate=(float(lam[j]), X[j], Y[j]))
+            f"(lambda ~ {float(lam_out[k])})",
+            last_iterate=(float(lam_out[k]), X_out[k], Y_out[k]))
 
     NU = Y_out / np.sum(Y_out, axis=1, keepdims=True)
     mass = np.sum(X_out * NU, axis=1)

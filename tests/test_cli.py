@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,24 @@ class TestMain:
         assert err["error"] == "ConvergenceError"
         assert err["message"].startswith("eigen-solve failed at t=-0.4: ")
 
+    @pytest.mark.parametrize("cfg", [
+        job("spectrum", potential={"kind": "fourier_cos", "params": {"k": 1, "amplitude": 800}},
+            params={"n": 32}),
+        job("free-energy", params={"n": 64, "steps": 5, "t_max": 1e6}),
+    ], ids=["spectrum", "free-energy"])
+    def test_overflowing_weights_exit_compute(self, tmp_path, capfd, cfg):
+        # exp(phi) overflows: one JSON line on stderr, and no numpy warning
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([cfg["command"], "--config", str(cfg_path)])
+        assert code == cli.EXIT_COMPUTE
+        [line] = capfd.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "NonFiniteWeightsError"
+        assert "entry weights that are not all finite" in err["message"]
+
     def test_schema_violation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
         cfg_path.write_text(json.dumps(job("spectrum", params={"n": "large"})))
@@ -358,6 +377,8 @@ class TestMain:
         (job("clt", seed=-1), "seed"),
         (job("ldp", seed=-1), "seed"),
         (job("free-energy", params={"n": 64, "mc_t_values": [0.1]}, seed=-1), "seed"),
+        # the rate is extrapolated through the n: a repeat adds no abscissa
+        (job("ldp", params={"n_list": [4, 4]}), "params.n_list[1]"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -9,7 +9,8 @@ from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
 from thermoformal.errors import (ConvergenceError, LegendreDegenerateError,
-                                 ReducibleMatrixError, ThermoformalError)
+                                 NonFiniteWeightsError, ReducibleMatrixError,
+                                 ThermoformalError)
 
 COS1 = O.fourier_cos(1)
 
@@ -199,6 +200,16 @@ class TestBatchedSolve:
         assert isinstance(out[1], ReducibleMatrixError)
         assert "doubling/b has a zero row or column" in str(out[1])
 
+    def test_non_finite_weights_fail_their_column_only(self):
+        g = T.map_geometry(M.doubling_map(), "collocation", 32)
+        W = np.stack([g.weights(np.zeros(g.points.shape))] * 3)
+        W[1, 7] = np.inf
+        pots = [O.PotentialSpec(name=name, fn=O.zero.fn) for name in "abc"]
+        out = T.leading_triples(g, W, pots)
+        assert isinstance(out[0], T.SpectralTriple) and isinstance(out[2], T.SpectralTriple)
+        assert isinstance(out[1], NonFiniteWeightsError)
+        assert "doubling/b has entry weights that are not all finite" in str(out[1])
+
     def test_failing_column_names_first_failing_t(self, monkeypatch, grid_triples):
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
         its = [tr.iterations for tr in grid_triples(*args, "collocation", 128)]
@@ -281,6 +292,85 @@ class TestPerMemberSolve:
         with pytest.raises(ValueError, match="share n"):
             T.leading_triples(gs, [g.weights(np.zeros(g.points.shape)) for g in gs],
                               [O.zero, O.zero])
+
+
+def _solved_alone(g, W, pots, k):
+    """Column k of a batch solved as a batch of one."""
+    gk = g if isinstance(g, T.MapGeometry) else g[k:k + 1]
+    [one] = T.leading_triples(gk, W[k:k + 1], pots[k:k + 1])
+    return one
+
+
+def _assert_columns_alone(g, W, pots, out):
+    """Each column of ``out`` is bit-equal to its one-column solve, or is
+    the same error (with the same last iterate when it did not converge)."""
+    for k, tr in enumerate(out):
+        one = _solved_alone(g, W, pots, k)
+        if isinstance(one, Exception):
+            assert type(tr) is type(one) and str(tr) == str(one)
+            if isinstance(one, ConvergenceError):
+                (lam, x, y), (lam1, x1, y1) = tr.last_iterate, one.last_iterate
+                assert lam == lam1 and np.array_equal(x, x1) and np.array_equal(y, y1)
+            continue
+        assert isinstance(tr, T.SpectralTriple)
+        assert tr.lam == one.lam and tr.iterations == one.iterations
+        assert np.array_equal(tr.h, one.h) and np.array_equal(tr.nu, one.nu)
+
+
+def _mp_grid(n):
+    """The shared geometry, weights and potentials of the 41-point t-grid
+    of mp_like with psi = -log f' on [-0.25, 0.25]."""
+    g = T.map_geometry(_MP, "collocation", n)
+    pots = [pot for _, pot in _tilted(_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 41)]
+    return g, np.stack([g.weights(pot.fn(g.points)) for pot in pots]), pots
+
+
+class TestRetirement:
+    """Stopped columns retire in place, the last live columns moving into
+    the freed slots; every column still equals its one-column solve."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["natural", "reversed"])
+    def test_t_grid_in_either_order(self, order):
+        g, W, pots = _mp_grid(256)
+        W, pots = W[::order], pots[::order]
+        out = T.leading_triples(g, W, pots)
+        assert len({tr.iterations for tr in out}) > 5      # many retirement events
+        _assert_columns_alone(g, W, pots, out)
+
+    def test_members_of_different_widths(self):
+        vs = [0.5, 1.0, 1.5, 1.0, 0.5, 1.5, 1.0]
+        geoms = [T.map_geometry(M.derived_expanding_map(v), "collocation", 64) for v in vs]
+        assert len({g.col_table.shape[0] for g in geoms}) == 3
+        pots = [O.fourier_cos(1, 0.1)] * len(vs)
+        pots[3] = _holed(0.2, 0.8)                  # a zero-line column mid-batch
+        ws = [g.weights(p.fn(g.points)) for g, p in zip(geoms, pots)]
+        out = T.leading_triples(geoms, ws, pots)
+        assert isinstance(out[3], ReducibleMatrixError)
+        assert sum(isinstance(tr, T.SpectralTriple) for tr in out) == len(vs) - 1
+        _assert_columns_alone(geoms, ws, pots, out)
+
+    def test_columns_cut_off_by_max_iter(self, monkeypatch):
+        g, W, pots = _mp_grid(128)
+        its = [tr.iterations for tr in T.leading_triples(g, W, pots)]
+        monkeypatch.setattr(T, "MAX_ITER", int(np.median(its)))
+        out = T.leading_triples(g, W, pots)
+        failed = [isinstance(tr, ConvergenceError) for tr in out]
+        assert 0 < sum(failed) < len(out)
+        _assert_columns_alone(g, W, pots, out)
+
+    def test_solve_holds_no_second_copy_of_its_tables(self):
+        # The 10 (width 4 + 6) gather-table rows, the iterates and the
+        # outputs take about 20 (K, n) arrays; copying the live columns at
+        # each retirement took about 27.
+        g, W, pots = _mp_grid(256)
+        T.leading_triples(g, W[:1], pots[:1])      # the geometry's tables, cached
+        tracemalloc.start()
+        try:
+            T.leading_triples(g, W, pots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * W.shape[0] * g.n * 8
 
 
 class TestFreeEnergyMc:
@@ -413,13 +503,13 @@ class TestLdp:
         one = Cv.ldp_empirical(*args, [10], 20_000, seed=6, rate=rf, batch_size=4096)
         assert many.counts[0] == one.counts[0] > 0
 
-    def test_repeated_n_counts_equal(self, doubling_cos_curve):
+    def test_repeated_n_rejected(self, doubling_cos_curve):
+        # the rate is extrapolated through the n: a repeat adds no abscissa
         rf = Cv.rate_function(doubling_cos_curve, 101)
         mu = doubling_cos_curve.base.mu
-        rep = Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
-                               [20, 20, 40], 20_000, seed=2, rate=rf)
-        assert rep.n_values.tolist() == [20, 20, 40]
-        assert rep.counts[0] == rep.counts[1] > 0
+        with pytest.raises(ValueError, match="repeat"):
+            Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
+                             [20, 40, 20], 20_000, seed=2, rate=rf)
 
     def test_small_sample_keeps_sign(self, doubling_cos_curve):
         # shrinking m inflates variance but the decay rate stays negative
