@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .maps import MapSpec, branch_preimages, branch_lipschitz, wrap01
+from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, wrap01
 from .observables import PotentialSpec
 
 MODE_CERTIFIED = "certified"
@@ -105,7 +105,6 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None)
                          f"({m.degree}, {resolution})")
 
     w = 1.0 / resolution
-    centers = (np.arange(resolution) + 0.5) * w
 
     if rho is None and m.derivative is not None:
         rho = _grid_log_deriv_modulus(m)
@@ -119,7 +118,7 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None)
         mode = MODE_CENTER_ONLY
         inflation = 1.0
 
-    contr, pts = _depth_n_contractions(m, centers, N, w, preimages)
+    contr, pts = _depth_n_contractions(m, cell_centers(resolution), N, w, preimages)
     idx = np.argmin(contr, axis=0)
     cols = np.arange(resolution)
     raw = contr[idx, cols]
@@ -406,7 +405,7 @@ def potential_stats(phi: PotentialSpec):
     rho_e is the largest adjacent difference quotient of e^phi.
     """
     w = 1.0 / STATS_GRID_N
-    xs = (np.arange(STATS_GRID_N) + 0.5) * w
+    xs = cell_centers(STATS_GRID_N)
     vals = phi.fn(xs)
     slopes = np.abs(np.diff(np.concatenate([vals, vals[:1]]))) / w
     rho_phi = float(np.max(slopes))

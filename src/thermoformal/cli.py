@@ -1,8 +1,8 @@
 """Batch harness: job parsing, dispatch, and reproducible artifacts.
 
 Jobs are single JSON objects with a ``schema_version``.  Every summary
-echoes the fully resolved config (all defaults materialized), and re-running
-that echoed config reproduces the numeric outputs bitwise: all randomness
+echoes the resolved config (see ``validate``), and re-running that echoed
+config reproduces the numeric outputs bitwise: all randomness
 flows from the job seed through the per-batch counter splitting rule, and
 iteration orders are fixed.
 
@@ -18,7 +18,9 @@ import csv
 import json
 import math
 import sys
+from copy import copy
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import certify as certify_mod
 from . import curves as curves_mod
 from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
-from .maps import builtin_maps, map_from_json, map_to_json
+from .maps import builtin_maps, check_keys, map_from_json, map_to_json
 from .observables import observable_from_json
 from .operator import (MAX_DENSE_N, build_matrix, dominant_class, fourier_testfns,
                        gap_ratio, invariance_defect, leading_triple)
@@ -41,7 +43,8 @@ MAX_GRID_STEPS = 10_001
 #: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
 #: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` and the
 #: free-energy check hold one float per sample.  Certification holds
-#: ``degree**N * resolution`` cells, capped at the same number.
+#: ``degree**N * resolution`` cells and a discretization ``degree * n``
+#: points, capped at the same number.
 MAX_SAMPLES = 10 ** 8
 
 EXIT_OK = 0
@@ -50,31 +53,52 @@ EXIT_CERTIFY_FAIL = 2
 EXIT_UNCERTIFIED = 3
 EXIT_COMPUTE = 4
 
-COMMANDS = ("certify", "spectrum", "correlations", "clt",
-            "free-energy", "rate-function", "ldp", "response")
-
 _TOP_KEYS = {"schema_version", "command", "map", "potential", "observable",
              "observables", "params", "seed"}
+
+# Bounds (lo, hi, integer) of the plain-number parameters, see _num.
+_REAL = (None, None, False)
+_NONNEG = (0.0, None, False)
+_RESOLUTION = (16, None, True)
+_STEPS = (1, MAX_GRID_STEPS, True)
+_GRID = (3, MAX_GRID_STEPS, True)
+
+
+def _spectral(scheme, n, **more):
+    return {"scheme": (scheme, None), "n": (n, (16, MAX_DENSE_N, True)), **more}
+
+
+def _t_grid(t_max, steps, **more):
+    return _spectral("collocation", 512, t_max=(t_max, (1e-9, None, False)),
+                     steps=(steps, _GRID), **more)
+
+
+#: Each command's parameters, name -> (default, bounds): bounds for a plain
+#: number, None for a choice or list field, which _check_params checks.  A
+#: number whose default is None may also be null.
+_PARAMS = {
+    "certify": {"N": (1, _STEPS), "gamma": (0.6, _REAL), "resolution": (256, _RESOLUTION),
+                "mode": ("C", None), "rho": (None, _NONNEG)},
+    "spectrum": _spectral("ulam", 1024),
+    "correlations": _spectral("ulam", 1024, n_max=(32, _STEPS)),
+    "clt": _spectral("ulam", 1024, lag_max=(64, _STEPS), orbit_n=(50, _STEPS),
+                     samples=(100_000, (10, MAX_SAMPLES, True))),
+    "free-energy": _t_grid(0.5, 41, eps_guard=(None, _NONNEG), mc_t_values=([], None),
+                           mc_orbit_n=(30, _STEPS),
+                           mc_samples=(100_000, (1, MAX_SAMPLES, True))),
+    "rate-function": _t_grid(0.5, 41, s_steps=(101, _GRID)),
+    "ldp": _t_grid(2.0, 81, s_steps=(201, _GRID), a=(0.3, _REAL), b=(0.5, _REAL),
+                   n_list=([20, 40, 80], None), samples=(1_000_000, (10, MAX_SAMPLES, True))),
+    "response": _spectral("collocation", 512, v_min=(0.5, _REAL), v_max=(1.5, _REAL),
+                          v_count=(33, (5, MAX_GRID_STEPS, True)), guard_N=(1, _STEPS),
+                          guard_gamma=(0.7, _REAL), guard_resolution=(512, _RESOLUTION)),
+}
+COMMANDS = tuple(_PARAMS)
 
 
 def _require(cond, msg, path):
     if not cond:
         raise SchemaError(msg, path)
-
-
-def _check_keys(obj, allowed, path):
-    _require(isinstance(obj, dict), "expected an object", path)
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
-
-
-def _get_params(config, defaults, path="params"):
-    params = config.get("params", {})
-    _check_keys(params, set(defaults), path)
-    resolved = dict(defaults)
-    resolved.update(params)
-    return resolved
 
 
 def _num(params, key, lo=None, hi=None, integer=False, path="params"):
@@ -101,8 +125,20 @@ def _num_list(params, key, **bounds):
 
 
 def validate(config):
-    """Validate a job config and return it with all defaults materialized."""
-    _check_keys(config, _TOP_KEYS, "")
+    """Validate a job config and return it resolved: map and params with all
+    defaults materialized, potential and observable(s) as given or defaulted."""
+    return _parse(config)[0]
+
+
+def _parse(config):
+    """Check a job config and build the objects it names, each once.
+
+    Returns the resolved config (see ``validate``) and a namespace with the
+    ``map`` (``family``, v -> map, for ``response``), the ``potential``
+    (for ``response`` a function of the member's map) and the
+    ``observable`` or the ``g`` and ``psi`` of ``correlations``.
+    """
+    check_keys(config, _TOP_KEYS, "")
     non_finite = []
     _finite_or_null(config, "", non_finite)
     if non_finite:                      # JSON has no NaN or Infinity
@@ -114,153 +150,128 @@ def validate(config):
 
     seed = _num({"seed": config.get("seed", 0)}, "seed", lo=0, integer=True, path="")
     resolved = {"schema_version": SCHEMA_VERSION, "command": command, "seed": seed}
-
+    job = SimpleNamespace()
     if command == "response":
-        fam = config.get("map", {"kind": "builtin", "name": "derived_expanding"})
-        _check_keys(fam, {"kind", "name", "degree", "params"}, "map")
-        _require(fam.get("kind", "builtin") == "builtin" and
-                 fam.get("name") in builtin_maps(),
-                 "response requires a builtin family name", "map.name")
-        fam_params = fam.get("params", {})
-        _require(isinstance(fam_params, dict), "expected an object", "map.params")
-        if fam["name"] == "derived_expanding":
-            _check_keys(fam_params, set(), "map.params")   # v is the scanned parameter
-            degree = builtin_maps()[fam["name"]](0.0).degree
-        else:
-            degree = map_from_json({"kind": "builtin", "name": fam["name"],
-                                    "params": fam_params}).degree
-        resolved["map"] = {"kind": "builtin", "name": fam["name"], "params": dict(fam_params)}
+        job.family, m, resolved["map"] = _response_family(
+            config.get("map", {"kind": "builtin", "name": "derived_expanding"}))
     else:
-        m = map_from_json(config.get("map", {"kind": "builtin", "name": "doubling"}))
+        m = job.map = map_from_json(config.get("map", {"kind": "builtin", "name": "doubling"}))
         resolved["map"] = map_to_json(m)
-        degree = m.degree
 
-    potential = config.get("potential", {"kind": "constant", "params": {"value": 0.0}})
-    resolved["potential"] = potential
+    spec = _PARAMS[command]
+    params = config.get("params", {})
+    check_keys(params, set(spec), "params")
+    p = resolved["params"] = {key: copy(default) for key, (default, _) in spec.items()}
+    p.update(params)
+    for key, (default, bounds) in spec.items():
+        if bounds is not None and not (default is None and p[key] is None):
+            _num(p, key, *bounds)
+    _check_params(command, p, m)
 
-    defaults = {
-        "certify": {"N": 1, "gamma": 0.6, "resolution": 256, "mode": "C", "rho": None},
-        "spectrum": {"scheme": "ulam", "n": 1024},
-        "correlations": {"scheme": "ulam", "n": 1024, "n_max": 32},
-        "clt": {"scheme": "ulam", "n": 1024, "lag_max": 64,
-                "orbit_n": 50, "samples": 100_000},
-        "free-energy": {"scheme": "collocation", "n": 512, "t_max": 0.5,
-                        "steps": 41, "eps_guard": None,
-                        "mc_t_values": [], "mc_orbit_n": 30, "mc_samples": 100_000},
-        "rate-function": {"scheme": "collocation", "n": 512, "t_max": 0.5,
-                          "steps": 41, "s_steps": 101},
-        "ldp": {"scheme": "collocation", "n": 512, "t_max": 2.0, "steps": 81,
-                "s_steps": 201, "a": 0.3, "b": 0.5,
-                "n_list": [20, 40, 80], "samples": 1_000_000},
-        "response": {"scheme": "collocation", "n": 512, "v_min": 0.5,
-                     "v_max": 1.5, "v_count": 33, "guard_N": 1,
-                     "guard_gamma": 0.7, "guard_resolution": 512},
-    }
-    params = _get_params(config, defaults[command])
-    resolved["params"] = params
-
-    need_one = {"clt", "free-energy", "rate-function", "ldp", "response"}
-    if command in need_one:
-        resolved["observable"] = config.get(
-            "observable", {"kind": "fourier_cos", "params": {"k": 1, "amplitude": 1.0}})
+    phi = resolved["potential"] = config.get(
+        "potential", {"kind": "constant", "params": {"value": 0.0}})
+    job.potential = observable_from_json(phi, m, "potential")
+    if command == "response":       # built per member, from the member's map
+        job.potential = lambda mv: observable_from_json(phi, mv, "potential")
+    cos = {"kind": "fourier_cos", "params": {"k": 1, "amplitude": 1.0}}
+    if command in ("clt", "free-energy", "rate-function", "ldp", "response"):
+        obs = resolved["observable"] = config.get("observable", cos)
+        # response evaluates its observable on the cell centres of every member
+        job.observable = observable_from_json(obs, None if command == "response" else m,
+                                              "observable")
     if command == "correlations":
-        obs = config.get("observables",
-                         {"g": {"kind": "fourier_cos", "params": {"k": 1, "amplitude": 1.0}},
-                          "psi": {"kind": "fourier_cos", "params": {"k": 1, "amplitude": 1.0}}})
-        _check_keys(obs, {"g", "psi"}, "observables")
+        obs = resolved["observables"] = config.get("observables", {"g": cos, "psi": cos})
+        check_keys(obs, {"g", "psi"}, "observables")
         _require("g" in obs and "psi" in obs, "need observables.g and observables.psi",
                  "observables")
-        resolved["observables"] = obs
-
-    _validate_params(command, params, resolved["map"]["name"], degree)
-    return resolved
-
-
-def _cap_cells(p, degree, depth, resolution):
-    """Cap the ``degree**depth * resolution`` cells of a certification at
-    MAX_SAMPLES: ``depth`` is blamed when even resolution 16 passes it."""
-    # The exponent is clipped so that a huge depth costs no huge power;
-    # for degree >= 2 the clipped power already passes the cap.
-    power = degree ** min(p[depth], MAX_SAMPLES.bit_length())
-    _require(power * 16 <= MAX_SAMPLES,
-             f"degree**{depth} * 16 must be <= {MAX_SAMPLES}", f"params.{depth}")
-    _require(power * p[resolution] <= MAX_SAMPLES,
-             f"degree**{depth} * {resolution} must be <= {MAX_SAMPLES}", f"params.{resolution}")
+        job.g = observable_from_json(obs["g"], m, "observables.g")
+        job.psi = observable_from_json(obs["psi"], m, "observables.psi")
+    return resolved, job
 
 
-def _validate_params(command, params, map_name, degree):
-    p = params
-    if command == "certify":
-        _num(p, "N", lo=1, hi=MAX_GRID_STEPS, integer=True)
-        gamma = _num(p, "gamma")
-        _require(0.0 < gamma < 1.0, "gamma must lie in (0,1)", "params.gamma")
-        _num(p, "resolution", lo=16, integer=True)
-        _cap_cells(p, degree, "N", "resolution")
-        _require(p["mode"] in ("C", "Cprime"), "mode must be C or Cprime", "params.mode")
-        if p["rho"] is not None:
-            _num(p, "rho", lo=0.0)
-    elif command in ("spectrum", "correlations", "clt", "free-energy",
-                     "rate-function", "ldp", "response"):
+def _response_family(spec):
+    """The family v -> map of a response job, one member of it and its
+    echoed spec: derived_expanding is scanned in v, and any other builtin
+    map is held fixed."""
+    _require(isinstance(spec, dict) and spec.get("kind", "builtin") == "builtin"
+             and spec.get("name") in builtin_maps(),
+             "response requires a builtin family name", "map.name")
+    params = spec.get("params", {})
+    if spec["name"] == "derived_expanding":
+        check_keys(params, set(), "map.params")      # v is the scanned parameter
+        member = map_from_json(dict(spec, params={"v": 0.0}))
+        family = builtin_maps()["derived_expanding"]
+    else:
+        member = map_from_json(spec)
+        family = lambda v: member
+    return family, member, {"kind": "builtin", "name": spec["name"], "params": dict(params)}
+
+
+def _cap(p, key, degree, depth=None):
+    """Cap the ``degree * p[key]`` points of a discretization, or the
+    ``degree**p[depth] * p[key]`` cells of a certification, at MAX_SAMPLES;
+    the map (the depth) is named when even ``p[key] = 16`` passes the cap."""
+    what, blame, factor = "degree", "map", degree
+    if depth is not None:
+        # The exponent is clipped so that a huge depth costs no huge power;
+        # for degree >= 2 the clipped power already passes the cap.
+        what, blame = f"degree**{depth}", f"params.{depth}"
+        factor = degree ** min(p[depth], MAX_SAMPLES.bit_length())
+    _require(factor * 16 <= MAX_SAMPLES, f"{what} * 16 must be <= {MAX_SAMPLES}", blame)
+    _require(factor * p[key] <= MAX_SAMPLES, f"{what} * {key} must be <= {MAX_SAMPLES}",
+             f"params.{key}")
+
+
+def _check_params(command, p, m):
+    """The rules on parameters that are not plain bounds."""
+    if "scheme" in p:
         _require(p["scheme"] in ("ulam", "collocation"),
                  "scheme must be ulam or collocation", "params.scheme")
-        _num(p, "n", lo=16, hi=MAX_DENSE_N, integer=True)
-        if command == "correlations":
-            _num(p, "n_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
-        if command == "clt":
-            _num(p, "lag_max", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            _num(p, "orbit_n", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
-        if command in ("free-energy", "rate-function", "ldp"):
-            _num(p, "t_max", lo=1e-9)
-            steps = _num(p, "steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
-            _require(steps % 2 == 1, "steps must be odd", "params.steps")
-        if command == "free-energy":
-            if p["eps_guard"] is not None:
-                _num(p, "eps_guard", lo=0.0)
-            _num_list(p, "mc_t_values")
-            # the Monte Carlo value at t is compared with the spectral E(t)
-            ts = curves_mod.symmetric_grid(p["t_max"], steps)
-            for i, t in enumerate(p["mc_t_values"]):
-                _require(np.min(np.abs(ts - t)) <= 1e-9 * p["t_max"],
-                         "must be a point of the t-grid symmetric_grid(t_max, steps)",
-                         f"params.mc_t_values[{i}]")
-            _num(p, "mc_orbit_n", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            _num(p, "mc_samples", lo=1, hi=MAX_SAMPLES, integer=True)
-        if command in ("rate-function", "ldp"):
-            _num(p, "s_steps", lo=3, hi=MAX_GRID_STEPS, integer=True)
-        if command == "ldp":
-            _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
-                     "n_list must be a nonempty list", "params.n_list")
-            _num_list(p, "n_list", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            seen = set()
-            for i, n_i in enumerate(p["n_list"]):    # the rate is fitted through them
-                _require(n_i not in seen, "n_list entries must be distinct",
-                         f"params.n_list[{i}]")
-                seen.add(n_i)
-            _num(p, "samples", lo=10, hi=MAX_SAMPLES, integer=True)
-            _require(_num(p, "a") < _num(p, "b"), "need a < b", "params.a")
-        if command == "response":
-            _num(p, "v_count", lo=5, hi=MAX_GRID_STEPS, integer=True)
-            if map_name == "derived_expanding":      # its v lies in [0, 2)
-                _num(p, "v_min", lo=0.0)
-                _require(_num(p, "v_max") < 2.0, "v_max must be < 2", "params.v_max")
-            _require(_num(p, "v_min") < _num(p, "v_max"), "need v_min < v_max", "params.v_min")
-            _num(p, "guard_N", lo=1, hi=MAX_GRID_STEPS, integer=True)
-            gamma = _num(p, "guard_gamma")
-            _require(0.0 < gamma < 1.0, "guard_gamma must lie in (0,1)", "params.guard_gamma")
-            _num(p, "guard_resolution", lo=16, integer=True)
-            _cap_cells(p, degree, "guard_N", "guard_resolution")
+        _cap(p, "n", m.degree)          # each scheme holds degree * n points
+    if "steps" in p:
+        _require(p["steps"] % 2 == 1, "steps must be odd", "params.steps")
+    if command == "certify":
+        _require(0.0 < p["gamma"] < 1.0, "gamma must lie in (0,1)", "params.gamma")
+        _cap(p, "resolution", m.degree, "N")
+        _require(p["mode"] in ("C", "Cprime"), "mode must be C or Cprime", "params.mode")
+        _require(p["mode"] == "C" or m.derivative is not None,
+                 f"mode Cprime needs derivative data; map {m.name} has none", "params.mode")
+    if command == "free-energy":
+        _num_list(p, "mc_t_values")
+        # the Monte Carlo value at t is compared with the spectral E(t)
+        ts = curves_mod.symmetric_grid(p["t_max"], p["steps"])
+        for i, t in enumerate(p["mc_t_values"]):
+            _require(np.min(np.abs(ts - t)) <= 1e-9 * p["t_max"],
+                     "must be a point of the t-grid symmetric_grid(t_max, steps)",
+                     f"params.mc_t_values[{i}]")
+    if command == "ldp":
+        _require(isinstance(p["n_list"], list) and len(p["n_list"]) >= 1,
+                 "n_list must be a nonempty list", "params.n_list")
+        _num_list(p, "n_list", lo=1, hi=MAX_GRID_STEPS, integer=True)
+        seen = set()
+        for i, n_i in enumerate(p["n_list"]):    # the rate is fitted through them
+            _require(n_i not in seen, "n_list entries must be distinct",
+                     f"params.n_list[{i}]")
+            seen.add(n_i)
+        _require(p["a"] < p["b"], "need a < b", "params.a")
+    if command == "response":
+        if m.json_params["name"] == "derived_expanding":      # its v lies in [0, 2)
+            _num(p, "v_min", lo=0.0)
+            _require(p["v_max"] < 2.0, "v_max must be < 2", "params.v_max")
+        _require(p["v_min"] < p["v_max"], "need v_min < v_max", "params.v_min")
+        _require(0.0 < p["guard_gamma"] < 1.0, "guard_gamma must lie in (0,1)",
+                 "params.guard_gamma")
+        _cap(p, "guard_resolution", m.degree, "guard_N")
 
 
 # ---------------------------------------------------------------------------
-# Command handlers (return (exit_code, results, csv_tables))
+# Command handlers: (resolved config, built job) -> (exit_code, results, csv_tables)
 # ---------------------------------------------------------------------------
 
-def _handler_certify(cfg):
-    m = map_from_json(cfg["map"])
+def _handler_certify(cfg, job):
     p = cfg["params"]
     fn = certify_mod.check_condition_C if p["mode"] == "C" else certify_mod.check_condition_Cprime
-    rep = fn(m, p["N"], p["gamma"], p["resolution"], rho=p["rho"])
+    rep = fn(job.map, p["N"], p["gamma"], p["resolution"], rho=p["rho"])
     results = {
         "passed": rep.passed,
         "mode": rep.mode,
@@ -272,25 +283,18 @@ def _handler_certify(cfg):
     table = ("certify", ["cell", "raw_bound", "bound", "witness_branch", "witness_preimage"],
              list(zip(range(rep.resolution), rep.raw_bound.tolist(), rep.bound.tolist(),
                       rep.witness_branch.tolist(), rep.witness_preimage.tolist())))
-    if not rep.passed:
-        code = EXIT_CERTIFY_FAIL
-    elif rep.mode == certify_mod.MODE_CENTER_ONLY:
-        code = EXIT_UNCERTIFIED
-    else:
-        code = EXIT_OK
+    code = (EXIT_CERTIFY_FAIL if not rep.passed else
+            EXIT_UNCERTIFIED if rep.mode == certify_mod.MODE_CENTER_ONLY else EXIT_OK)
     return code, results, [table]
 
 
-def _spectral_objects(cfg):
-    m = map_from_json(cfg["map"])
-    phi = observable_from_json(cfg["potential"], m, "potential")
-    tm = build_matrix(m, phi, cfg["params"]["scheme"], cfg["params"]["n"])
-    triple = leading_triple(tm)
-    return m, phi, triple
+def _solve(cfg, job):
+    return leading_triple(build_matrix(job.map, job.potential, cfg["params"]["scheme"],
+                                       cfg["params"]["n"]))
 
 
-def _handler_spectrum(cfg):
-    m, phi, triple = _spectral_objects(cfg)
+def _handler_spectrum(cfg, job):
+    triple = _solve(cfg, job)
     gap, cls = gap_ratio(triple), dominant_class(triple.matrix, triple.mu)
     results = {
         "lambda": triple.lam,
@@ -298,7 +302,7 @@ def _handler_spectrum(cfg):
         "gap_ratio": gap.ratio,
         "primitive": cls.primitive,
         "iterations": triple.iterations,
-        "invariance_defect_fourier5": invariance_defect(m, triple, fourier_testfns(5)),
+        "invariance_defect_fourier5": invariance_defect(job.map, triple, fourier_testfns(5)),
         "gap_residual": gap.residual,
         "gap_resolved": gap.resolved,
         "class_size": cls.size,
@@ -311,11 +315,10 @@ def _handler_spectrum(cfg):
     return EXIT_OK, results, [table]
 
 
-def _handler_correlations(cfg):
-    m, phi, triple = _spectral_objects(cfg)
-    g = observable_from_json(cfg["observables"]["g"], m, "observables.g")
-    psi = observable_from_json(cfg["observables"]["psi"], m, "observables.psi")
-    series = stats_mod.correlations(m, triple, g.fn, psi.fn, cfg["params"]["n_max"])
+def _handler_correlations(cfg, job):
+    triple = _solve(cfg, job)
+    series = stats_mod.correlations(job.map, triple, job.g.fn, job.psi.fn,
+                                    cfg["params"]["n_max"])
     gap = gap_ratio(triple)
     results = {
         "tau_hat": series.tau_hat,
@@ -329,11 +332,10 @@ def _handler_correlations(cfg):
     return EXIT_OK, results, [table]
 
 
-def _handler_clt(cfg):
-    m, phi, triple = _spectral_objects(cfg)
-    psi = observable_from_json(cfg["observable"], m, "observable")
+def _handler_clt(cfg, job):
+    triple = _solve(cfg, job)
     p = cfg["params"]
-    var = stats_mod.clt_variance(m, triple, psi.fn, p["lag_max"])
+    var = stats_mod.clt_variance(job.map, triple, job.observable.fn, p["lag_max"])
     results = {
         "sigma2": var.sigma2,
         "tail_bound": var.tail_bound,
@@ -345,27 +347,23 @@ def _handler_clt(cfg):
         results["ks_statistic"] = None
         results["refused"] = "coboundary: sigma^2 flagged zero, CLT normalization degenerate"
     else:
-        rep = stats_mod.clt_empirical(m, triple.mu, psi.fn, p["orbit_n"], p["samples"],
-                                      cfg["seed"], variance=var)
+        rep = stats_mod.clt_empirical(job.map, triple.mu, job.observable.fn, p["orbit_n"],
+                                      p["samples"], cfg["seed"], variance=var)
         results["ks_statistic"] = rep.ks_statistic
         tables.append(("clt_qq", ["level", "sample_quantile", "gaussian_quantile"],
                        rep.quantiles.tolist()))
     return EXIT_OK, results, tables
 
 
-def _curve_from_cfg(cfg):
-    m = map_from_json(cfg["map"])
-    phi = observable_from_json(cfg["potential"], m, "potential")
-    psi = observable_from_json(cfg["observable"], m, "observable")
+def _free_energy(cfg, job):
     p = cfg["params"]
-    curve = curves_mod.free_energy_curve(
-        m, phi, psi, p["t_max"], p["steps"], scheme=p["scheme"], n=p["n"],
-        eps_guard=p.get("eps_guard"))
-    return m, phi, psi, curve
+    return curves_mod.free_energy_curve(
+        job.map, job.potential, job.observable, p["t_max"], p["steps"], scheme=p["scheme"],
+        n=p["n"], eps_guard=p.get("eps_guard"))
 
 
-def _handler_free_energy(cfg):
-    m, phi, psi, curve = _curve_from_cfg(cfg)
+def _handler_free_energy(cfg, job):
+    curve = _free_energy(cfg, job)
     p = cfg["params"]
     results = {
         "verdict": curve.verdict,
@@ -375,8 +373,9 @@ def _handler_free_energy(cfg):
     if p["mc_t_values"]:
         mc = {}
         for t in p["mc_t_values"]:
-            val = curves_mod.free_energy_mc(m, curve.base.mu, psi.fn, float(t),
-                                            p["mc_orbit_n"], p["mc_samples"], cfg["seed"])
+            val = curves_mod.free_energy_mc(job.map, curve.base.mu, job.observable.fn,
+                                            float(t), p["mc_orbit_n"], p["mc_samples"],
+                                            cfg["seed"])
             i = int(np.argmin(np.abs(curve.t - float(t))))   # validated: t is on the grid
             mc[str(t)] = {"mc": val, "spectral": float(curve.E[i]),
                           "gap": abs(val - float(curve.E[i]))}
@@ -387,8 +386,8 @@ def _handler_free_energy(cfg):
     return EXIT_OK, results, [table]
 
 
-def _handler_rate_function(cfg):
-    m, phi, psi, curve = _curve_from_cfg(cfg)
+def _handler_rate_function(cfg, job):
+    curve = _free_energy(cfg, job)
     rate = curves_mod.rate_function(curve, cfg["params"]["s_steps"])
     results = {
         "verdict": curve.verdict,
@@ -401,11 +400,11 @@ def _handler_rate_function(cfg):
     return EXIT_OK, results, [table]
 
 
-def _handler_ldp(cfg):
-    m, phi, psi, curve = _curve_from_cfg(cfg)
+def _handler_ldp(cfg, job):
+    curve = _free_energy(cfg, job)
     p = cfg["params"]
     rate = curves_mod.rate_function(curve, p["s_steps"])
-    rep = curves_mod.ldp_empirical(m, curve.base.mu, psi.fn, p["a"], p["b"],
+    rep = curves_mod.ldp_empirical(job.map, curve.base.mu, job.observable.fn, p["a"], p["b"],
                                    [int(x) for x in p["n_list"]],
                                    p["samples"], cfg["seed"], rate)
     results = {
@@ -420,26 +419,11 @@ def _handler_ldp(cfg):
     return EXIT_OK, results, [table]
 
 
-def _handler_response(cfg):
+def _handler_response(cfg, job):
     p = cfg["params"]
-    name = cfg["map"]["name"]
-    base_params = dict(cfg["map"].get("params", {}))
-    ctor = builtin_maps()[name]
-
-    if name == "derived_expanding":
-        family = lambda v: ctor(v=v)
-    else:
-        fixed = ctor(**base_params)
-        family = lambda v: fixed
-    obs = observable_from_json(cfg["observable"], None, "observable")
-    phi_cfg = cfg["potential"]
-    if phi_cfg.get("kind") in ("neg_log_deriv", "coboundary"):
-        phi = lambda mv: observable_from_json(phi_cfg, mv, "potential")
-    else:
-        phi = observable_from_json(phi_cfg, None, "potential")
     vs = np.linspace(p["v_min"], p["v_max"], p["v_count"])
     scan = curves_mod.response_scan(
-        family, phi, obs.fn, vs, scheme=p["scheme"], n=p["n"],
+        job.family, job.potential, job.observable.fn, vs, scheme=p["scheme"], n=p["n"],
         guard=(p["guard_N"], p["guard_gamma"], p["guard_resolution"]))
     results = {
         "max_adjacent_lambda_jump": float(np.max(np.abs(np.diff(scan.lam)))),
@@ -472,8 +456,8 @@ def run(config, out_dir=None):
     ``out_dir`` when given.  The summary embeds the resolved config; feeding
     that back through ``run`` reproduces all numeric outputs bitwise.
     """
-    resolved = validate(config)
-    code, results, tables = _HANDLERS[resolved["command"]](resolved)
+    resolved, job = _parse(config)
+    code, results, tables = _HANDLERS[resolved["command"]](resolved, job)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": resolved["command"],

@@ -12,7 +12,7 @@ import numpy as np
 
 from .certify import check_condition_C, potential_admissible
 from .errors import LegendreDegenerateError, ThermoformalError
-from .maps import MapSpec, orbit_birkhoff_samples
+from .maps import MapSpec, cell_centers, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine
 from .operator import SpectralTriple, leading_triples, map_geometry
 # Unused here since every grid is solved in batches, but the benchmark's
@@ -472,7 +472,7 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
     means = np.full(vs.size, math.nan)
     guard_ok = np.ones(vs.size, dtype=bool)
     failed = np.ones(vs.size, dtype=bool)
-    obs_vals = np.asarray(obs((np.arange(n) + 0.5) / n), dtype=float)
+    obs_vals = np.asarray(obs(cell_centers(n)), dtype=float)
 
     # A function, so that a block's geometries are freed before the next
     # block is prepared.

@@ -83,6 +83,11 @@ class MapSpec:
         return map_eval(self, x)
 
 
+def cell_centers(n):
+    """The centres (i + 1/2) / n of the n equal cells of [0, 1)."""
+    return (np.arange(n) + 0.5) / n
+
+
 def map_eval(m: MapSpec, x):
     """Forward evaluation f(x) = lift(x) mod 1 on [0, 1)."""
     return wrap01(m.lift(wrap01(np.asarray(x, dtype=float))))
@@ -450,10 +455,20 @@ def map_to_json(m: MapSpec):
             "params": dict(m.json_params)}
 
 
+def check_keys(obj, allowed, path):
+    """Raise SchemaError unless ``obj`` is an object with keys in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", path)
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+
+
 def map_from_json(obj):
     """Build a MapSpec from {name, degree?, kind, params}."""
     if not isinstance(obj, dict):
         raise SchemaError("map spec must be an object", "map")
+    check_keys(obj, {"kind", "name", "degree", "params"}, "map")
     kind = obj.get("kind", "builtin")
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -471,6 +486,7 @@ def map_from_json(obj):
             raise SchemaError(f"declared degree {obj['degree']} != {m.degree}", "map.degree")
         return m
     if kind == "iterate":
+        check_keys(params, {"base", "power"}, "map.params")
         power = params.get("power")
         if not isinstance(power, int) or isinstance(power, bool) or power < 1:
             raise SchemaError("power must be an integer >= 1", "map.params.power")
@@ -480,6 +496,7 @@ def map_from_json(obj):
         if (not isinstance(degree, (int, float)) or isinstance(degree, bool)
                 or not float(degree).is_integer() or degree < 0):
             raise SchemaError("degree must be an integer >= 0", "map.degree")
+        check_keys(params, {"breakpoints", "coefficients", "smoothness"}, "map.params")
         return piecewise_poly_map(obj.get("name", "piecewise_poly"),
                                   params.get("breakpoints"),
                                   params.get("coefficients"),
@@ -538,10 +555,13 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     if np.any(d01(grid) <= 0):
         raise SchemaError("piecewise lift must be strictly increasing", "map.params.coefficients")
     span = float((lift01(np.array(1.0)) - lift01(np.array(0.0))).ravel()[0])
-    if degree == 0:
-        degree = int(round(span))
-    elif abs(span - degree) > 1e-9:
+    nearest = float(np.rint(span))          # unlike round(), takes inf and nan
+    if not (nearest >= 1 and abs(span - nearest) <= 1e-9):
+        raise SchemaError(f"lift span {span:g} over [0, 1] is not a positive integer",
+                          "map.params.coefficients")
+    if degree not in (0, nearest):
         raise SchemaError(f"declared degree {degree} != lift span {span:g}", "map.degree")
+    degree = int(nearest)
     json_params = {"breakpoints": bp.tolist(),
                    "coefficients": [c.tolist() for c in coefs]}
     if holder_only:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SchemaError
-from .maps import MapSpec, deriv_at, map_eval, piecewise_polyval, wrap01
+from .maps import MapSpec, check_keys, deriv_at, map_eval, piecewise_polyval, wrap01
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,14 @@ def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
     """Build a PotentialSpec from {kind, params}; map-bound kinds need m."""
     if not isinstance(obj, dict):
         raise SchemaError("observable spec must be an object", path)
+    check_keys(obj, {"kind", "params"}, path)
     kind = obj.get("kind")
     if kind not in _PARAM_KEYS:
         raise SchemaError(f"unknown observable kind {kind!r}", path + ".kind")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("observable params must be an object", path + ".params")
-    for key in params:
-        if key not in _PARAM_KEYS[kind]:
-            raise SchemaError(f"unknown key {key!r}", f"{path}.params.{key}")
+    check_keys(params, _PARAM_KEYS[kind], path + ".params")
     try:
         return _build_observable(kind, params, m, path)
     except (TypeError, ValueError) as exc:
@@ -160,6 +159,8 @@ def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
 
 
 def _build_observable(kind, params, m, path):
+    if kind in ("neg_log_deriv", "coboundary") and m is None:
+        raise SchemaError(f"{kind} requires a map", path)
     if kind == "constant":
         return constant(params.get("value", 0.0))
     if kind == "fourier_cos":
@@ -167,12 +168,8 @@ def _build_observable(kind, params, m, path):
     if kind == "fourier_sin":
         return fourier_sin(params.get("k", 1), params.get("amplitude", 1.0))
     if kind == "neg_log_deriv":
-        if m is None:
-            raise SchemaError("neg_log_deriv requires a map", path)
         return neg_log_deriv(m, params.get("scale", 1.0))
     if kind == "coboundary":
-        if m is None:
-            raise SchemaError("coboundary requires a map", path)
         u = observable_from_json(params.get("u"), m, path + ".params.u")
         return coboundary(u, m)
     if kind == "piecewise_poly":

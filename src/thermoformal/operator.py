@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NonFiniteWeightsError, ReducibleMatrixError
-from .maps import MapSpec, branch_preimages, map_eval, wrap01, _invert_lift
+from .maps import MapSpec, branch_preimages, cell_centers, map_eval, wrap01, _invert_lift
 from .observables import PotentialSpec
 
 #: Largest n accepted.  Solves and diagnostics read only the entries, but
@@ -172,7 +172,7 @@ class TransferMatrix:
 
     @cached_property
     def grid(self):
-        return (np.arange(self.n) + 0.5) / self.n
+        return cell_centers(self.n)
 
     @property
     def potential_name(self):
@@ -212,8 +212,7 @@ def _collocation_entries(m: MapSpec, n: int):
     """Row i samples L at the centre x_i: each preimage y of x_i enters the
     two hats around it, with weights 1 - w and w.  Entries are ordered by
     branch, then lower/upper hat, then row; points has shape (G, 1, n)."""
-    centers = (np.arange(n) + 0.5) / n
-    y = wrap01(branch_preimages(m, centers))[:, None, :]
+    y = wrap01(branch_preimages(m, cell_centers(n)))[:, None, :]
     p = y * n - 0.5
     j0 = np.floor(p).astype(np.int64)
     w_hi = p - j0

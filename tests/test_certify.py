@@ -88,14 +88,15 @@ class TestConditionC:
     @pytest.mark.parametrize("m", [M.mp_like_map(), M.derived_expanding_map(1.3),
                                    M.MapSpec(name="h", degree=2, lift=M.doubling_map().lift)],
                              ids=lambda m: m.name)
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_given_preimages_match_inverted(self, m, N):
+    @pytest.mark.parametrize("N, res", [(1, 64), (2, 64), (3, 64), (1, 96), (2, 96), (3, 96)],
+                             ids=["1", "2", "3", "1-96", "2-96", "3-96"])
+    def test_given_preimages_match_inverted(self, m, N, res):
         # the collocation geometry at n = resolution holds the level-1
         # preimages of the centres, reduced to [0, 1)
         from thermoformal import operator as T
-        pre = T.map_geometry(m, "collocation", 64).points[:, 0]
-        own = C.check_condition_C(m, N, 0.9, 64)
-        given = C.check_condition_C(m, N, 0.9, 64, preimages=pre)
+        pre = T.map_geometry(m, "collocation", res).points[:, 0]
+        own = C.check_condition_C(m, N, 0.9, res)
+        given = C.check_condition_C(m, N, 0.9, res, preimages=pre)
         for field in ("witness_branch", "witness_preimage", "bound", "raw_bound", "failures"):
             assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
         assert (given.passed, given.mode) == (own.passed, own.mode)

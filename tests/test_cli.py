@@ -379,6 +379,41 @@ class TestMain:
         (job("free-energy", params={"n": 64, "mc_t_values": [0.1]}, seed=-1), "seed"),
         # the rate is extrapolated through the n: a repeat adds no abscissa
         (job("ldp", params={"n_list": [4, 4]}), "params.n_list[1]"),
+        # (C') needs the derivative that a Hölder-only map does not have
+        (job("certify", map=dict(POLY2, params=dict(POLY2["params"], smoothness="holder")),
+             params={"mode": "Cprime"}), "params.mode"),
+        # a lift's span over [0, 1] is its degree, a positive integer
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 0.4]]}}),
+         "map.params.coefficients"),
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 1.5]]}}),
+         "map.params.coefficients"),
+        # each scheme holds degree * n points: 2^40 * 16 and 2^20 * 128 are too many
+        (job("spectrum", map={"kind": "iterate", "params": {
+            "base": {"kind": "builtin", "name": "doubling"}, "power": 40}},
+             params={"n": 64}), "map"),
+        (job("spectrum", map={"kind": "iterate", "params": {
+            "base": {"kind": "builtin", "name": "doubling"}, "power": 20}},
+             params={"n": 128}), "params.n"),
+        # a spec's own keys are checked, nested ones included
+        (job("spectrum", potential={"kind": "fourier_cos", "k": 3}), "potential.k"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant", "value": 1}, "psi": {"kind": "constant"}}}),
+         "potential.params.phi.value"),
+        (job("clt", observable={"kind": "fourier_cos", "k": 3}), "observable.k"),
+        (job("correlations", observables={"g": {"kind": "constant", "value": 1},
+                                          "psi": {"kind": "constant"}}),
+         "observables.g.value"),
+        (job("spectrum", map={"kind": "builtin", "name": "doubling", "bogus": 1}), "map.bogus"),
+        (job("spectrum", map={"kind": "iterate", "params": {
+            "base": {"kind": "builtin", "name": "doubling", "bogus": 1}, "power": 2}}),
+         "map.bogus"),
+        (job("response", potential={"kind": "fourier_cos", "k": 3}), "potential.k"),
+        (job("response", observable={"kind": "fourier_cos", "k": 3}), "observable.k"),
+        (job("response", map={"kind": "builtin", "name": "doubling", "bogus": 1}), "map.bogus"),
+        (job("response", map={"kind": "builtin", "name": "derived_expanding", "bogus": 1}),
+         "map.bogus"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"
@@ -405,6 +440,30 @@ class TestMain:
         assert exc.value.path == path
         # degree 2: 2^22 * 16 cells lie within MAX_SAMPLES, 2^22 * 24 do not
         cli.validate(job("certify", params={"N": 22, "resolution": 16}))
+
+    def test_bad_observable_exits_before_the_solve(self, tmp_path, monkeypatch):
+        # observables are built with the map, before any eigen-solve
+        def solve(*args, **kwargs):
+            raise AssertionError("leading_triple called")
+        monkeypatch.setattr(cli, "leading_triple", solve)
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(job(
+            "correlations", observables={"g": {"kind": "nope"}, "psi": {"kind": "constant"}},
+            params={"n": 64})))
+        assert cli.main(["correlations", "--config", str(cfg_path)]) == cli.EXIT_SCHEMA
+
+    def test_response_tilt_of_neg_log_deriv(self):
+        # a map-bound part of a tilt is built from each member's map: phi + 0 psi
+        # gives phi's lambdas bit for bit
+        params = {"n": 64, "v_count": 5, "guard_resolution": 64}
+        geometric = {"kind": "neg_log_deriv", "params": {"scale": 1.0}}
+        tilt = {"kind": "tilt", "params": {"phi": geometric, "t": 0.0,
+                                           "psi": {"kind": "fourier_sin"}}}
+        runs = [cli.run(job("response", map=SINK, potential=pot, params=params))
+                for pot in (tilt, geometric)]
+        assert [code for code, _ in runs] == [cli.EXIT_OK, cli.EXIT_OK]
+        assert (runs[0][1]["results"]["max_adjacent_lambda_jump"]
+                == runs[1][1]["results"]["max_adjacent_lambda_jump"])
 
     def test_response_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
@@ -448,7 +507,7 @@ def test_spectrum_bytes_independent_of_blas_threads(tmp_path):
     code = "import sys, thermoformal.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
     cfgs = {"mp": job("spectrum", map={"kind": "builtin", "name": "mp_like"},
                       params={"scheme": "ulam", "n": 4096}),
-            "cos": job("spectrum", potential={"kind": "fourier_cos", "k": 1},
+            "cos": job("spectrum", potential={"kind": "fourier_cos", "params": {"k": 1}},
                        params={"scheme": "collocation", "n": 4096})}
     for name, cfg in cfgs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
