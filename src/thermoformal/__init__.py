@@ -13,7 +13,6 @@ from .certify import (
     PotentialAdmissibility,
     UniformExpansion,
     check_condition_C,
-    check_condition_Cprime,
     covering_budget,
     pointwise_to_uniform,
     potential_admissible,

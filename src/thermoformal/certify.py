@@ -3,7 +3,8 @@
 Three independent checkers live here:
 
 * grid certification that every point admits a depth-N inverse branch
-  contracting below gamma (derivative variant included),
+  contracting below gamma; for a C^1 map the branch contracts at y by
+  1/|(f^N)'(y)|, so the same certificate is also condition (C'),
 * the pointwise-to-uniform upgrade producing a single iterate and rate,
 * the covering-budget feasibility arithmetic (exact big integers) and the
   potential admissibility inequalities.
@@ -34,8 +35,6 @@ LOG_DERIV_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ConditionCReport:
-    map_name: str
-    variant: str                      # "C" or "Cprime"
     N: int
     gamma: float
     resolution: int
@@ -47,10 +46,6 @@ class ConditionCReport:
     raw_bound: np.ndarray             # per-cell min contraction at the center
     passed: bool
     failures: np.ndarray              # indices of cells with bound >= gamma
-
-    @property
-    def cell_width(self):
-        return 1.0 / self.resolution
 
 
 def _grid_log_deriv_modulus(m: MapSpec):
@@ -91,15 +86,27 @@ def _depth_n_contractions(m: MapSpec, centers, N, cell_width, preimages=None):
     return contr, pts
 
 
-def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None):
+def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None):
+    """Grid certificate for condition (C) at iterate N and target gamma.
+
+    Each of ``resolution`` equal cells is witnessed at its center by the
+    minimum depth-N branch contraction, inflated by exp(N * rho * cellwidth)
+    to cover the whole cell.  Falls back to a flagged center-value mode when
+    no modulus is available (Hölder-only map, no user rho).  For a map with
+    a derivative the branch contraction at y is 1/|(f^N)'(y)|, so a passing
+    certificate is also one for condition (C').
+
+    ``preimages`` lets a caller that has already inverted the centers (the
+    collocation geometry at n = ``resolution`` holds them, reduced to
+    [0, 1)) hand them in: they are the first level of every depth, so the
+    certificate then inverts only from level 2 on.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if variant == "Cprime" and m.derivative is None:
-        raise ValueError(f"condition (C') needs derivative data; map {m.name} has none")
     if preimages is not None and np.shape(preimages) != (m.degree, resolution):
         raise ValueError(f"preimages must have shape (degree, resolution) = "
                          f"({m.degree}, {resolution})")
@@ -126,8 +133,6 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None)
     witness_y = wrap01(pts[idx, cols])
     failures = np.flatnonzero(bound >= gamma)
     return ConditionCReport(
-        map_name=m.name,
-        variant=variant,
         N=N,
         gamma=gamma,
         resolution=resolution,
@@ -140,27 +145,6 @@ def _check_condition(m, N, gamma, resolution, variant, rho=None, preimages=None)
         passed=bool(failures.size == 0),
         failures=failures,
     )
-
-
-def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None):
-    """Grid certificate for condition (C) at iterate N and target gamma.
-
-    Each of ``resolution`` equal cells is witnessed at its center by the
-    minimum depth-N branch contraction, inflated by exp(N * rho * cellwidth)
-    to cover the whole cell.  Falls back to a flagged center-value mode when
-    no modulus is available (Hölder-only map, no user rho).
-
-    ``preimages`` lets a caller that has already inverted the centers (the
-    collocation geometry at n = ``resolution`` holds them, reduced to
-    [0, 1)) hand them in: they are the first level of every depth, so the
-    certificate then inverts only from level 2 on.
-    """
-    return _check_condition(m, N, gamma, resolution, "C", rho, preimages)
-
-
-def check_condition_Cprime(m: MapSpec, N, gamma, resolution, rho=None):
-    """Condition (C') variant: contraction factor 1/|(f^N)'(y)|."""
-    return _check_condition(m, N, gamma, resolution, "Cprime", rho)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _t_grid(t_max, steps, **more):
 #: number whose default is None may also be null.
 _PARAMS = {
     "certify": {"N": (1, _STEPS), "gamma": (0.6, _REAL), "resolution": (256, _RESOLUTION),
-                "mode": ("C", None), "rho": (None, _NONNEG)},
+                "rho": (None, _NONNEG)},
     "spectrum": _spectral("ulam", 1024),
     "correlations": _spectral("ulam", 1024, n_max=(32, _STEPS)),
     "clt": _spectral("ulam", 1024, lag_max=(64, _STEPS), orbit_n=(50, _STEPS),
@@ -233,9 +233,6 @@ def _check_params(command, p, m):
     if command == "certify":
         _require(0.0 < p["gamma"] < 1.0, "gamma must lie in (0,1)", "params.gamma")
         _cap(p, "resolution", m.degree, "N")
-        _require(p["mode"] in ("C", "Cprime"), "mode must be C or Cprime", "params.mode")
-        _require(p["mode"] == "C" or m.derivative is not None,
-                 f"mode Cprime needs derivative data; map {m.name} has none", "params.mode")
     if command == "free-energy":
         _num_list(p, "mc_t_values")
         # the Monte Carlo value at t is compared with the spectral E(t)
@@ -270,8 +267,8 @@ def _check_params(command, p, m):
 
 def _handler_certify(cfg, job):
     p = cfg["params"]
-    fn = certify_mod.check_condition_C if p["mode"] == "C" else certify_mod.check_condition_Cprime
-    rep = fn(job.map, p["N"], p["gamma"], p["resolution"], rho=p["rho"])
+    rep = certify_mod.check_condition_C(job.map, p["N"], p["gamma"], p["resolution"],
+                                        rho=p["rho"])
     results = {
         "passed": rep.passed,
         "mode": rep.mode,
@@ -486,7 +483,7 @@ def dumps_summary(summary):
     if non_finite:
         results["non_finite"] = sorted(non_finite)
     return json.dumps(dict(summary, results=results), sort_keys=True, indent=2,
-                      allow_nan=False, default=_json_default)
+                      allow_nan=False)
 
 
 def _finite_or_null(obj, path, non_finite):
@@ -500,16 +497,6 @@ def _finite_or_null(obj, path, non_finite):
         non_finite.append(path)
         return None
     return obj
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def write_csv(path, header, rows):

@@ -497,6 +497,9 @@ def map_from_json(obj):
                 or not float(degree).is_integer() or degree < 0):
             raise SchemaError("degree must be an integer >= 0", "map.degree")
         check_keys(params, {"breakpoints", "coefficients", "smoothness"}, "map.params")
+        if params.get("smoothness", "holder") != "holder":
+            raise SchemaError('smoothness must be "holder" when given',
+                              "map.params.smoothness")
         return piecewise_poly_map(obj.get("name", "piecewise_poly"),
                                   params.get("breakpoints"),
                                   params.get("coefficients"),
@@ -508,14 +511,16 @@ def map_from_json(obj):
 def piecewise_polyval(bp, coefs, u):
     """Piecewise polynomial at the points u: piece p (bp[p] <= u < bp[p+1])
     evaluates sum_k coefs[p][k] * (u - bp[p])^k; points outside the
-    breakpoints use the nearest end piece."""
+    breakpoints use the nearest end piece.  A value that overflows is inf or
+    nan, without a warning: the callers check the values they use."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     p = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(coefs) - 1)
     out = np.zeros_like(u)
-    for i, c in enumerate(coefs):
-        sel = p == i
-        if np.any(sel):
-            out[sel] = np.polyval(c[::-1], u[sel] - bp[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in enumerate(coefs):
+            sel = p == i
+            if np.any(sel):
+                out[sel] = np.polyval(c[::-1], u[sel] - bp[i])
     return out
 
 
@@ -524,7 +529,8 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
 
     ``breakpoints`` are the piece edges (first 0, last 1); piece p evaluates
     sum_k coefficients[p][k] * (x - breakpoints[p])^k.  Validated for
-    continuity, strict increase on a sample grid, and exact degree span.
+    continuity, a finite and strictly increasing lift on a sample grid, and
+    exact degree span.
     ``holder_only`` drops the derivative, declaring the map as Hölder data
     only (certification then runs in center-value mode).
     """
@@ -541,20 +547,24 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     if len(coefs) != bp.size - 1:
         raise SchemaError("need one coefficient row per piece", "map.params.coefficients")
 
-    dcoefs = [c[1:] * np.arange(1, len(c)) for c in coefs]
+    # an overflow gives inf or nan, which the checks below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        dcoefs = [c[1:] * np.arange(1, len(c)) for c in coefs]
+        for i in range(1, len(coefs)):          # continuity across pieces
+            left = np.polyval(coefs[i - 1][::-1], bp[i] - bp[i - 1])
+            if not abs(left - coefs[i][0]) <= 1e-9:
+                raise SchemaError(f"discontinuity at breakpoint {bp[i]}",
+                                  "map.params.coefficients")
     lift01 = lambda u: piecewise_polyval(bp, coefs, u)
     d01 = lambda u: piecewise_polyval(bp, dcoefs, u)
-
-    # continuity across pieces
-    for i in range(1, len(coefs)):
-        left = np.polyval(coefs[i - 1][::-1], bp[i] - bp[i - 1])
-        right = coefs[i][0]
-        if abs(left - right) > 1e-9:
-            raise SchemaError(f"discontinuity at breakpoint {bp[i]}", "map.params.coefficients")
     grid = np.linspace(0.0, 1.0, 4097)
-    if np.any(d01(grid) <= 0):
+    lift, deriv = lift01(grid), d01(grid)
+    if not (np.all(np.isfinite(lift)) and np.all(np.isfinite(deriv))):
+        raise SchemaError("piecewise lift and its derivative must be finite on [0, 1]",
+                          "map.params.coefficients")
+    if np.any(deriv <= 0):
         raise SchemaError("piecewise lift must be strictly increasing", "map.params.coefficients")
-    span = float((lift01(np.array(1.0)) - lift01(np.array(0.0))).ravel()[0])
+    span = float(lift[-1] - lift[0])
     nearest = float(np.rint(span))          # unlike round(), takes inf and nan
     if not (nearest >= 1 and abs(span - nearest) <= 1e-9):
         raise SchemaError(f"lift span {span:g} over [0, 1] is not a positive integer",

@@ -85,10 +85,10 @@ def piecewise_poly(breakpoints, coefficients, name="piecewise_poly"):
     """Piecewise polynomial on [0,1), piece p: sum_k c[p][k] (x - bp[p])^k."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
-        raise SchemaError("breakpoints must be increasing", "observable.params.breakpoints")
+        raise ValueError("breakpoints must be increasing")
     coefs = [np.asarray(c, dtype=float) for c in coefficients]
     if len(coefs) != bp.size - 1:
-        raise SchemaError("one coefficient row per piece", "observable.params.coefficients")
+        raise ValueError("coefficients must have one row per piece")
 
     return PotentialSpec(
         name=name,

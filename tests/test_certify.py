@@ -124,31 +124,25 @@ class TestLogDerivModulus:
 
 class TestConditionCprime:
     def test_doubling_two_iterates(self):
-        rep = C.check_condition_Cprime(M.doubling_map(), N=2, gamma=0.3, resolution=32)
+        rep = C.check_condition_C(M.doubling_map(), N=2, gamma=0.3, resolution=32)
         assert rep.passed
         assert np.allclose(rep.raw_bound, 0.25, atol=1e-13)
 
     def test_mp_threshold_gamma(self):
         fp14 = _mp_fprime(0.25)
-        rep = C.check_condition_Cprime(M.mp_like_map(), N=1,
-                                       gamma=1.0 / fp14 + 0.01, resolution=1024)
+        rep = C.check_condition_C(M.mp_like_map(), N=1,
+                                  gamma=1.0 / fp14 + 0.01, resolution=1024)
         assert rep.passed
 
     def test_derived_sink_passes_via_expanding_branch(self):
         m = M.derived_expanding_map(1.5)
         # gamma above the expanding-branch bound (~0.5) but far below the
         # sink-branch factor (2.0 at the fixed point)
-        rep = C.check_condition_Cprime(m, N=1, gamma=0.7, resolution=256)
+        rep = C.check_condition_C(m, N=1, gamma=0.7, resolution=256)
         assert rep.passed
         cell0 = 0  # cell containing the sink at x=0
         assert abs(rep.witness_preimage[cell0] - 0.5) < 0.05
         assert rep.raw_bound[cell0] == pytest.approx(0.5, abs=1e-3)
-
-    def test_requires_derivative(self):
-        base = M.doubling_map()
-        holder = M.MapSpec(name="h", degree=2, lift=base.lift, derivative=None, r=0)
-        with pytest.raises(ValueError):
-            C.check_condition_Cprime(holder, 1, 0.6, 32)
 
 
 class TestPointwiseToUniform:

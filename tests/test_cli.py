@@ -266,7 +266,11 @@ class TestMain:
         job("spectrum", potential={"kind": "fourier_cos", "params": {"k": 1, "amplitude": 800}},
             params={"n": 32}),
         job("free-energy", params={"n": 64, "steps": 5, "t_max": 1e6}),
-    ], ids=["spectrum", "free-energy"])
+        # the polynomial itself overflows to inf before exp does
+        job("spectrum", potential={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 1e308, 1e308]]}},
+            params={"n": 32}),
+    ], ids=["spectrum", "free-energy", "piecewise-poly"])
     def test_overflowing_weights_exit_compute(self, tmp_path, capfd, cfg):
         # exp(phi) overflows: one JSON line on stderr, and no numpy warning
         cfg_path = tmp_path / "job.json"
@@ -379,7 +383,7 @@ class TestMain:
         (job("free-energy", params={"n": 64, "mc_t_values": [0.1]}, seed=-1), "seed"),
         # the rate is extrapolated through the n: a repeat adds no abscissa
         (job("ldp", params={"n_list": [4, 4]}), "params.n_list[1]"),
-        # (C') needs the derivative that a Hölder-only map does not have
+        # certify has no mode: (C') is (C) on a map with a derivative
         (job("certify", map=dict(POLY2, params=dict(POLY2["params"], smoothness="holder")),
              params={"mode": "Cprime"}), "params.mode"),
         # a lift's span over [0, 1] is its degree, a positive integer
@@ -414,6 +418,23 @@ class TestMain:
         (job("response", map={"kind": "builtin", "name": "doubling", "bogus": 1}), "map.bogus"),
         (job("response", map={"kind": "builtin", "name": "derived_expanding", "bogus": 1}),
          "map.bogus"),
+        # a misspelt smoothness must not declare a Hölder map smooth
+        (job("certify", map=dict(POLY2, params=dict(POLY2["params"], smoothness="Holder"))),
+         "map.params.smoothness"),
+        # a lift that overflows is rejected, without a numpy warning
+        (job("certify", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 1e308, 1e308]]}}),
+         "map.params.coefficients"),
+        # a piecewise observable's errors are reported where it sits
+        (job("spectrum", potential={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 0.5, 0.4, 1.0], "coefficients": [[0.0], [0.0], [0.0]]}}),
+         "potential.params"),
+        (job("correlations", observables={"g": {"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0], [1.0]]}},
+            "psi": {"kind": "constant"}}), "observables.g.params"),
+        # certify has no mode, though summaries of older versions echo "mode": "C"
+        (job("certify", map={"kind": "builtin", "name": "mp_like"}, params={"mode": "C"}),
+         "params.mode"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"
