@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, wrap01
+from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, deriv_of, wrap01
 from .observables import PotentialSpec
 
 MODE_CERTIFIED = "certified"
@@ -35,6 +35,9 @@ LOG_DERIV_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ConditionCReport:
+    """A certificate's per-cell witnesses and verdict; for a block map the
+    per-cell arrays have a leading member axis, and ``rho`` and ``passed``
+    are arrays with one entry per member (see :func:`check_condition_C`)."""
     N: int
     gamma: float
     resolution: int
@@ -48,41 +51,52 @@ class ConditionCReport:
     failures: np.ndarray              # indices of cells with bound >= gamma
 
 
-def _grid_log_deriv_modulus(m: MapSpec):
-    """max |d log f' / dx| estimated from adjacent grid differences.
+def _grid_log_deriv_modulus(m: MapSpec, member=None):
+    """max |d log f' / dx| estimated from adjacent grid differences; for a
+    block map, one per member of the (K, 1) index array ``member``.
 
     The max is exact, so blocks of LOG_DERIV_BLOCK differences give the
-    one-shot result bit for bit, and no temporary grows past the
+    one-shot result bit for bit, and no temporary of one map grows past the
     allocator's mmap threshold (128 KiB in glibc), which would page-fault
-    on every call.
+    on every call.  A block map's members share each block of the grid.
     """
     block_max = []
     for start in range(0, LOG_DERIV_SAMPLES, LOG_DERIV_BLOCK):
         stop = min(start + LOG_DERIV_BLOCK, LOG_DERIV_SAMPLES)
-        logd = np.log(m.derivative(np.arange(start, stop + 1) / LOG_DERIV_SAMPLES))
-        block_max.append(np.max(np.abs(np.diff(logd))))
-    return float(np.max(block_max) * LOG_DERIV_SAMPLES)      # NaN propagates
+        logd = np.log(deriv_of(m, np.arange(start, stop + 1) / LOG_DERIV_SAMPLES, member))
+        block_max.append(np.max(np.abs(np.diff(logd)), axis=-1))
+    rho = np.max(block_max, axis=0) * LOG_DERIV_SAMPLES      # NaN propagates
+    return float(rho) if member is None else rho
 
 
 def _depth_n_contractions(m: MapSpec, centers, N, cell_width, preimages=None):
     """Contraction of every depth-N branch at every center.
 
-    Returns (contr, pts): arrays of shape (G^N, n_centers); rows are in
-    lexicographic branch-id order, base G in the slice index of
-    :func:`thermoformal.maps.branch_preimages` at each level, with the first
-    inversion (of the centers themselves) as the most significant digit.
-    ``preimages``, when given, are the (G, n_centers) level-1 preimages of
-    the centers, used instead of inverting them.
+    Returns (contr, pts): arrays of shape (G^N, n_centers), with a leading
+    member axis for a block map; rows are in lexicographic branch-id order,
+    base G in the slice index of :func:`thermoformal.maps.branch_preimages`
+    at each level, with the first inversion (of the centers themselves) as
+    the most significant digit.  ``preimages``, when given, are the
+    (G, n_centers) level-1 preimages of the centers ((members, G,
+    n_centers) for a block map), used instead of inverting them.  Each
+    level inverts the points of every member in one call.
     """
-    pts = centers[None, :]
-    contr = np.ones_like(pts)
+    K = m.members
+    lead = () if K is None else (K,)
+    member = None if K is None else np.arange(K).reshape(K, 1, 1)
+    pts = np.broadcast_to(centers, lead + (1, centers.size))
+    contr = np.ones(pts.shape)
     g = m.degree
     for level in range(N):
-        n_words, n_c = pts.shape
-        pre = branch_preimages(m, pts.ravel()) if level or preimages is None else preimages
-        pre = pre.reshape(g, n_words, n_c)
-        pts = pre.swapaxes(0, 1).reshape(n_words * g, n_c)    # parent-major
-        contr = np.repeat(contr, g, axis=0) * branch_lipschitz(m, pts, cell_width)
+        n_words, n_c = pts.shape[-2:]
+        if level or preimages is None:
+            pre = (branch_preimages(m, pts.ravel()) if K is None else
+                   branch_preimages(m, pts.ravel(), np.broadcast_to(member, pts.shape).ravel()))
+        else:
+            pre = preimages if K is None else np.moveaxis(preimages, 0, 1)
+        pre = pre.reshape((g,) + lead + (n_words, n_c))
+        pts = np.moveaxis(pre, 0, -2).reshape(lead + (n_words * g, n_c))     # parent-major
+        contr = np.repeat(contr, g, axis=-2) * branch_lipschitz(m, pts, cell_width, member)
     return contr, pts
 
 
@@ -100,6 +114,13 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
     collocation geometry at n = ``resolution`` holds them, reduced to
     [0, 1)) hand them in: they are the first level of every depth, so the
     certificate then inverts only from level 2 on.
+
+    For a block map (``m.members`` = K) the certificate runs on every
+    member at once: ``preimages`` has shape (K, G, resolution), each
+    per-cell array of the report gains a leading member axis, ``rho`` and
+    ``passed`` hold one value per member, and ``failures`` indexes the
+    flattened (K, resolution) bounds.  Every member's numbers equal those
+    of its own certificate.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -107,44 +128,54 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
         raise ValueError("resolution must be >= 16")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if preimages is not None and np.shape(preimages) != (m.degree, resolution):
+    lead = () if m.members is None else (m.members,)
+    if preimages is not None and np.shape(preimages) != lead + (m.degree, resolution):
         raise ValueError(f"preimages must have shape (degree, resolution) = "
-                         f"({m.degree}, {resolution})")
+                         f"({m.degree}, {resolution}), after the member axis of a block map")
 
     w = 1.0 / resolution
 
     if rho is None and m.derivative is not None:
-        rho = _grid_log_deriv_modulus(m)
+        rho = _grid_log_deriv_modulus(m, None if m.members is None
+                                      else np.arange(m.members)[:, None])
     if rho is not None:
         mode = MODE_CERTIFIED
-        try:
-            inflation = math.exp(N * rho * w)
-        except OverflowError:           # so large that no cell can pass
-            inflation = math.inf
+        if lead:
+            rho = np.broadcast_to(np.asarray(rho, dtype=float), lead)
+            inflation = np.array([[_inflation(N, float(r), w)] for r in rho])
+        else:
+            inflation = _inflation(N, rho, w)
     else:
         mode = MODE_CENTER_ONLY
         inflation = 1.0
 
     contr, pts = _depth_n_contractions(m, cell_centers(resolution), N, w, preimages)
-    idx = np.argmin(contr, axis=0)
-    cols = np.arange(resolution)
-    raw = contr[idx, cols]
+    idx = np.argmin(contr, axis=-2)[..., None, :]
+    raw = np.take_along_axis(contr, idx, axis=-2)[..., 0, :]
     bound = raw * inflation
-    witness_y = wrap01(pts[idx, cols])
-    failures = np.flatnonzero(bound >= gamma)
+    witness_y = wrap01(np.take_along_axis(pts, idx, axis=-2)[..., 0, :])
+    fail = bound >= gamma
     return ConditionCReport(
         N=N,
         gamma=gamma,
         resolution=resolution,
         mode=mode,
-        rho=float(rho) if rho is not None else float("nan"),
-        witness_branch=idx.astype(np.int64),
+        rho=(np.full(lead, math.nan) if rho is None else rho.copy() if lead else float(rho)),
+        witness_branch=idx[..., 0, :].astype(np.int64),
         witness_preimage=witness_y,
         bound=bound,
         raw_bound=raw,
-        passed=bool(failures.size == 0),
-        failures=failures,
+        passed=~fail.any(axis=-1) if lead else bool(not fail.any()),
+        failures=np.flatnonzero(fail),
     )
+
+
+def _inflation(N, rho, w):
+    """exp(N * rho * w), infinite where that overflows (no cell can pass)."""
+    try:
+        return math.exp(N * rho * w)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,11 @@ def _parse(config):
     phi = resolved["potential"] = config.get(
         "potential", {"kind": "constant", "params": {"value": 0.0}})
     job.potential = observable_from_json(phi, m, "potential")
-    if command == "response":       # built per member, from the member's map
-        job.potential = lambda mv: observable_from_json(phi, mv, "potential")
+    if command == "response":
+        try:                        # one potential for every member
+            job.potential = observable_from_json(phi, None, "potential")
+        except SchemaError:         # map-bound: built per member, from the member's map
+            job.potential = lambda mv: observable_from_json(phi, mv, "potential")
     cos = {"kind": "fourier_cos", "params": {"k": 1, "amplitude": 1.0}}
     if command in ("clt", "free-energy", "rate-function", "ldp", "response"):
         obs = resolved["observable"] = config.get("observable", cos)
@@ -190,9 +193,12 @@ def _parse(config):
 
 
 def _response_family(spec):
-    """The family v -> map of a response job, one member of it and its
-    echoed spec: derived_expanding is scanned in v, and any other builtin
-    map is held fixed."""
+    """The family of a response job, one member of it and its echoed spec.
+
+    The family takes an array of v (see ``curves.response_scan``):
+    derived_expanding is scanned in v and gives a block map of those
+    members, and any other builtin map is held fixed, one map for every v.
+    """
     _require(isinstance(spec, dict) and spec.get("kind", "builtin") == "builtin"
              and spec.get("name") in builtin_maps(),
              "response requires a builtin family name", "map.name")
@@ -332,7 +338,7 @@ def _handler_correlations(cfg, job):
 def _handler_clt(cfg, job):
     triple = _solve(cfg, job)
     p = cfg["params"]
-    var = stats_mod.clt_variance(job.map, triple, job.observable.fn, p["lag_max"])
+    var = stats_mod.clt_variance(job.map, triple, job.observable, p["lag_max"])
     results = {
         "sigma2": var.sigma2,
         "tail_bound": var.tail_bound,
@@ -420,7 +426,7 @@ def _handler_response(cfg, job):
     p = cfg["params"]
     vs = np.linspace(p["v_min"], p["v_max"], p["v_count"])
     scan = curves_mod.response_scan(
-        job.family, job.potential, job.observable.fn, vs, scheme=p["scheme"], n=p["n"],
+        job.family, job.potential, job.observable, vs, scheme=p["scheme"], n=p["n"],
         guard=(p["guard_N"], p["guard_gamma"], p["guard_resolution"]))
     results = {
         "max_adjacent_lambda_jump": float(np.max(np.abs(np.diff(scan.lam)))),

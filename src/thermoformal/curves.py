@@ -5,16 +5,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .certify import check_condition_C, potential_admissible
-from .errors import LegendreDegenerateError, ThermoformalError
+from .errors import LegendreDegenerateError, NonFiniteWeightsError, ThermoformalError
 from .maps import MapSpec, cell_centers, orbit_birkhoff_samples
-from .observables import PotentialSpec, combine
-from .operator import SpectralTriple, leading_triples, map_geometry
+from .observables import PotentialSpec, combine, finite_values
+from .operator import SpectralTriple, leading_triples, map_geometry, member_geometries
 # Unused here since every grid is solved in batches, but the benchmark's
 # layer tracer (``benchmarks/layertrace.py``) rebinds these names.
 from .operator import build_matrix, leading_triple  # noqa: F401
@@ -27,14 +27,15 @@ T_MAX_LADDER = 4.0
 #: free_energy_curve solves its grid GRID_BLOCK potentials at a time, so the
 #: memory of the batched solve does not grow with the number of grid points.
 GRID_BLOCK = 64
-#: response_scan prepares and solves its v-grid MEMBER_BLOCK family members
-#: at a time; each member holds a geometry of its own until its block is solved.
-MEMBER_BLOCK = 4
+#: response_scan inverts, certifies and solves its v-grid MEMBER_BLOCK family
+#: members at a time; each member holds the rows and columns of its own
+#: geometry, and its weights, until its block is solved.
+MEMBER_BLOCK = 8
 
 
 def ordered_map(fn, items):
     """``[fn(x) for x in items]``: the family members of a response block,
-    prepared in order on one thread.
+    weighted in order on one thread.
 
     A module-level name so that the benchmark's layer tracer
     (``benchmarks/layertrace.py``) can rebind ``curves.ordered_map``.
@@ -97,7 +98,8 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     Derivatives are central differences at the grid step; the convexity
     verdict uses the declared affine/strict bands.  When ``eps_guard`` is
     set, admissibility of phi +- t_max psi is checked and a failure only
-    warns.
+    warns.  An observable psi that is not finite on the entry points
+    raises ``NonFiniteWeightsError`` naming it.
 
     The map is inverted once for the whole grid (:func:`map_geometry`), and
     phi and psi are evaluated once on its entry points.  Each grid point's
@@ -111,6 +113,9 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     entry weights over the shared geometry; the others give only lambda.
     """
     ts = symmetric_grid(t_max, steps)
+    g = map_geometry(m, scheme, n)
+    phi_vals = phi.fn(g.points)
+    psi_vals = finite_values(psi, g.points, NonFiniteWeightsError)
     admissible = True
     if eps_guard is not None:
         for t_end in (-t_max, t_max):
@@ -123,13 +128,13 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                 f"admissibility guard at eps={eps_guard}; curve computed anyway",
                 stacklevel=2)
 
-    g = map_geometry(m, scheme, n)
-    phi_vals, psi_vals = phi.fn(g.points), psi.fn(g.points)
     lams = np.empty(ts.size)
     for start in range(0, ts.size, GRID_BLOCK):
         block = ts[start:start + GRID_BLOCK]
         pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
-        vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
+        # A weight that is not finite is reported by the solve.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
         vals[block == 0.0] = phi_vals
         triples = leading_triples(g, g.weights(vals), pots)
         for t, tr in zip(block, triples):
@@ -425,61 +430,85 @@ class ResponseScan:
     solve_failed: Optional[np.ndarray] = None
 
 
-def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
+def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
                   v_grid, scheme="collocation", n=512,
                   guard=None) -> ResponseScan:
     """lambda, pressure, and int obs dmu along a one-parameter map family.
 
-    ``phi`` is a PotentialSpec or a callable map -> PotentialSpec for
-    map-bound potentials.  ``guard`` = (N, gamma, resolution) runs the
-    contraction certificate per family member and flags failures without
-    stopping the scan.  Derivatives are central differences at the grid
-    step; the Richardson diagnostics compare them with the double-step
-    estimates on the shared interior points.
+    ``family`` takes an array of v: it returns a block map of those
+    members (``MapSpec.members``, as :func:`derived_expanding_map` does),
+    or one map for a family that does not depend on v; a float v gives
+    that member alone.  ``phi`` is a PotentialSpec or a callable map ->
+    PotentialSpec for map-bound potentials.  ``guard`` = (N, gamma,
+    resolution) runs the contraction certificate on every family member
+    and flags failures without stopping the scan.  Derivatives are central
+    differences at the grid step; the Richardson diagnostics compare them
+    with the double-step estimates on the shared interior points.
 
-    Each member's map is inverted once (:func:`map_geometry`); a collocation
-    guard at resolution n reads the level-1 preimages of that geometry
-    rather than inverting the centres again.  :func:`leading_triples`
-    solves ``MEMBER_BLOCK`` members at a time, each on its own geometry and
-    exactly as ``leading_triple(build_matrix(...))`` would.  A member whose
-    assembly or solve fails gets NaN in ``lam`` and ``mean_obs`` and True
-    in ``solve_failed``.
+    The v-grid runs ``MEMBER_BLOCK`` members at a time.  A block's members
+    are inverted in one call (:func:`member_geometries`), certified in one
+    call, and solved in one :func:`leading_triples` call with one geometry
+    per column; a collocation guard at resolution n reads the geometries'
+    level-1 preimages rather than inverting the centres again.  Once a
+    member's entry weights are formed its geometry keeps only the rows
+    and columns that the solve reads.  A map that does not depend on v is
+    inverted, certified and solved once for the whole grid.  Every
+    member's numbers equal those of ``leading_triple(build_matrix(...))``
+    on that member alone.  A member whose assembly or solve fails gets NaN
+    in ``lam`` and ``mean_obs`` and True in ``solve_failed``; an inversion
+    that fails for a block is redone member by member.
     """
     vs = np.asarray(v_grid, dtype=float)
     if vs.size < 5:
         raise ValueError("need at least 5 grid points")
-
-    def prepare(v):
-        """The member's geometry, entry weights, potential and guard verdict;
-        geometry and weights are None when the assembly fails."""
-        mv = family(float(v))
-        pot = phi(mv) if callable(phi) and not isinstance(phi, PotentialSpec) else phi
-        try:
-            g = map_geometry(mv, scheme, n)
-            w = g.weights(pot.fn(g.points))
-        except ThermoformalError:
-            g = w = None
-        ok = True
-        if guard is not None:
-            gN, ggamma, gres = guard
-            # The collocation points at n = gres are the guard's level-1 preimages.
-            share = g is not None and scheme == "collocation" and gres == n
-            ok = check_condition_C(mv, gN, ggamma, gres,
-                                   preimages=g.points[:, 0] if share else None).passed
-        return g, w, pot, ok
+    map_bound = callable(phi) and not isinstance(phi, PotentialSpec)
 
     lams = np.full(vs.size, math.nan)
     means = np.full(vs.size, math.nan)
     guard_ok = np.ones(vs.size, dtype=bool)
     failed = np.ones(vs.size, dtype=bool)
-    obs_vals = np.asarray(obs(cell_centers(n)), dtype=float)
+    obs_vals = finite_values(obs, cell_centers(n))
 
-    # A function, so that a block's geometries are freed before the next
-    # block is prepared.
-    def solve_block(start):
-        block = ordered_map(prepare, vs[start:start + MEMBER_BLOCK])
-        guard_ok[start:start + len(block)] = [ok for _, _, _, ok in block]
-        built = [(i, g, w, pot) for i, (g, w, pot, _) in enumerate(block, start) if g is not None]
+    def geometries(m, block):
+        """Each member's geometry; when the block's inversion fails, the
+        members are inverted one by one and a failing one gets None."""
+        try:
+            return member_geometries(m, scheme, n)
+        except ThermoformalError:
+            if m.members is None:
+                return [None]
+        out = []
+        for v in block:
+            try:
+                out.append(map_geometry(family(float(v)), scheme, n))
+            except ThermoformalError:
+                out.append(None)
+        return out
+
+    def prepare(start, m):
+        """The potentials, and the lean geometries and weights, of the
+        members of m from grid point ``start`` on; sets their guard flags.
+        The full geometries are freed on return."""
+        block = vs[start:start + (m.members or 1)]
+        geoms = geometries(m, block)
+        pots = ([phi(m if m.members is None else family(float(v))) for v in block]
+                if map_bound else [phi] * len(block))
+        if guard is not None:
+            gN, ggamma, gres = guard
+            # The collocation points at n = gres are the guard's level-1 preimages.
+            pre = None
+            if scheme == "collocation" and gres == n and None not in geoms:
+                pre = np.stack([g.points[:, 0] for g in geoms])
+                pre = pre if m.members else pre[0]
+            guard_ok[start:start + block.size] = check_condition_C(
+                m, gN, ggamma, gres, preimages=pre).passed
+        return pots, ordered_map(_weigh, zip(geoms, pots))
+
+    def solve(start, m):
+        """Fill the rows of the members of m from grid point ``start`` on."""
+        pots, cols = prepare(start, m)
+        built = [(i, g, w, pot) for i, ((g, w), pot) in enumerate(zip(cols, pots), start)
+                 if g is not None]
         if not built:
             return
         idx, geoms, ws, pots = zip(*built)
@@ -489,8 +518,14 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
                 means[i] = float(obs_vals @ tr.mu)
                 failed[i] = False
 
-    for start in range(0, vs.size, MEMBER_BLOCK):
-        solve_block(start)
+    m = family(vs[:MEMBER_BLOCK])
+    if m.members is None:           # one map for every v, so one column for all
+        solve(0, m)
+        for a in (lams, means, guard_ok, failed):
+            a[1:] = a[0]
+    else:
+        for start in range(0, vs.size, MEMBER_BLOCK):
+            solve(start, m if start == 0 else family(vs[start:start + MEMBER_BLOCK]))
 
     dv = vs[1] - vs[0]
     dlam, d2lam = _central_differences(lams, vs)
@@ -508,3 +543,13 @@ def response_scan(family: Callable[[float], MapSpec], phi, obs: Callable,
         guard_passed=guard_ok if guard is not None else None,
         solve_failed=failed,
     )
+
+
+def _weigh(member):
+    """The (lean geometry, entry weights) of a (geometry, potential) pair:
+    the lean geometry keeps only the rows and columns that the solve
+    reads.  (None, None) for a geometry of None."""
+    g, pot = member
+    if g is None:
+        return None, None
+    return replace(g, points=None, coef=None), g.weights(pot.fn(g.points))

@@ -22,6 +22,10 @@ class NonFiniteWeightsError(ThermoformalError):
     """Matrix entry weights are not all finite (exp(phi) overflowed, or phi is NaN)."""
 
 
+class NonFiniteObservableError(ThermoformalError):
+    """An observable is not finite at a point of the grid it is integrated on."""
+
+
 class ConvergenceError(ThermoformalError):
     """Iteration hit the cap; carries the last iterate for inspection."""
 

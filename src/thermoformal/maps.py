@@ -9,6 +9,11 @@ Inverse branches are found by inverting the lift: one table of the lift at
 ``LIFT_TABLE_CELLS + 1`` nodes brackets every target, then a safeguarded
 Newton iteration (plain halving for maps without derivative data) closes
 the bracket; see ``_invert_lift``.
+
+A block map holds several members of a map family at once (see
+:func:`derived_expanding_map`): its lift and derivative take each point's
+member index as a second argument, and the inversion and branch functions
+here take that index as ``member``.
 """
 
 from __future__ import annotations
@@ -59,28 +64,50 @@ class MapSpec:
 
     ``lift`` and ``derivative`` must accept numpy arrays.  ``r`` is the C^r
     degree (``math.inf`` for smooth builtins, 0 for Hölder-only maps without
-    derivative data).
+    derivative data).  ``members`` is None for one map, and K for a block
+    of K family members of one degree: its ``lift(x, member)`` and
+    ``derivative(x, member)`` evaluate member ``member[i]`` at ``x[i]``
+    (the two broadcast together).
     """
 
     name: str
     degree: int
-    lift: Callable[[np.ndarray], np.ndarray]
-    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    lift: Callable[..., np.ndarray]
+    derivative: Optional[Callable[..., np.ndarray]] = None
     r: float = math.inf
     json_kind: str = "builtin"
     json_params: dict = field(default_factory=dict)
+    members: Optional[int] = None
 
     def __post_init__(self):
         if self.degree < 1 or self.degree != int(self.degree):
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        g = float(np.asarray(self.lift(1.0)).ravel()[0]) - float(np.asarray(self.lift(0.0)).ravel()[0])
-        if abs(g - self.degree) > 1e-9:
-            raise ValueError(
-                f"lift({self.name}) spans {g} over [0,1], expected degree {self.degree}"
-            )
+        span = lift_each(self, 1.0) - lift_each(self, 0.0)
+        off = np.abs(span - self.degree) > 1e-9
+        if np.any(off):
+            raise ValueError(f"lift({self.name}) spans {np.ravel(span)[np.argmax(off)]} "
+                             f"over [0,1], expected degree {self.degree}")
 
     def __call__(self, x):
         return map_eval(self, x)
+
+
+def lift_of(m: MapSpec, x, member=None):
+    """``m.lift(x)``, or ``m.lift(x, member)`` for a block map."""
+    return m.lift(x) if member is None else m.lift(x, member)
+
+
+def deriv_of(m: MapSpec, x, member=None):
+    """``m.derivative(x)``, or ``m.derivative(x, member)`` for a block map."""
+    return m.derivative(x) if member is None else m.derivative(x, member)
+
+
+def lift_each(m: MapSpec, x=0.0):
+    """Each member's lift at the one point x: a float for a single map, an
+    array of one value per member for a block map."""
+    if m.members is None:
+        return float(np.asarray(m.lift(x)).ravel()[0])
+    return m.lift(np.full(m.members, x), np.arange(m.members))
 
 
 def cell_centers(n):
@@ -100,7 +127,7 @@ def deriv_at(m: MapSpec, x):
     return m.derivative(wrap01(np.asarray(x, dtype=float)))
 
 
-def branch_preimages(m: MapSpec, x):
+def branch_preimages(m: MapSpec, x, member=None):
     """All depth-1 preimages of the points ``x``, ordered by slice index.
 
     Returns an array of shape (G, len(x)): row k holds the branch-k
@@ -108,14 +135,18 @@ def branch_preimages(m: MapSpec, x):
     + k with c = lift(0).  The ordering is increasing in y, which is the
     deterministic per-level slice order used for branch ids.  All G rows
     are inverted in one ``_invert_lift`` call on a (G, len(x)) target array.
+    For a block map, ``member`` gives each point's member index.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = float(np.asarray(m.lift(0.0)).ravel()[0])
+    c = lift_each(m)
+    if member is not None:
+        member = np.broadcast_to(member, x.shape)
+        c = c[member]
     targets = x + np.ceil(c - x)
-    return _invert_lift(m, targets[None, :] + np.arange(m.degree)[:, None])
+    return _invert_lift(m, targets[None, :] + np.arange(m.degree)[:, None], member)
 
 
-def _invert_lift(m: MapSpec, t):
+def _invert_lift(m: MapSpec, t, member=None):
     """Solve lift(y) = t for y in [0, 1], elementwise over any shape of t.
 
     The lift is evaluated once on the table nodes k / LIFT_TABLE_CELLS, and a
@@ -141,28 +172,49 @@ def _invert_lift(m: MapSpec, t):
     halvings from [0, 1].  Every element's path depends only on the map and
     its own target, so results do not depend on how targets are batched.
 
+    For a block map, ``member`` (broadcast to t's shape) gives each
+    target's member index: every member gets a table row of its own, and
+    the index retires with the rest of its element, so each element takes
+    the path it takes when its member is inverted alone.
+
     A target that is not finite, or lies outside [lift(0), lift(1)] by more
     than 1e-9, raises ``BranchInversionError`` with its flat index
     (``slice_index``) and value (``target``).
     """
     t = np.asarray(t, dtype=float)
+    tt = t.ravel()
     nodes = np.arange(LIFT_TABLE_CELLS + 1) / LIFT_TABLE_CELLS
-    table = np.asarray(m.lift(nodes), dtype=float)
-    finite = np.isfinite(t)
-    bad = ~finite | (table[0] - 1e-9 > t) | (table[-1] + 1e-9 < t)
+    if member is None:
+        mem = None
+        table = np.asarray(m.lift(nodes), dtype=float)
+        t_min, t_max = table[0], table[-1]
+    else:
+        mem = np.broadcast_to(member, t.shape).ravel()
+        table = m.lift(nodes, np.arange(m.members)[:, None])
+        t_min, t_max = table[mem, 0], table[mem, -1]
+    finite = np.isfinite(tt)
+    bad = ~finite | (t_min - 1e-9 > tt) | (t_max + 1e-9 < tt)
     if np.any(bad):
         i = int(np.argmax(bad))
-        msg = (f"target {t.flat[i]} outside lift range [{table[0]}, {table[-1]}] "
+        lo_end, hi_end = (np.broadcast_to(e, tt.shape)[i] for e in (t_min, t_max))
+        msg = (f"target {tt[i]} outside lift range [{lo_end}, {hi_end}] "
                f"for map {m.name}: lift violates monotone-degree invariants"
-               if finite.flat[i] else f"target {t.flat[i]} is not finite (map {m.name})")
+               if finite[i] else f"target {tt[i]} is not finite (map {m.name})")
         raise BranchInversionError(
             msg,
             slice_index=i,
-            target=float(t.flat[i]),
+            target=float(tt[i]),
         )
-    tt = t.ravel()
-    k = np.searchsorted(table[1:-1], tt)
-    lo, hi, flo, fhi = nodes[k], nodes[k + 1], table[k], table[k + 1]
+    if mem is None:
+        k = np.searchsorted(table[1:-1], tt)
+        flo, fhi = table[k], table[k + 1]
+    else:
+        k = np.empty(tt.size, dtype=np.intp)
+        for j in range(m.members):
+            sel = mem == j
+            k[sel] = np.searchsorted(table[j, 1:-1], tt[sel])
+        flo, fhi = table[mem, k], table[mem, k + 1]
+    lo, hi = nodes[k], nodes[k + 1]
     newton = m.derivative is not None
     if newton:
         x = lo + np.clip((tt - flo) / (fhi - flo), 0.0, 1.0) * (hi - lo)
@@ -175,7 +227,7 @@ def _invert_lift(m: MapSpec, t):
     for it in range(last + 1):
         if not todo.size:
             break
-        fx = m.lift(x)
+        fx = lift_of(m, x, mem)
         left = fx < tt
         lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
         hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
@@ -188,9 +240,11 @@ def _invert_lift(m: MapSpec, t):
             keep = ~done
             todo, tt, x, fx, lo, hi, flo, fhi = (
                 a[keep] for a in (todo, tt, x, fx, lo, hi, flo, fhi))
+            if mem is not None:
+                mem = mem[keep]
         mid = 0.5 * (lo + hi)
         if it < newton_steps:
-            d = m.derivative(x)
+            d = deriv_of(m, x, mem)
             good = np.isfinite(d) & (d > 0.0)
             yn = x - (fx - tt) / np.where(good, d, 1.0)
             yn = np.where(yn == x, np.nextafter(x, np.where(x == lo, hi, lo)), yn)
@@ -200,8 +254,9 @@ def _invert_lift(m: MapSpec, t):
     return out.reshape(t.shape)
 
 
-def branch_lipschitz(m: MapSpec, y, cell_width=None):
-    """Depth-1 branch Lipschitz factor at preimage y.
+def branch_lipschitz(m: MapSpec, y, cell_width=None, member=None):
+    """Depth-1 branch Lipschitz factor at preimage y (of member ``member``
+    for a block map).
 
     1/f'(y) when the map is C^1; otherwise a symmetric difference quotient
     of the lift over the discretization cell (the cell stands in for the
@@ -209,10 +264,10 @@ def branch_lipschitz(m: MapSpec, y, cell_width=None):
     """
     y = np.asarray(y, dtype=float)
     if m.derivative is not None:
-        return 1.0 / m.derivative(wrap01(y))
+        return 1.0 / deriv_of(m, wrap01(y), member)
     h = 0.5 * (cell_width if cell_width is not None else DEFAULT_CELL_WIDTH)
     yy = wrap01(y)
-    return (2.0 * h) / (m.lift(yy + h) - m.lift(yy - h))
+    return (2.0 * h) / (lift_of(m, yy + h, member) - lift_of(m, yy - h, member))
 
 
 def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
@@ -409,28 +464,44 @@ def derived_expanding_map(v):
     v=0 is exactly the doubling map; f'(0) = 2 - v, so v>1 turns the fixed
     point into a sink while the map stays expanding outside the bump.
     Requires v < 2 to keep the lift strictly increasing.
+
+    An array of v gives one block map of those members (``MapSpec.members``):
+    its lift and derivative read each point's v through its member index
+    and then do the float operations of the member's own map, so every
+    value is bit-equal to the member's.
     """
-    v = float(v)
-    if not 0.0 <= v < 2.0:
-        raise ValueError(f"derived_expanding requires 0 <= v < 2, got {v}")
-
-    def lift(x, v=v):
-        x = np.asarray(x, dtype=float)
-        w = x - np.round(x)
-        return 2.0 * x - v * _sink_bump(w)
-
-    def deriv(x, v=v):
-        x = np.asarray(x, dtype=float)
-        w = x - np.round(x)
-        return 2.0 - v * _sink_bump_deriv(w)
-
+    vs = np.asarray(v, dtype=float).ravel() if np.ndim(v) else float(v)
+    bad = ~((0.0 <= np.ravel(vs)) & (np.ravel(vs) < 2.0))
+    if bad.any():
+        raise ValueError(f"derived_expanding requires 0 <= v < 2, got {np.ravel(vs)[np.argmax(bad)]}")
+    if np.ndim(vs):
+        return MapSpec(
+            name=f"derived_expanding(v={','.join(f'{x:g}' for x in vs)})",
+            degree=2,
+            lift=lambda x, member: _derived_lift(x, vs[member]),
+            derivative=lambda x, member: _derived_deriv(x, vs[member]),
+            json_params={"name": "derived_expanding", "v": vs.tolist()},
+            members=vs.size,
+        )
     return MapSpec(
-        name=f"derived_expanding(v={v:g})",
+        name=f"derived_expanding(v={vs:g})",
         degree=2,
-        lift=lift,
-        derivative=deriv,
-        json_params={"name": "derived_expanding", "v": v},
+        lift=lambda x: _derived_lift(x, vs),
+        derivative=lambda x: _derived_deriv(x, vs),
+        json_params={"name": "derived_expanding", "v": vs},
     )
+
+
+def _derived_lift(x, v):
+    x = np.asarray(x, dtype=float)
+    w = x - np.round(x)
+    return 2.0 * x - v * _sink_bump(w)
+
+
+def _derived_deriv(x, v):
+    x = np.asarray(x, dtype=float)
+    w = x - np.round(x)
+    return 2.0 - v * _sink_bump_deriv(w)
 
 
 def builtin_maps():
@@ -482,6 +553,8 @@ def map_from_json(obj):
             m = catalog[name](**params)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad params for builtin map {name!r}: {exc}", "map.params") from exc
+        if m.members is not None:
+            raise SchemaError(f"params of builtin map {name!r} must be numbers", "map.params")
         if "degree" in obj and obj["degree"] != m.degree:
             raise SchemaError(f"declared degree {obj['degree']} != {m.degree}", "map.degree")
         return m

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NonFiniteObservableError, SchemaError
 from .maps import MapSpec, check_keys, deriv_at, map_eval, piecewise_polyval, wrap01
 
 
@@ -97,6 +97,25 @@ def piecewise_poly(breakpoints, coefficients, name="piecewise_poly"):
                   "params": {"breakpoints": bp.tolist(),
                              "coefficients": [c.tolist() for c in coefs]}},
     )
+
+
+def finite_values(obs, x, error=NonFiniteObservableError):
+    """``obs(x)`` as floats, checked to be finite.
+
+    ``obs`` is a PotentialSpec or a plain callable.  A value that is not
+    finite (including one that overflows while it is evaluated, which
+    gives no numpy warning here) raises ``error``, naming the observable,
+    the first such value and its point.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(obs(x), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = obs.name if isinstance(obs, PotentialSpec) else getattr(obs, "__name__", "obs")
+        raise error(f"observable {name} is not finite on the grid: "
+                    f"{vals.flat[i]} at x = {np.broadcast_to(x, vals.shape).flat[i]}")
+    return vals
 
 
 def combine(phi: PotentialSpec, psi: PotentialSpec, t):

@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NonFiniteWeightsError, ReducibleMatrixError
-from .maps import MapSpec, branch_preimages, cell_centers, map_eval, wrap01, _invert_lift
+from .maps import (MapSpec, branch_preimages, cell_centers, lift_of, lift_each, map_eval,
+                   wrap01, _invert_lift)
 from .observables import PotentialSpec
 
 #: Largest n accepted.  Solves and diagnostics read only the entries, but
@@ -181,20 +182,31 @@ class TransferMatrix:
 
 def map_geometry(m: MapSpec, scheme: str, n: int) -> MapGeometry:
     """The entries of the n x n discretization of L_f in the given scheme."""
+    if m.members is not None:
+        raise ValueError(f"{m.name} is a block map: see member_geometries")
+    [g] = member_geometries(m, scheme, n)
+    return g
+
+
+def member_geometries(m: MapSpec, scheme: str, n: int):
+    """One :class:`MapGeometry` per member of the block map ``m`` (one in
+    all for a single map), each equal to the member's own
+    :func:`map_geometry`.  Every member's targets are inverted in one
+    call, and collocation members share one ``rows`` array."""
     if n < 16:
         raise ValueError("n must be >= 16")
     if n > MAX_DENSE_N:
         raise ValueError(f"n is capped at {MAX_DENSE_N}: the dense A, formed when "
                          f"read, takes 8 n^2 bytes")
     if scheme == "collocation":
-        (rows, cols, points, coef), scale = _collocation_entries(m, n), 1
+        entries, scale = _collocation_entries(m, n), 1
     elif scheme == "ulam":
-        (rows, cols, points, coef), scale = _ulam_entries(m, n), n
+        entries, scale = _ulam_entries(m, n), n
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return MapGeometry(scheme=scheme, n=n, map=m,
-                       rows=np.broadcast_to(rows, coef.shape).ravel(), cols=cols.ravel(),
-                       points=points, coef=coef, scale=scale)
+    return [MapGeometry(scheme=scheme, n=n, map=m, rows=rows, cols=cols.ravel(),
+                        points=points, coef=coef, scale=scale)
+            for rows, cols, points, coef in entries]
 
 
 def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> TransferMatrix:
@@ -208,37 +220,67 @@ def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> Transfe
     return TransferMatrix(geometry=g, weights=g.weights(phi.fn(g.points)), potential=phi)
 
 
+def _members(m: MapSpec):
+    """The member indices of a block map, [None] for a single map."""
+    return [None] if m.members is None else range(m.members)
+
+
 def _collocation_entries(m: MapSpec, n: int):
     """Row i samples L at the centre x_i: each preimage y of x_i enters the
     two hats around it, with weights 1 - w and w.  Entries are ordered by
-    branch, then lower/upper hat, then row; points has shape (G, 1, n)."""
-    y = wrap01(branch_preimages(m, cell_centers(n)))[:, None, :]
+    branch, then lower/upper hat, then row; points has shape (G, 1, n).
+    Returns ``(rows, cols, points, coef)`` per member, with ``rows``, of
+    ``coef``'s size, shared."""
+    x = cell_centers(n)
+    if m.members is None:
+        y = branch_preimages(m, x)[None]
+    else:
+        K = m.members
+        y = branch_preimages(m, np.tile(x, K), np.repeat(np.arange(K), n))
+        y = np.moveaxis(y.reshape(m.degree, K, n), 0, 1)
+    y = wrap01(y)[:, :, None, :]
     p = y * n - 0.5
     j0 = np.floor(p).astype(np.int64)
     w_hi = p - j0
-    cols = np.mod(np.concatenate([j0, j0 + 1], axis=1), n)
-    coef = np.concatenate([1.0 - w_hi, w_hi], axis=1)
-    return np.arange(n), cols, y, coef
+    cols = np.mod(np.concatenate([j0, j0 + 1], axis=2), n)
+    coef = np.concatenate([1.0 - w_hi, w_hi], axis=2)
+    rows = np.broadcast_to(np.arange(n), coef.shape[1:]).ravel()
+    return [(rows, c, pts, cf) for c, pts, cf in zip(cols, y, coef)]
 
 
 def _ulam_entries(m: MapSpec, n: int):
     """Cut [0, 1] at the slice boundaries s_b (lift(s_b) = c + b, c = lift(0)),
     at the preimages of the lattice values k/n and at the source-cell edges
     j/n.  Each piece lies in one source cell j and maps into one image cell
-    i; its image length is its entry at (i, j), its midpoint its point."""
-    c = float(np.asarray(m.lift(0.0)).ravel()[0])
-    bounds = c + np.arange(m.degree + 1)
-    # One inversion for the slice boundaries and the lattice values; lattice
-    # values and cell edges on a slice boundary would add only empty pieces.
-    lattice = np.arange(math.floor(c * n) + 1, math.ceil(bounds[-1] * n)) / n
-    lattice = lattice[~np.isin(lattice, bounds)]
-    inv = _invert_lift(m, np.concatenate([bounds, lattice]))
+    i; its image length is its entry at (i, j), its midpoint its point.
+    Returns ``(rows, cols, points, coef)`` per member."""
+    c = lift_each(m)
+    cuts = []
+    for k in _members(m):
+        ck = c if k is None else c[k]
+        bounds = ck + np.arange(m.degree + 1)
+        # Lattice values and cell edges on a slice boundary would add only
+        # empty pieces.
+        lattice = np.arange(math.floor(ck * n) + 1, math.ceil(bounds[-1] * n)) / n
+        cuts.append((bounds, lattice[~np.isin(lattice, bounds)]))
+    # One inversion for every member's slice boundaries and lattice values.
+    sizes = [b.size + lat.size for b, lat in cuts]
+    targets = np.concatenate([a for cut in cuts for a in cut])
+    inv = (_invert_lift(m, targets) if m.members is None
+           else _invert_lift(m, targets, np.repeat(np.arange(m.members), sizes)))
+    return [_ulam_pieces(m, k, bounds, lattice, part, n) for k, (bounds, lattice), part
+            in zip(_members(m), cuts, np.split(inv, np.cumsum(sizes)[:-1]))]
+
+
+def _ulam_pieces(m, k, bounds, lattice, inv, n):
+    """One member's Ulam entries from the preimages ``inv`` of its slice
+    boundaries and lattice values."""
     s = inv[:bounds.size]
     s[0], s[-1] = 0.0, 1.0          # endpoints exact
     edges = np.arange(1, n) / n
     edges = edges[~np.isin(edges, s)]
     dom = np.concatenate([s, inv[bounds.size:], edges])
-    img = np.concatenate([bounds, lattice, m.lift(edges)])
+    img = np.concatenate([bounds, lattice, lift_of(m, edges, k)])
     order = np.argsort(dom, kind="stable")
     dom, img = dom[order], img[order]
     mid_dom = 0.5 * (dom[:-1] + dom[1:])

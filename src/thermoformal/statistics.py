@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
+from .observables import finite_values
 from .operator import SpectralTriple, gap_ratio
 
 #: Absolute variance floor for the coboundary flag; discretization noise in
@@ -82,11 +83,12 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     gap^(lag_max+1)/(1-gap) * C_v(0) controls the truncated series when the
     gap estimate is resolved, and is None otherwise; the coboundary flag
     fires when sigma^2 falls below 10x that bound or below the absolute
-    floor (discretization noise scale).
+    floor (discretization noise scale).  A psi that is not finite on the
+    grid raises ``NonFiniteObservableError`` naming it.
     """
     if lag_max < 1:
         raise ValueError("lag_max must be >= 1")
-    mean = float(np.asarray(psi(triple.grid), dtype=float) @ triple.mu)
+    mean = float(finite_values(psi, triple.grid) @ triple.mu)
     v = lambda z, psi=psi, c=mean: np.asarray(psi(z), dtype=float) - c
     series = correlations(m, triple, v, v, lag_max)
     c0 = series.values[0]

@@ -284,6 +284,30 @@ class TestMain:
         assert err["error"] == "NonFiniteWeightsError"
         assert "entry weights that are not all finite" in err["message"]
 
+    @pytest.mark.parametrize("command, params, error", [
+        ("clt", {"n": 64, "samples": 100}, "NonFiniteObservableError"),
+        ("free-energy", {"n": 64, "steps": 5}, "NonFiniteWeightsError"),
+        ("ldp", {"n": 64, "steps": 5, "s_steps": 5, "n_list": [4, 8], "samples": 100},
+         "NonFiniteWeightsError"),
+        ("response", {"n": 64, "v_count": 5, "guard_resolution": 64},
+         "NonFiniteObservableError"),
+    ], ids=["clt", "free-energy", "ldp", "response"])
+    def test_overflowing_observable_exit_compute(self, tmp_path, capfd, command, params, error):
+        # the observable overflows to inf on the grid: one JSON line naming
+        # it on stderr, and no numpy warning
+        overflow = {"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 1e308, 1e308]]}}
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(job(command, observable=overflow, params=params)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", str(cfg_path)])
+        assert code == cli.EXIT_COMPUTE
+        [line] = capfd.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == error
+        assert err["message"].startswith("observable piecewise_poly is not finite on the grid")
+
     def test_schema_violation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "job.json"
         cfg_path.write_text(json.dumps(job("spectrum", params={"n": "large"})))

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -590,7 +591,8 @@ class TestResponseBatches:
         ("ulam", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
     ], ids=["guard-n", "guard-depth-2", "guard-resolution-2n", "no-guard", "ulam"])
     def test_matches_per_member_path(self, scheme, n, guard, phi):
-        vs = np.linspace(0.5, 1.5, 11)             # blocks 4, 4, 3
+        vs = np.linspace(0.5, 1.5, 11)             # MEMBER_BLOCK = 4: blocks 4, 4, 3
+        assert vs.size % Cv.MEMBER_BLOCK            # the last block is ragged
         sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, scheme, n, guard)
         lam, mean, ok, failed = _per_member_scan(M.derived_expanding_map, phi, COS1.fn,
                                                  vs, scheme, n, guard)
@@ -616,24 +618,45 @@ class TestResponseBatches:
         assert np.isnan(sc.lam[failed]).all() and np.isnan(sc.mean_obs[failed]).all()
         assert sc.lam.tobytes() == lam.tobytes() and sc.mean_obs.tobytes() == mean.tobytes()
 
-    @pytest.mark.parametrize("guard, guard_calls", [((1, 0.7, 64), 0), ((2, 0.7, 64), 1),
-                                                    ((1, 0.7, 128), 1)])
-    def test_each_member_inverted_once(self, monkeypatch, guard, guard_calls):
-        # the guard at resolution n reads the geometry's level-1 preimages
-        calls = {"operator": 0, "certify": 0}
+    @staticmethod
+    def _inverted_points(monkeypatch, family, guard):
+        """Preimages computed per member, by the geometry ("operator") and
+        by the guard ("certify"): the member's v, or the name of a map that
+        does not depend on v."""
+        points = {"operator": Counter(), "certify": Counter()}
 
         def counted(name, real):
-            def inverse(*args):
-                calls[name] += 1
-                return real(*args)
+            def inverse(m, x, member=None):
+                out = real(m, x, member)
+                label = (np.asarray(m.json_params["v"])[member] if member is not None
+                         else np.full(np.shape(x), m.json_params.get("v", m.name)))
+                points[name].update(np.broadcast_to(label, out.shape).ravel().tolist())
+                return out
             return inverse
 
         for mod, name in ((T, "operator"), (C, "certify")):
             monkeypatch.setattr(mod, "branch_preimages", counted(name, mod.branch_preimages))
-        vs = np.linspace(0.5, 1.5, 5)
-        Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn, vs,
+        Cv.response_scan(family, O.fourier_cos(1, 0.1), COS1.fn, np.linspace(0.5, 1.5, 5),
                          n=64, guard=guard)
-        assert calls == {"operator": vs.size, "certify": guard_calls * vs.size}
+        return points
+
+    @pytest.mark.parametrize("guard, guard_calls", [((1, 0.7, 64), 0), ((2, 0.7, 64), 1),
+                                                    ((1, 0.7, 128), 1)])
+    def test_each_member_inverted_once(self, monkeypatch, guard, guard_calls):
+        # Each member's 64 centres on 2 branches once; the guard at
+        # resolution n reads the geometry's level-1 preimages, and each of
+        # its own inversions here gives 256 (2 x 128 level-1 points at
+        # depth 2, or 2 x 128 centres at resolution 128).
+        points = self._inverted_points(monkeypatch, M.derived_expanding_map, guard)
+        assert list(points["operator"].values()) == [2 * 64] * 5
+        assert list(points["certify"].values()) == [256] * (5 * guard_calls)
+
+    @pytest.mark.parametrize("guard", [(1, 0.7, 64), (2, 0.7, 64)])
+    def test_fixed_map_inverted_once(self, monkeypatch, guard):
+        # a map that does not depend on v is one member for the whole grid
+        points = self._inverted_points(monkeypatch, lambda v: M.doubling_map(), guard)
+        assert points["operator"] == {"doubling": 2 * 64}
+        assert points["certify"] == ({"doubling": 256} if guard[0] == 2 else {})
 
 
 class TestSymmetricGrid:
