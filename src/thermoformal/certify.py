@@ -27,6 +27,8 @@ MODE_CENTER_ONLY = "center_only"
 
 #: Cells on which potential_stats samples a potential.
 STATS_GRID_N = 1024
+#: Its Hölder seminorm, an exact max over cell pairs, is taken in blocks of this many rows.
+STATS_BLOCK = 64
 #: Cells on which the inflation modulus rho = max |(log f')'| is estimated.
 LOG_DERIV_SAMPLES = 16384
 #: It is evaluated in blocks of at most LOG_DERIV_BLOCK grid differences.
@@ -299,27 +301,28 @@ def covering_budget(gamma, L, N, G, dim_m=1, C=None, diam_m=0.5,
 
     Finds the smallest ell satisfying both scan estimates, then the smallest
     k with D_k * B_k < G^(ell*k*N), all in exact integer arithmetic (a float
-    log prescreen only skips hopeless k).  Hitting a cap yields an
-    infeasible verdict, not an exception.  m0 is ell*k0*N for the smallest
-    k0 >= k that also keeps the composite tail rate gamma_tilde^k0 * L^(ell*N)
-    below 1, which is the iterate from which every larger m works.
+    log prescreen only skips hopeless k).  The ell scan stops where estimate 3.1 first fails
+    (for L >= 1 it fails at every larger ell); that or a cap yields an infeasible verdict, not
+    an exception.  m0 is ell*k0*N for the smallest k0 >= k that also keeps the composite tail
+    rate gamma_tilde^k0 * L^(ell*N) below 1: the iterate from which every larger m works.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if L < 1.0 or N < 1 or G < 2 or dim_m < 1:
-        raise ValueError("need L >= 1, N >= 1, G >= 2, dim_m >= 1")
+    if L < 1.0 or N < 1 or G < 2 or dim_m < 1 or ell_cap < 1:
+        raise ValueError("need L >= 1, N >= 1, G >= 2, dim_m >= 1, ell_cap >= 1")
     if C is None:
         C = (math.sqrt(2.0) * diam_m) ** dim_m
     if C <= 0:
         raise ValueError("C must be positive")
 
     ell = None
-    for cand in range(1, ell_cap + 1):
-        if estimate_31(gamma, L, N, cand) and estimate_32(L, N, G, dim_m, cand):
-            ell = cand
+    for last in range(1, ell_cap + 1):
+        if not estimate_31(gamma, L, N, last):
+            break                   # and so at every larger ell
+        if estimate_32(L, N, G, dim_m, last):
+            ell = last
             break
     if ell is None:
-        last = ell_cap
         violated = []
         if not estimate_31(gamma, L, N, last):
             violated.append("estimate_3_1")
@@ -428,12 +431,14 @@ def potential_stats(phi: PotentialSpec):
     inf = float(np.min(vals)) - 0.5 * rho_phi * w
 
     e = np.exp(vals)
-    d = np.abs(xs[None, :] - xs[:, None])
-    d = np.minimum(d, 1.0 - d)
-    np.fill_diagonal(d, 1.0)
-    quot = np.abs(e[None, :] - e[:, None]) / d ** phi.alpha
+    block_max = []
+    for i in range(0, STATS_GRID_N, STATS_BLOCK):
+        d = np.abs(xs - xs[i:i + STATS_BLOCK, None])
+        d = np.minimum(d, 1.0 - d)
+        np.fill_diagonal(d[:, i:], 1.0)        # the pairs (x, x)
+        block_max.append(np.max(np.abs(e - e[i:i + STATS_BLOCK, None]) / d ** phi.alpha))
     rho_e = float(np.max(np.abs(np.diff(np.concatenate([e, e[:1]]))))) / w
-    seminorm = float(np.max(quot)) + rho_e * w ** (1.0 - phi.alpha)
+    seminorm = float(np.max(block_max)) + rho_e * w ** (1.0 - phi.alpha)
     return sup, inf, seminorm
 
 

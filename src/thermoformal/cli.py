@@ -14,7 +14,6 @@ fail, 3 certification uncertified (center-value mode), 4 computation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -284,8 +283,8 @@ def _handler_certify(cfg, job):
         "failure_count": int(rep.failures.size),
     }
     table = ("certify", ["cell", "raw_bound", "bound", "witness_branch", "witness_preimage"],
-             list(zip(range(rep.resolution), rep.raw_bound.tolist(), rep.bound.tolist(),
-                      rep.witness_branch.tolist(), rep.witness_preimage.tolist())))
+             (range(rep.resolution), rep.raw_bound, rep.bound, rep.witness_branch,
+              rep.witness_preimage))
     code = (EXIT_CERTIFY_FAIL if not rep.passed else
             EXIT_UNCERTIFIED if rep.mode == certify_mod.MODE_CENTER_ONLY else EXIT_OK)
     return code, results, [table]
@@ -312,9 +311,7 @@ def _handler_spectrum(cfg, job):
         "class_period": cls.period,
         "mass_outside_class": cls.mass_outside,
     }
-    table = ("spectrum", ["x", "h", "nu", "mu"],
-             list(zip(triple.grid.tolist(), triple.h.tolist(), triple.nu.tolist(),
-                      triple.mu.tolist())))
+    table = ("spectrum", ["x", "h", "nu", "mu"], (triple.grid, triple.h, triple.nu, triple.mu))
     return EXIT_OK, results, [table]
 
 
@@ -330,8 +327,7 @@ def _handler_correlations(cfg, job):
         "gap_ratio": gap.ratio,
         "gap_resolved": gap.resolved,
     }
-    table = ("correlations", ["lag", "C"],
-             list(zip(series.lags.tolist(), series.values.tolist())))
+    table = ("correlations", ["lag", "C"], (series.lags, series.values))
     return EXIT_OK, results, [table]
 
 
@@ -354,7 +350,7 @@ def _handler_clt(cfg, job):
                                       p["samples"], cfg["seed"], variance=var)
         results["ks_statistic"] = rep.ks_statistic
         tables.append(("clt_qq", ["level", "sample_quantile", "gaussian_quantile"],
-                       rep.quantiles.tolist()))
+                       rep.quantiles.T))
     return EXIT_OK, results, tables
 
 
@@ -384,8 +380,8 @@ def _handler_free_energy(cfg, job):
                           "gap": abs(val - float(curve.E[i]))}
         results["mc_check"] = mc
     table = ("free_energy", ["t", "E", "E1", "E2"],
-             list(zip(curve.t.tolist(), curve.E.tolist(), curve.E1.tolist(),
-                      [x if not math.isnan(x) else "" for x in curve.E2.tolist()])))
+             (curve.t, curve.E, curve.E1,
+              [x if not math.isnan(x) else "" for x in curve.E2.tolist()]))
     return EXIT_OK, results, [table]
 
 
@@ -398,8 +394,7 @@ def _handler_rate_function(cfg, job):
         "I_at_s_star": curves_mod.legendre_value(curve, rate.s_star)[0],
         "eq5_residual": rate.eq5_residual,
     }
-    table = ("rate_function", ["s", "I", "t_of_s"],
-             list(zip(rate.s.tolist(), rate.I.tolist(), rate.t_of_s.tolist())))
+    table = ("rate_function", ["s", "I", "t_of_s"], (rate.s, rate.I, rate.t_of_s))
     return EXIT_OK, results, [table]
 
 
@@ -417,8 +412,7 @@ def _handler_ldp(cfg, job):
         "censored": rep.censored,
         "counts": rep.counts.tolist(),
     }
-    table = ("ldp", ["n", "count", "rate"],
-             list(zip(rep.n_values.tolist(), rep.counts.tolist(), rep.rates.tolist())))
+    table = ("ldp", ["n", "count", "rate"], (rep.n_values, rep.counts, rep.rates))
     return EXIT_OK, results, [table]
 
 
@@ -435,8 +429,7 @@ def _handler_response(cfg, job):
         "guard_all_passed": bool(scan.guard_passed.all()),
     }
     table = ("response", ["v", "lambda", "pressure", "mean_obs", "dlambda"],
-             list(zip(scan.v.tolist(), scan.lam.tolist(), scan.pressure.tolist(),
-                      scan.mean_obs.tolist(), scan.dlam.tolist())))
+             (scan.v, scan.lam, scan.pressure, scan.mean_obs, scan.dlam))
     return EXIT_OK, results, [table]
 
 
@@ -472,8 +465,8 @@ def run(config, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.json").write_text(dumps_summary(summary) + "\n")
-        for name, header, rows in tables:
-            write_csv(out / f"{name}.csv", header, rows)
+        for name, header, columns in tables:
+            write_csv(out / f"{name}.csv", header, columns)
     return code, summary
 
 
@@ -505,13 +498,15 @@ def _finite_or_null(obj, path, non_finite):
     return obj
 
 
-def write_csv(path, header, rows):
-    """One-line header, fixed column order.  Cells are Python scalars, and
-    csv writes a float as its ``repr``, which round-trips exactly."""
+def write_csv(path, header, columns):
+    """Stream ``columns`` (arrays or lists) under a one-line header.  A cell is
+    ``str`` of a numpy column's ``tolist`` entry: a float's shortest repr (exact),
+    an int's digits or "" for a blank; joined by "," unquoted, lines end in CRLF."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(line % tuple(header))
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 def main(argv=None):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -271,6 +273,18 @@ class TestCoveringBudget:
         assert not b.feasible
         assert b.violated is not None
 
+    @pytest.mark.parametrize("args", [(0.5, 2.0, 1, 2),
+                                      (0.9, 1.25, 3, 2)])   # derived_expanding at v = 1.2
+    def test_estimate_31_failure_ends_the_scan(self, args):
+        # scanning on to ell_cap would overflow L ** (N * (ell - 1)) near ell = 1000
+        b = C.covering_budget(*args)
+        assert not b.feasible
+        assert "estimate_3_1" in b.violated.split("+")
+
+    def test_empty_ell_scan_rejected(self):
+        with pytest.raises(ValueError, match="ell_cap >= 1"):
+            C.covering_budget(0.5, 1.0, 1, 2, ell_cap=0)
+
     def test_exactness_overflows_floats(self):
         # thresholds at modest k already exceed 2^63; exact ints required
         b = C.covering_budget(gamma=0.5, L=1.0, N=2, G=3, dim_m=1)
@@ -279,6 +293,39 @@ class TestCoveringBudget:
 
 
 class TestPotentialAdmissibility:
+    @staticmethod
+    def _dense_seminorm(phi):
+        """The seminorm term of potential_stats from the full pair matrix."""
+        w = 1.0 / C.STATS_GRID_N
+        xs = M.cell_centers(C.STATS_GRID_N)
+        e = np.exp(phi.fn(xs))
+        d = np.abs(xs[None, :] - xs[:, None])
+        d = np.minimum(d, 1.0 - d)
+        np.fill_diagonal(d, 1.0)
+        quot = np.abs(e[None, :] - e[:, None]) / d ** phi.alpha
+        rho_e = float(np.max(np.abs(np.diff(np.concatenate([e, e[:1]]))))) / w
+        return float(np.max(quot)) + rho_e * w ** (1.0 - phi.alpha)
+
+    @pytest.mark.parametrize("phi", [
+        O.fourier_cos(1, 1.0), O.fourier_sin(3, 0.4), O.constant(0.3),
+        O.piecewise_poly([0.0, 0.3, 1.0], [[0.0, 2.0, -1.0], [0.5, 0.0, 3.0]]),
+        dataclasses.replace(O.fourier_cos(2, 0.7), alpha=0.5),
+    ])
+    def test_stats_seminorm_blocks_equal_dense(self, phi):
+        assert C.potential_stats(phi)[2] == self._dense_seminorm(phi)
+
+    def test_stats_hold_no_pair_matrix(self):
+        phi = O.fourier_cos(1, 1.0)
+        C.potential_stats(phi)
+        tracemalloc.start()
+        try:
+            C.potential_stats(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 pair matrix alone is 8 MiB; a call held three of them
+        assert peak < 4 * 2 ** 20
+
     def test_zero_potential(self):
         rep = C.potential_admissible(O.zero, eps=0.05)
         assert rep.variation_ok and rep.seminorm_ok and rep.admissible

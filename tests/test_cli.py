@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -175,6 +176,57 @@ class TestRun:
         assert len(lines) == 8
         c0 = float(lines[1].split(",")[1])
         assert c0 == pytest.approx(0.5, abs=1e-10)
+
+
+def _reference_csv(path, header, columns):
+    """csv.writer's bytes for a table, each numpy column read through tolist."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+class TestWriteCsv:
+    def test_cells_as_csv_writer_wrote_them(self, tmp_path):
+        inf = float("inf")
+        floats = [0.1, -0.0, 1e16, 1e-05, 5e-324, float("nan"), inf, -inf]
+        columns = (floats, np.array(floats[::-1]), np.arange(-3, 5, dtype=np.int64),
+                   [0, 1, -2, 10 ** 20, 7, 8, 9, 10], range(8),
+                   ["", 0.5, "", 2, "", "", 1e300, ""])
+        header = ["f", "np_f", "np_i", "i", "r", "blank"]
+        cli.write_csv(tmp_path / "a.csv", header, columns)
+        _reference_csv(tmp_path / "b.csv", header, columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes().splitlines(keepends=True)[:2] == [
+            b"f,np_f,np_i,i,r,blank\r\n", b"0.1,-inf,-3,0,0,\r\n"]
+
+    @pytest.mark.parametrize("cfg", [
+        job("certify", map={"kind": "builtin", "name": "mp_like"},
+            params={"N": 2, "resolution": 64}),
+        job("spectrum", params={"n": 64}),
+        job("correlations", params={"n": 64, "n_max": 8}),
+        job("clt", seed=2, params={"n": 64, "samples": 200, "orbit_n": 5}),
+        job("free-energy", params={"n": 64, "steps": 5, "eps_guard": 1.0}),
+        job("rate-function", params={"n": 64, "steps": 9, "s_steps": 11}),
+        job("ldp", seed=1, params={"n": 64, "steps": 11, "s_steps": 21, "n_list": [4, 8],
+                                   "samples": 2000}),
+        job("response", params={"n": 64, "v_count": 5, "guard_resolution": 64}),
+    ], ids=lambda cfg: cfg["command"])
+    def test_every_table_as_csv_writer_wrote_it(self, tmp_path, monkeypatch, cfg):
+        written = []
+
+        def both(path, header, columns):
+            write_csv(path, header, columns)
+            _reference_csv(tmp_path / "ref.csv", header, columns)
+            written.append(path.read_bytes() == (tmp_path / "ref.csv").read_bytes())
+
+        write_csv = cli.write_csv
+        monkeypatch.setattr(cli, "write_csv", both)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)      # a failed admissibility guard
+            cli.run(cfg, tmp_path / "out")
+        assert written and all(written)
 
 
 class TestReproducibility:
