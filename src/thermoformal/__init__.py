@@ -21,7 +21,6 @@ from .curves import (
     FreeEnergyCurve,
     RateFunction,
     ResponseScan,
-    derivative_checks,
     free_energy_curve,
     free_energy_mc,
     ldp_empirical,
@@ -49,7 +48,6 @@ from .observables import (
     fourier_sin,
     neg_log_deriv,
     observable_from_json,
-    observable_library,
 )
 from .operator import (
     SpectralTriple,

@@ -406,14 +406,6 @@ class PotentialAdmissibility:
     iterate_lhs: Optional[float] = None
     iterate_ok: Optional[bool] = None
 
-    def recompute(self):
-        """Verdicts re-derived from the stored numbers (determinism check)."""
-        var_ok = self.sup_phi - self.inf_phi < self.eps
-        if self.seminorm_exp_phi is None:
-            return var_ok, None, None
-        s_ok = self.seminorm_exp_phi < self.eps * math.exp(self.inf_phi)
-        return var_ok, s_ok, var_ok and s_ok
-
 
 def potential_stats(phi: PotentialSpec):
     """(sup, inf, Hölder seminorm of e^phi) from sampling on STATS_GRID_N cells.

@@ -45,6 +45,8 @@ MAX_GRID_STEPS = 10_001
 #: ``degree**N * resolution`` cells and a discretization ``degree * n``
 #: points, capped at the same number.
 MAX_SAMPLES = 10 ** 8
+#: Deepest nesting of objects and lists in a config (and so of specs in specs).
+MAX_CONFIG_DEPTH = 32
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -199,7 +201,7 @@ def _response_family(spec):
     members, and any other builtin map is held fixed, one map for every v.
     """
     _require(isinstance(spec, dict) and spec.get("kind", "builtin") == "builtin"
-             and spec.get("name") in builtin_maps(),
+             and isinstance(spec.get("name"), str) and spec["name"] in builtin_maps(),
              "response requires a builtin family name", "map.name")
     params = spec.get("params", {})
     if spec["name"] == "derived_expanding":
@@ -485,14 +487,17 @@ def dumps_summary(summary):
                       allow_nan=False)
 
 
-def _finite_or_null(obj, path, non_finite):
-    """Copy of ``obj`` with each non-finite float replaced by None."""
+def _finite_or_null(obj, path, non_finite, depth=0):
+    """Copy of ``obj`` with each number that is no finite float (NaN, infinite, an int
+    past the float range) as None; a value deeper than MAX_CONFIG_DEPTH raises."""
+    _require(depth <= MAX_CONFIG_DEPTH, f"nested more than {MAX_CONFIG_DEPTH} deep", path)
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v, f"{path}.{k}" if path else str(k), non_finite)
+        return {k: _finite_or_null(v, f"{path}.{k}" if path else str(k), non_finite, depth + 1)
                 for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_finite_or_null(v, f"{path}[{i}]", non_finite) for i, v in enumerate(obj)]
-    if isinstance(obj, float) and not math.isfinite(obj):
+        return [_finite_or_null(v, f"{path}[{i}]", non_finite, depth + 1)
+                for i, v in enumerate(obj)]
+    if isinstance(obj, (int, float)) and not abs(obj) <= sys.float_info.max:
         non_finite.append(path)
         return None
     return obj
@@ -520,9 +525,9 @@ def main(argv=None):
         sp.add_argument("--out", default=None, help="artifact directory")
     args = parser.parse_args(argv)
 
-    try:
+    try:        # ValueError: bad JSON or UTF-8, or an int past Python's digit limit
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     if args.out is not None:     # made before the job, not after it

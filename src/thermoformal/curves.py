@@ -22,8 +22,6 @@ from .statistics import mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
-#: Largest t tried by :func:`default_t_max`; the ladder halves from here.
-T_MAX_LADDER = 4.0
 #: free_energy_curve solves its grid GRID_BLOCK potentials at a time, so the
 #: memory of the batched solve does not grow with the number of grid points.
 GRID_BLOCK = 64
@@ -157,20 +155,6 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     )
 
 
-def default_t_max(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec, eps):
-    """Largest dyadic t <= T_MAX_LADDER with phi +- t psi admissible at bound eps."""
-    t = T_MAX_LADDER
-    while t > 1e-6:
-        ok = all(
-            potential_admissible(combine(phi, psi, s), eps).admissible
-            for s in (-t, t)
-        )
-        if ok:
-            return t
-        t /= 2.0
-    return t
-
-
 def free_energy_mc(m: MapSpec, mu, psi: Callable,
                    t: float, n: int, samples: int, seed: int,
                    batch_size=1 << 16) -> float:
@@ -193,54 +177,6 @@ def free_energy_mc(m: MapSpec, mu, psi: Callable,
 
     mc_map(batch, samples, batch_size, seed)
     return float((logsumexp(vals) - math.log(samples)) / n)
-
-
-@dataclass(frozen=True)
-class DerivativeCheckReport:
-    max_mean_residual: float       # max_t |E'(t) - int psi dmu_t|
-    e1_zero_residual: float        # |E'(0) - int psi dmu_phi|
-    bounds_ok: bool                # centered inf/sup envelope holds
-    bound_violation: float
-    mean_values: np.ndarray
-
-
-def derivative_checks(curve: FreeEnergyCurve, triples: Sequence[SpectralTriple],
-                      psi: PotentialSpec) -> DerivativeCheckReport:
-    """Identity and envelope checks for the free-energy derivative.
-
-    Verifies E'(t) = int psi dmu_{phi+t psi} pointwise (central differences
-    on the curve grid), E'(0) against the base triple, and the centered
-    envelope t*inf(psi_c) <= E_c(t) <= t*sup(psi_c) for t>0 (reversed for
-    t<0), where psi_c = psi - int psi dmu_phi and E_c(t) = E(t) - t * that
-    mean.
-    """
-    ts = curve.t
-    if len(triples) != ts.size:
-        raise ValueError("need one spectral triple per grid point")
-    means = np.array([float(np.asarray(psi.fn(tr.grid)) @ tr.mu) for tr in triples])
-    interior = slice(1, ts.size - 1)
-    max_resid = float(np.max(np.abs(curve.E1[interior] - means[interior])))
-    i0 = int(np.flatnonzero(ts == 0.0)[0])
-    e1_zero = float(abs(curve.E1[i0] - means[i0]))
-
-    base = triples[i0]
-    c = means[i0]
-    psi_vals = np.asarray(psi.fn(base.grid), dtype=float) - c
-    lo, hi = float(np.min(psi_vals)), float(np.max(psi_vals))
-    Ec = curve.E - ts * c
-    viol = 0.0
-    for t, e in zip(ts, Ec):
-        if t > 0:
-            viol = max(viol, t * lo - e, e - t * hi)
-        elif t < 0:
-            viol = max(viol, t * hi - e, e - t * lo)
-    return DerivativeCheckReport(
-        max_mean_residual=max_resid,
-        e1_zero_residual=e1_zero,
-        bounds_ok=bool(viol <= 1e-10),
-        bound_violation=viol,
-        mean_values=means,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +251,6 @@ def rate_function(curve: FreeEnergyCurve, s_steps: int) -> RateFunction:
     s_star = float(curve.E1[i0])
     return RateFunction(s=ss, I=Is, t_of_s=t_of_s, s_star=s_star,
                         eq5_residual=float(resid), curve=curve)
-
-
-def double_legendre(rate: RateFunction, ts):
-    """sup_s (t s - I(s)) over the stored s-grid (involution check)."""
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        out[i], _ = _legendre_sup(rate.s, rate.I, float(t))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ NEWTON_STEPS = 10
 
 DEFAULT_CELL_WIDTH = 2.0 ** -20
 
+#: An ``iterate`` map composes its innermost lift at most MAX_ITERATE_STEPS
+#: times (nested powers multiply), and its degree, which the span check
+#: compares with a float, is at most 2**53.
+MAX_ITERATE_STEPS = 64
+
 #: Amplitude of the seeded low-order dither the orbit sampler adds per step.
 ORBIT_DITHER = 2.0 ** -48
 #: The orbit sampler advances its orbits ORBIT_BLOCK points at a time, so
@@ -547,7 +552,7 @@ def map_from_json(obj):
     if kind == "builtin":
         name = obj.get("name")
         catalog = builtin_maps()
-        if name not in catalog:
+        if not isinstance(name, str) or name not in catalog:
             raise SchemaError(f"unknown builtin map {name!r}", "map.name")
         try:
             m = catalog[name](**params)
@@ -563,7 +568,15 @@ def map_from_json(obj):
         power = params.get("power")
         if not isinstance(power, int) or isinstance(power, bool) or power < 1:
             raise SchemaError("power must be an integer >= 1", "map.params.power")
-        return iterate_map(map_from_json(params.get("base")), power)
+        base = map_from_json(params.get("base"))
+        steps, inner = power, map_to_json(base)
+        while inner["kind"] == "iterate":
+            steps, inner = steps * inner["params"]["power"], inner["params"]["base"]
+        if steps > MAX_ITERATE_STEPS or base.degree ** power > 2 ** 53:
+            raise SchemaError(f"an iterate composes at most {MAX_ITERATE_STEPS} lifts (nested "
+                              "powers multiply), and its degree is at most 2**53",
+                              "map.params.power")
+        return iterate_map(base, power)
     if kind == "piecewise_poly":
         degree = obj.get("degree", 0)
         if (not isinstance(degree, (int, float)) or isinstance(degree, bool)

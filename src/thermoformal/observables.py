@@ -2,7 +2,7 @@
 
 A :class:`PotentialSpec` bundles a vectorized callable with the metadata the
 admissibility checks need (its Hölder exponent).  Map-bound
-entries of the library (-log f', coboundaries) take the map at construction.
+kinds (-log f', coboundaries) take the map at construction.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ class PotentialSpec:
     fn: Callable[[np.ndarray], np.ndarray]
     alpha: float = 1.0
     json_obj: dict = field(default_factory=dict)
+    evals: int = 1                  # leaf evaluations per call
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
 
-def constant(c):
-    c = float(c)
+def constant(value=0.0):
+    c = float(value)
     return PotentialSpec(
         name=f"constant({c:g})",
         fn=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
@@ -78,6 +79,7 @@ def coboundary(u: PotentialSpec, m: MapSpec):
         fn=lambda x, u=u, m=m: u.fn(map_eval(m, x)) - u.fn(wrap01(np.asarray(x, dtype=float))),
         alpha=u.alpha,
         json_obj={"kind": "coboundary", "params": {"u": u.json_obj}},
+        evals=2 * u.evals,
     )
 
 
@@ -126,74 +128,50 @@ def combine(phi: PotentialSpec, psi: PotentialSpec, t):
         fn=lambda x, p=phi, q=psi, t=t: p.fn(np.asarray(x, dtype=float)) + t * q.fn(np.asarray(x, dtype=float)),
         alpha=min(phi.alpha, psi.alpha),
         json_obj={"kind": "tilt", "params": {"phi": phi.json_obj, "t": t, "psi": psi.json_obj}},
+        evals=phi.evals + psi.evals,
     )
 
 
-def shift(psi: PotentialSpec, c):
-    return combine(psi, constant(1.0), float(c))
+#: Largest number of leaf evaluations (``PotentialSpec.evals``) per call of
+#: an observable spec; a chain of d coboundaries makes 2^d.
+MAX_EVALS = 64
 
-
-def observable_library():
-    """Constructors for the observable catalog, keyed by kind.
-
-    Map-bound kinds (neg_log_deriv, coboundary) require the map argument.
-    """
-    return {
-        "constant": constant,
-        "fourier_cos": fourier_cos,
-        "fourier_sin": fourier_sin,
-        "neg_log_deriv": neg_log_deriv,
-        "coboundary": coboundary,
-        "piecewise_poly": piecewise_poly,
-    }
-
-
-_PARAM_KEYS = {
-    "constant": {"value"},
-    "fourier_cos": {"k", "amplitude"},
-    "fourier_sin": {"k", "amplitude"},
-    "neg_log_deriv": {"scale"},
-    "coboundary": {"u"},
-    "piecewise_poly": {"breakpoints", "coefficients"},
-    "tilt": {"phi", "t", "psi"},
+#: Each observable kind: its parameter keys, whether it needs the map, and its
+#: builder (params, map, part), where part(key) builds the spec at params[key].
+_KINDS = {
+    "constant": ({"value"}, False, lambda p, m, part: constant(**p)),
+    "fourier_cos": ({"k", "amplitude"}, False, lambda p, m, part: fourier_cos(**p)),
+    "fourier_sin": ({"k", "amplitude"}, False, lambda p, m, part: fourier_sin(**p)),
+    "neg_log_deriv": ({"scale"}, True, lambda p, m, part: neg_log_deriv(m, **p)),
+    "coboundary": ({"u"}, True, lambda p, m, part: coboundary(part("u"), m)),
+    "piecewise_poly": ({"breakpoints", "coefficients"}, False,
+                       lambda p, m, part: piecewise_poly(**p)),
+    "tilt": ({"phi", "t", "psi"}, False,
+             lambda p, m, part: combine(part("phi"), part("psi"), p.get("t", 0.0))),
 }
 
 
 def observable_from_json(obj, m: Optional[MapSpec] = None, path="observable"):
-    """Build a PotentialSpec from {kind, params}; map-bound kinds need m."""
+    """Build a PotentialSpec from {kind, params}; map-bound kinds need m.  A
+    spec of more than MAX_EVALS leaf evaluations is rejected at its path."""
     if not isinstance(obj, dict):
         raise SchemaError("observable spec must be an object", path)
     check_keys(obj, {"kind", "params"}, path)
     kind = obj.get("kind")
-    if kind not in _PARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown observable kind {kind!r}", path + ".kind")
+    keys, map_bound, build = _KINDS[kind]
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("observable params must be an object", path + ".params")
-    check_keys(params, _PARAM_KEYS[kind], path + ".params")
+    check_keys(params, keys, path + ".params")
+    if map_bound and m is None:
+        raise SchemaError(f"{kind} requires a map", path)
     try:
-        return _build_observable(kind, params, m, path)
+        spec = build(params, m, lambda key: observable_from_json(
+            params.get(key), m, f"{path}.params.{key}"))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad params for observable {kind!r}: {exc}", path + ".params") from exc
-
-
-def _build_observable(kind, params, m, path):
-    if kind in ("neg_log_deriv", "coboundary") and m is None:
-        raise SchemaError(f"{kind} requires a map", path)
-    if kind == "constant":
-        return constant(params.get("value", 0.0))
-    if kind == "fourier_cos":
-        return fourier_cos(params.get("k", 1), params.get("amplitude", 1.0))
-    if kind == "fourier_sin":
-        return fourier_sin(params.get("k", 1), params.get("amplitude", 1.0))
-    if kind == "neg_log_deriv":
-        return neg_log_deriv(m, params.get("scale", 1.0))
-    if kind == "coboundary":
-        u = observable_from_json(params.get("u"), m, path + ".params.u")
-        return coboundary(u, m)
-    if kind == "piecewise_poly":
-        return piecewise_poly(params.get("breakpoints"), params.get("coefficients"))
-    # the remaining kind is "tilt"
-    phi = observable_from_json(params.get("phi"), m, path + ".params.phi")
-    psi = observable_from_json(params.get("psi"), m, path + ".params.psi")
-    return combine(phi, psi, params.get("t", 0.0))
+    if spec.evals > MAX_EVALS:
+        raise SchemaError(f"makes {spec.evals} leaf evaluations, more than {MAX_EVALS}", path)
+    return spec

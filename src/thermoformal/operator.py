@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConvergenceError, NonFiniteWeightsError, ReducibleMatrixError
 from .maps import (MapSpec, branch_preimages, cell_centers, lift_of, lift_each, map_eval,
                    wrap01, _invert_lift)
-from .observables import PotentialSpec
+from .observables import PotentialSpec, fourier_cos, fourier_sin
 
 #: Largest n accepted.  Solves and diagnostics read only the entries, but
 #: ``TransferMatrix.A`` is still formed as a dense 8 n^2-byte array when it is
@@ -656,8 +656,4 @@ def invariance_defect(m: MapSpec, t: SpectralTriple,
 
 def fourier_testfns(modes=5):
     """cos/sin test functions for the first ``modes`` frequencies."""
-    fns = []
-    for k in range(1, modes + 1):
-        fns.append(lambda x, k=k: np.cos(2 * np.pi * k * np.asarray(x)))
-        fns.append(lambda x, k=k: np.sin(2 * np.pi * k * np.asarray(x)))
-    return fns
+    return [f(k) for k in range(1, modes + 1) for f in (fourier_cos, fourier_sin)]

@@ -24,6 +24,29 @@ def job(command, **kw):
     return base
 
 
+def iterate(name, *powers):
+    """The JSON of builtin map ``name`` iterated by each power in turn."""
+    m = {"kind": "builtin", "name": name}
+    for power in powers:
+        m = {"kind": "iterate", "params": {"base": m, "power": power}}
+    return m
+
+
+def coboundaries(depth):
+    """The JSON of ``depth`` nested coboundaries of cos 2 pi x."""
+    u = {"kind": "fourier_cos"}
+    for _ in range(depth):
+        u = {"kind": "coboundary", "params": {"u": u}}
+    return u
+
+
+def nested_list(depth):
+    v = 0.0
+    for _ in range(depth):
+        v = [v]
+    return v
+
+
 class TestValidation:
     def test_unknown_top_key(self):
         with pytest.raises(SchemaError) as exc:
@@ -277,6 +300,19 @@ class TestMain:
         code = cli.main(["spectrum", "--config", "/nonexistent/job.json"])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"schema_version": 1, "command": "spectrum", "seed": 1' + "0" * 5000 + "}",
+    ], ids=["too-deep", "too-many-digits"])
+    def test_undecodable_config(self, tmp_path, capsys, text):
+        # JSON too deep for the decoder, or an int past Python's digit limit
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(text)
+        code = cli.main(["spectrum", "--config", str(cfg_path)])
+        assert code == cli.EXIT_SCHEMA
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read config: ")
+
     @pytest.mark.parametrize("below", [False, True])
     def test_out_not_a_directory(self, tmp_path, capsys, below):
         # --out naming an existing file, or a path below one, is refused
@@ -511,6 +547,32 @@ class TestMain:
         # certify has no mode, though summaries of older versions echo "mode": "C"
         (job("certify", map={"kind": "builtin", "name": "mp_like"}, params={"mode": "C"}),
          "params.mode"),
+        # an iterate is bounded before its lift is composed: its power (nested
+        # iterates multiply) and its degree, which a degree-1 base never raises
+        (job("spectrum", map=iterate("doubling", 100_000), params={"n": 64}),
+         "map.params.power"),
+        (job("spectrum", map=iterate("doubling", 54), params={"n": 64}), "map.params.power"),
+        (job("spectrum", map=iterate("rotation", 65), params={"n": 64}), "map.params.power"),
+        (job("spectrum", map=iterate("rotation", 8, 9), params={"n": 64}),
+         "map.params.power"),
+        # a coboundary evaluates its u twice: 2^7 evaluations are too many
+        (job("spectrum", potential=coboundaries(7), params={"n": 64}), "potential"),
+        (job("spectrum", potential=coboundaries(8), params={"n": 64}), "potential.params.u"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": coboundaries(6), "psi": {"kind": "constant"}}}, params={"n": 64}),
+         "potential"),
+        # nesting too deep to walk is refused where it crosses the cap
+        (job("spectrum", potential=coboundaries(250)),
+         "potential" + ".params.u" * (cli.MAX_CONFIG_DEPTH // 2)),
+        (job("spectrum", potential={"kind": "constant", "params": {"value": nested_list(600)}}),
+         "potential.params.value" + "[0]" * (cli.MAX_CONFIG_DEPTH - 2)),
+        # an int beyond the float range is no finite number
+        (job("spectrum", potential={"kind": "constant", "params": {"value": 10 ** 400}}),
+         "potential.params.value"),
+        (job("spectrum", params={"n": 10 ** 400}), "params.n"),
+        # a name that is not a string names no kind or map
+        (job("spectrum", potential={"kind": [1]}), "potential.kind"),
+        (job("response", map={"kind": "builtin", "name": [1]}), "map.name"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -8,9 +8,15 @@ from thermoformal.errors import SchemaError
 
 class TestLibrary:
     def test_catalog_kinds(self):
-        lib = O.observable_library()
-        assert {"constant", "fourier_cos", "fourier_sin", "neg_log_deriv",
-                "coboundary", "piecewise_poly"} <= set(lib)
+        # every kind of the catalog builds from its JSON, with its defaults
+        params = {"constant": {}, "fourier_cos": {}, "fourier_sin": {}, "neg_log_deriv": {},
+                  "coboundary": {"u": {"kind": "fourier_cos"}},
+                  "piecewise_poly": {"breakpoints": [0.0, 1.0], "coefficients": [[1.0]]},
+                  "tilt": {"phi": {"kind": "constant"}, "psi": {"kind": "fourier_sin"}}}
+        assert set(O._KINDS) == set(params)
+        for kind, p in params.items():
+            spec = O.observable_from_json({"kind": kind, "params": p}, M.doubling_map())
+            assert spec.json_obj["kind"] == kind
 
     def test_constant(self):
         c = O.constant(3.5)
@@ -45,7 +51,7 @@ class TestLibrary:
         xs = np.linspace(0, 1, 11)
         want = np.cos(2 * np.pi * xs) + 0.5 * np.sin(2 * np.pi * xs)
         assert np.allclose(phi.fn(xs), want, atol=1e-15)
-        sh = O.shift(O.fourier_cos(1), 2.0)
+        sh = O.combine(O.fourier_cos(1), O.constant(1.0), 2.0)
         assert np.allclose(sh.fn(xs), np.cos(2 * np.pi * xs) + 2.0, atol=1e-15)
 
 
@@ -71,6 +77,19 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             O.observable_from_json({"kind": "wavelet"})
+
+    def test_evaluation_count_bounded(self):
+        # a coboundary evaluates its u twice, a tilt each of its sides once
+        d = M.doubling_map()
+        u = {"kind": "fourier_cos"}
+        for _ in range(6):
+            u = {"kind": "coboundary", "params": {"u": u}}
+        assert O.observable_from_json(u, d).evals == O.MAX_EVALS == 64
+        tilt = {"kind": "tilt", "params": {"phi": u, "psi": {"kind": "constant"}}}
+        with pytest.raises(SchemaError) as exc:
+            O.observable_from_json({"kind": "tilt", "params": {"phi": tilt, "psi": u}}, d,
+                                   "potential")
+        assert exc.value.path == "potential.params.phi"
 
 
 class TestOrbitSample:
