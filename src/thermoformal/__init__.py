@@ -11,10 +11,8 @@ from .certify import (
     CoveringBudget,
     IterateData,
     PotentialAdmissibility,
-    UniformExpansion,
     check_condition_C,
     covering_budget,
-    pointwise_to_uniform,
     potential_admissible,
 )
 from .curves import (

@@ -1,11 +1,10 @@
 """Certification of the contraction condition and related arithmetic.
 
-Three independent checkers live here:
+Two independent checkers live here:
 
 * grid certification that every point admits a depth-N inverse branch
   contracting below gamma; for a C^1 map the branch contracts at y by
   1/|(f^N)'(y)|, so the same certificate is also condition (C'),
-* the pointwise-to-uniform upgrade producing a single iterate and rate,
 * the covering-budget feasibility arithmetic (exact big integers) and the
   potential admissibility inequalities.
 """
@@ -15,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, deriv_of, wrap01
+from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, wrap01
 from .observables import PotentialSpec
 
 MODE_CERTIFIED = "certified"
@@ -37,9 +36,10 @@ LOG_DERIV_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ConditionCReport:
-    """A certificate's per-cell witnesses and verdict; for a block map the
-    per-cell arrays have a leading member axis, and ``rho`` and ``passed``
-    are arrays with one entry per member (see :func:`check_condition_C`)."""
+    """A certificate's per-cell witnesses and verdict; for a map of several
+    members the per-cell arrays have a leading member axis, and ``rho`` and
+    ``passed`` are arrays with one entry per member (see
+    :func:`check_condition_C`)."""
     N: int
     gamma: float
     resolution: int
@@ -53,51 +53,48 @@ class ConditionCReport:
     failures: np.ndarray              # indices of cells with bound >= gamma
 
 
-def _grid_log_deriv_modulus(m: MapSpec, member=None):
-    """max |d log f' / dx| estimated from adjacent grid differences; for a
-    block map, one per member of the (K, 1) index array ``member``.
+def _grid_log_deriv_modulus(m: MapSpec):
+    """max |d log f' / dx| estimated from adjacent grid differences, one per
+    member.
 
     The max is exact, so blocks of LOG_DERIV_BLOCK differences give the
     one-shot result bit for bit, and no temporary of one map grows past the
     allocator's mmap threshold (128 KiB in glibc), which would page-fault
-    on every call.  A block map's members share each block of the grid.
+    on every call.  The members share each block of the grid.
     """
+    member = np.arange(m.members)[:, None]
     block_max = []
     for start in range(0, LOG_DERIV_SAMPLES, LOG_DERIV_BLOCK):
         stop = min(start + LOG_DERIV_BLOCK, LOG_DERIV_SAMPLES)
-        logd = np.log(deriv_of(m, np.arange(start, stop + 1) / LOG_DERIV_SAMPLES, member))
+        x = np.arange(start, stop + 1) / LOG_DERIV_SAMPLES
+        logd = np.log(np.broadcast_to(m.derivative(x, member), (m.members, x.size)))
         block_max.append(np.max(np.abs(np.diff(logd)), axis=-1))
-    rho = np.max(block_max, axis=0) * LOG_DERIV_SAMPLES      # NaN propagates
-    return float(rho) if member is None else rho
+    return np.max(block_max, axis=0) * LOG_DERIV_SAMPLES      # NaN propagates
 
 
 def _depth_n_contractions(m: MapSpec, centers, N, cell_width, preimages=None):
     """Contraction of every depth-N branch at every center.
 
-    Returns (contr, pts): arrays of shape (G^N, n_centers), with a leading
-    member axis for a block map; rows are in lexicographic branch-id order,
-    base G in the slice index of :func:`thermoformal.maps.branch_preimages`
-    at each level, with the first inversion (of the centers themselves) as
-    the most significant digit.  ``preimages``, when given, are the
-    (G, n_centers) level-1 preimages of the centers ((members, G,
-    n_centers) for a block map), used instead of inverting them.  Each
+    Returns (contr, pts): arrays of shape (members, G^N, n_centers); rows
+    are in lexicographic branch-id order, base G in the slice index of
+    :func:`thermoformal.maps.branch_preimages` at each level, with the
+    first inversion (of the centers themselves) as the most significant
+    digit.  ``preimages``, when given, are the (members, G, n_centers)
+    level-1 preimages of the centers, used instead of inverting them.  Each
     level inverts the points of every member in one call.
     """
-    K = m.members
-    lead = () if K is None else (K,)
-    member = None if K is None else np.arange(K).reshape(K, 1, 1)
-    pts = np.broadcast_to(centers, lead + (1, centers.size))
+    K, g = m.members, m.degree
+    member = np.arange(K).reshape(K, 1, 1)
+    pts = np.broadcast_to(centers, (K, 1, centers.size))
     contr = np.ones(pts.shape)
-    g = m.degree
     for level in range(N):
         n_words, n_c = pts.shape[-2:]
         if level or preimages is None:
-            pre = (branch_preimages(m, pts.ravel()) if K is None else
-                   branch_preimages(m, pts.ravel(), np.broadcast_to(member, pts.shape).ravel()))
+            pre = branch_preimages(m, pts.ravel(), np.broadcast_to(member, pts.shape).ravel())
         else:
-            pre = preimages if K is None else np.moveaxis(preimages, 0, 1)
-        pre = pre.reshape((g,) + lead + (n_words, n_c))
-        pts = np.moveaxis(pre, 0, -2).reshape(lead + (n_words * g, n_c))     # parent-major
+            pre = np.moveaxis(preimages, 0, 1)
+        pre = pre.reshape((g, K, n_words, n_c))
+        pts = np.moveaxis(pre, 0, -2).reshape((K, n_words * g, n_c))     # parent-major
         contr = np.repeat(contr, g, axis=-2) * branch_lipschitz(m, pts, cell_width, member)
     return contr, pts
 
@@ -117,12 +114,13 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
     [0, 1)) hand them in: they are the first level of every depth, so the
     certificate then inverts only from level 2 on.
 
-    For a block map (``m.members`` = K) the certificate runs on every
-    member at once: ``preimages`` has shape (K, G, resolution), each
-    per-cell array of the report gains a leading member axis, ``rho`` and
-    ``passed`` hold one value per member, and ``failures`` indexes the
-    flattened (K, resolution) bounds.  Every member's numbers equal those
-    of its own certificate.
+    The certificate runs on every member of ``m`` at once, and
+    ``preimages`` has shape (``m.members``, G, resolution).  For a map of
+    K > 1 members each per-cell array of the report has a leading member
+    axis, ``rho`` and ``passed`` hold one value per member, and
+    ``failures`` indexes the flattened (K, resolution) bounds; a
+    one-member map's report has no member axis.  Every member's numbers
+    equal those of its own certificate.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -130,25 +128,22 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
         raise ValueError("resolution must be >= 16")
     if N < 1:
         raise ValueError("N must be >= 1")
-    lead = () if m.members is None else (m.members,)
-    if preimages is not None and np.shape(preimages) != lead + (m.degree, resolution):
-        raise ValueError(f"preimages must have shape (degree, resolution) = "
-                         f"({m.degree}, {resolution}), after the member axis of a block map")
+    K = m.members
+    if preimages is not None and np.shape(preimages) != (K, m.degree, resolution):
+        raise ValueError(f"preimages must have shape (members, degree, resolution) = "
+                         f"({K}, {m.degree}, {resolution})")
 
     w = 1.0 / resolution
 
     if rho is None and m.derivative is not None:
-        rho = _grid_log_deriv_modulus(m, None if m.members is None
-                                      else np.arange(m.members)[:, None])
+        rho = _grid_log_deriv_modulus(m)
     if rho is not None:
         mode = MODE_CERTIFIED
-        if lead:
-            rho = np.broadcast_to(np.asarray(rho, dtype=float), lead)
-            inflation = np.array([[_inflation(N, float(r), w)] for r in rho])
-        else:
-            inflation = _inflation(N, rho, w)
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), (K,))
+        inflation = np.array([[_inflation(N, float(r), w)] for r in rho])
     else:
         mode = MODE_CENTER_ONLY
+        rho = np.full(K, math.nan)
         inflation = 1.0
 
     contr, pts = _depth_n_contractions(m, cell_centers(resolution), N, w, preimages)
@@ -157,19 +152,15 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
     bound = raw * inflation
     witness_y = wrap01(np.take_along_axis(pts, idx, axis=-2)[..., 0, :])
     fail = bound >= gamma
-    return ConditionCReport(
-        N=N,
-        gamma=gamma,
-        resolution=resolution,
-        mode=mode,
-        rho=(np.full(lead, math.nan) if rho is None else rho.copy() if lead else float(rho)),
-        witness_branch=idx[..., 0, :].astype(np.int64),
-        witness_preimage=witness_y,
-        bound=bound,
-        raw_bound=raw,
-        passed=~fail.any(axis=-1) if lead else bool(not fail.any()),
-        failures=np.flatnonzero(fail),
-    )
+    per_member = dict(rho=rho.copy(), witness_branch=idx[..., 0, :].astype(np.int64),
+                      witness_preimage=witness_y, bound=bound, raw_bound=raw,
+                      passed=~fail.any(axis=-1))
+    if K == 1:          # one map: no member axis
+        per_member = {key: val[0] for key, val in per_member.items()}
+        per_member["rho"] = float(per_member["rho"])
+        per_member["passed"] = bool(per_member["passed"])
+    return ConditionCReport(N=N, gamma=gamma, resolution=resolution, mode=mode,
+                            failures=np.flatnonzero(fail), **per_member)
 
 
 def _inflation(N, rho, w):
@@ -178,54 +169,6 @@ def _inflation(N, rho, w):
         return math.exp(N * rho * w)
     except OverflowError:
         return math.inf
-
-
-# ---------------------------------------------------------------------------
-# Pointwise-to-uniform upgrade
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniformExpansion:
-    kappa: int
-    N_tilde: int
-    rate: float
-    gamma: float
-    N: int
-    L: float
-
-
-def pointwise_to_uniform(regions: Sequence, L: float):
-    """Upgrade per-region contraction data to a single iterate and rate.
-
-    ``regions`` holds (label, n_j, gamma_j) triples; with gamma = max gamma_j
-    and N = max n_j, returns the smallest integer kappa with
-    gamma^kappa * L^N < 1, the iterate N_tilde = kappa * N, and the certified
-    rate gamma^kappa * L^N.
-    """
-    if L < 1.0:
-        raise ValueError("L must be >= 1")
-    gammas = [float(r[2]) for r in regions]
-    ns = [int(r[1]) for r in regions]
-    if not gammas:
-        raise ValueError("need at least one region")
-    if any(g >= 1.0 for g in gammas):
-        raise ValueError("all region rates must be < 1")
-    gamma = max(gammas)
-    N = max(ns)
-    ln_target = -N * math.log(L)
-    kappa = max(1, math.ceil(ln_target / math.log(gamma) + 1e-15))
-    while gamma ** kappa * L ** N >= 1.0:
-        kappa += 1
-    while kappa > 1 and gamma ** (kappa - 1) * L ** N < 1.0:
-        kappa -= 1
-    return UniformExpansion(
-        kappa=kappa,
-        N_tilde=kappa * N,
-        rate=gamma ** kappa * L ** N,
-        gamma=gamma,
-        N=N,
-        L=float(L),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import certify as certify_mod
 from . import curves as curves_mod
 from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
-from .maps import builtin_maps, check_keys, map_from_json, map_to_json
+from .maps import builtin_maps, check_keys, map_from_json, map_to_json, whole_number
 from .observables import observable_from_json
 from .operator import (MAX_DENSE_N, build_matrix, dominant_class, fourier_testfns,
                        gap_ratio, invariance_defect, leading_triple)
@@ -108,8 +108,9 @@ def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{key} must be a number", where)
     if integer:
-        _require(float(val).is_integer(), f"{key} must be an integer", where)
-        val = params[key] = int(val)        # 2.0 is taken as 2, not passed on
+        val = whole_number(val)
+        _require(val is not None, f"{key} must be an integer", where)
+        params[key] = val                   # 2.0 is taken as 2, not passed on
     if lo is not None:
         _require(val >= lo, f"{key} must be >= {lo}", where)
     if hi is not None:
@@ -197,7 +198,7 @@ def _response_family(spec):
     """The family of a response job, one member of it and its echoed spec.
 
     The family takes an array of v (see ``curves.response_scan``):
-    derived_expanding is scanned in v and gives a block map of those
+    derived_expanding is scanned in v and gives a map of those
     members, and any other builtin map is held fixed, one map for every v.
     """
     _require(isinstance(spec, dict) and spec.get("kind", "builtin") == "builtin"

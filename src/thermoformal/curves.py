@@ -363,10 +363,10 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
                   guard=None) -> ResponseScan:
     """lambda, pressure, and int obs dmu along a one-parameter map family.
 
-    ``family`` takes an array of v: it returns a block map of those
-    members (``MapSpec.members``, as :func:`derived_expanding_map` does),
-    or one map for a family that does not depend on v; a float v gives
-    that member alone.  ``phi`` is a PotentialSpec or a callable map ->
+    ``family`` takes an array of v: it returns a map of those members
+    (``MapSpec.members``, as :func:`derived_expanding_map` does), or a map
+    of fewer members for a family that does not depend on v; a float v
+    gives that member alone.  ``phi`` is a PotentialSpec or a callable map ->
     PotentialSpec for map-bound potentials.  ``guard`` = (N, gamma,
     resolution) runs the contraction certificate on every family member
     and flags failures without stopping the scan.  Derivatives are central
@@ -403,9 +403,7 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
         try:
             return member_geometries(m, scheme, n)
         except ThermoformalError:
-            if m.members is None:
-                return [None]
-        out = []
+            out = []
         for v in block:
             try:
                 out.append(map_geometry(family(float(v)), scheme, n))
@@ -417,17 +415,15 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
         """The potentials, and the lean geometries and weights, of the
         members of m from grid point ``start`` on; sets their guard flags.
         The full geometries are freed on return."""
-        block = vs[start:start + (m.members or 1)]
+        block = vs[start:start + m.members]
         geoms = geometries(m, block)
-        pots = ([phi(m if m.members is None else family(float(v))) for v in block]
-                if map_bound else [phi] * len(block))
+        pots = [phi(family(float(v))) for v in block] if map_bound else [phi] * len(block)
         if guard is not None:
             gN, ggamma, gres = guard
             # The collocation points at n = gres are the guard's level-1 preimages.
             pre = None
             if scheme == "collocation" and gres == n and None not in geoms:
                 pre = np.stack([g.points[:, 0] for g in geoms])
-                pre = pre if m.members else pre[0]
             guard_ok[start:start + block.size] = check_condition_C(
                 m, gN, ggamma, gres, preimages=pre).passed
         return pots, ordered_map(_weigh, zip(geoms, pots))
@@ -447,7 +443,7 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
                 failed[i] = False
 
     m = family(vs[:MEMBER_BLOCK])
-    if m.members is None:           # one map for every v, so one column for all
+    if m.members < min(MEMBER_BLOCK, vs.size):     # one map for every v: one column for all
         solve(0, m)
         for a in (lams, means, guard_ok, failed):
             a[1:] = a[0]

@@ -10,15 +10,16 @@ Inverse branches are found by inverting the lift: one table of the lift at
 Newton iteration (plain halving for maps without derivative data) closes
 the bracket; see ``_invert_lift``.
 
-A block map holds several members of a map family at once (see
-:func:`derived_expanding_map`): its lift and derivative take each point's
-member index as a second argument, and the inversion and branch functions
-here take that index as ``member``.
+Every map is a block of ``MapSpec.members`` members of a map family (see
+:func:`derived_expanding_map`), one for a single map: its lift and
+derivative take each point's member index as a second argument, and the
+inversion and branch functions here take that index as ``member``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -69,10 +70,14 @@ class MapSpec:
 
     ``lift`` and ``derivative`` must accept numpy arrays.  ``r`` is the C^r
     degree (``math.inf`` for smooth builtins, 0 for Hölder-only maps without
-    derivative data).  ``members`` is None for one map, and K for a block
-    of K family members of one degree: its ``lift(x, member)`` and
-    ``derivative(x, member)`` evaluate member ``member[i]`` at ``x[i]``
-    (the two broadcast together).
+    derivative data).  ``members`` is the number K of family members of
+    one degree that the map holds, 1 for a single map: ``lift(x, member=0)``
+    and ``derivative(x, member=0)`` evaluate member ``member[i]`` at
+    ``x[i]``, the two broadcast together.  A one-member map ignores
+    ``member`` and returns ``x``'s shape, so a caller that shares one ``x``
+    among the members (a (K, 1) ``member``) broadcasts the result to the
+    (K, ...) shape it needs; every other caller passes ``x`` at the shape
+    of the result.
     """
 
     name: str
@@ -82,7 +87,7 @@ class MapSpec:
     r: float = math.inf
     json_kind: str = "builtin"
     json_params: dict = field(default_factory=dict)
-    members: Optional[int] = None
+    members: int = 1
 
     def __post_init__(self):
         if self.degree < 1 or self.degree != int(self.degree):
@@ -90,28 +95,15 @@ class MapSpec:
         span = lift_each(self, 1.0) - lift_each(self, 0.0)
         off = np.abs(span - self.degree) > 1e-9
         if np.any(off):
-            raise ValueError(f"lift({self.name}) spans {np.ravel(span)[np.argmax(off)]} "
+            raise ValueError(f"lift({self.name}) spans {span[np.argmax(off)]} "
                              f"over [0,1], expected degree {self.degree}")
 
     def __call__(self, x):
         return map_eval(self, x)
 
 
-def lift_of(m: MapSpec, x, member=None):
-    """``m.lift(x)``, or ``m.lift(x, member)`` for a block map."""
-    return m.lift(x) if member is None else m.lift(x, member)
-
-
-def deriv_of(m: MapSpec, x, member=None):
-    """``m.derivative(x)``, or ``m.derivative(x, member)`` for a block map."""
-    return m.derivative(x) if member is None else m.derivative(x, member)
-
-
 def lift_each(m: MapSpec, x=0.0):
-    """Each member's lift at the one point x: a float for a single map, an
-    array of one value per member for a block map."""
-    if m.members is None:
-        return float(np.asarray(m.lift(x)).ravel()[0])
+    """Each member's lift at the one point x: an array of one value per member."""
     return m.lift(np.full(m.members, x), np.arange(m.members))
 
 
@@ -132,7 +124,7 @@ def deriv_at(m: MapSpec, x):
     return m.derivative(wrap01(np.asarray(x, dtype=float)))
 
 
-def branch_preimages(m: MapSpec, x, member=None):
+def branch_preimages(m: MapSpec, x, member=0):
     """All depth-1 preimages of the points ``x``, ordered by slice index.
 
     Returns an array of shape (G, len(x)): row k holds the branch-k
@@ -140,18 +132,15 @@ def branch_preimages(m: MapSpec, x, member=None):
     + k with c = lift(0).  The ordering is increasing in y, which is the
     deterministic per-level slice order used for branch ids.  All G rows
     are inverted in one ``_invert_lift`` call on a (G, len(x)) target array.
-    For a block map, ``member`` gives each point's member index.
+    ``member`` gives each point's member index.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = lift_each(m)
-    if member is not None:
-        member = np.broadcast_to(member, x.shape)
-        c = c[member]
-    targets = x + np.ceil(c - x)
+    member = np.broadcast_to(member, x.shape)
+    targets = x + np.ceil(lift_each(m)[member] - x)
     return _invert_lift(m, targets[None, :] + np.arange(m.degree)[:, None], member)
 
 
-def _invert_lift(m: MapSpec, t, member=None):
+def _invert_lift(m: MapSpec, t, member=0):
     """Solve lift(y) = t for y in [0, 1], elementwise over any shape of t.
 
     The lift is evaluated once on the table nodes k / LIFT_TABLE_CELLS, and a
@@ -177,10 +166,10 @@ def _invert_lift(m: MapSpec, t, member=None):
     halvings from [0, 1].  Every element's path depends only on the map and
     its own target, so results do not depend on how targets are batched.
 
-    For a block map, ``member`` (broadcast to t's shape) gives each
-    target's member index: every member gets a table row of its own, and
-    the index retires with the rest of its element, so each element takes
-    the path it takes when its member is inverted alone.
+    ``member`` (broadcast to t's shape) gives each target's member index:
+    every member gets a table row of its own, and the index retires with
+    the rest of its element, so each element takes the path it takes when
+    its member is inverted alone.
 
     A target that is not finite, or lies outside [lift(0), lift(1)] by more
     than 1e-9, raises ``BranchInversionError`` with its flat index
@@ -189,20 +178,15 @@ def _invert_lift(m: MapSpec, t, member=None):
     t = np.asarray(t, dtype=float)
     tt = t.ravel()
     nodes = np.arange(LIFT_TABLE_CELLS + 1) / LIFT_TABLE_CELLS
-    if member is None:
-        mem = None
-        table = np.asarray(m.lift(nodes), dtype=float)
-        t_min, t_max = table[0], table[-1]
-    else:
-        mem = np.broadcast_to(member, t.shape).ravel()
-        table = m.lift(nodes, np.arange(m.members)[:, None])
-        t_min, t_max = table[mem, 0], table[mem, -1]
+    mem = np.broadcast_to(member, t.shape).ravel()
+    table = np.broadcast_to(m.lift(nodes, np.arange(m.members)[:, None]),
+                            (m.members, nodes.size))
+    t_min, t_max = table[mem, 0], table[mem, -1]
     finite = np.isfinite(tt)
     bad = ~finite | (t_min - 1e-9 > tt) | (t_max + 1e-9 < tt)
     if np.any(bad):
         i = int(np.argmax(bad))
-        lo_end, hi_end = (np.broadcast_to(e, tt.shape)[i] for e in (t_min, t_max))
-        msg = (f"target {tt[i]} outside lift range [{lo_end}, {hi_end}] "
+        msg = (f"target {tt[i]} outside lift range [{t_min[i]}, {t_max[i]}] "
                f"for map {m.name}: lift violates monotone-degree invariants"
                if finite[i] else f"target {tt[i]} is not finite (map {m.name})")
         raise BranchInversionError(
@@ -210,15 +194,11 @@ def _invert_lift(m: MapSpec, t, member=None):
             slice_index=i,
             target=float(tt[i]),
         )
-    if mem is None:
-        k = np.searchsorted(table[1:-1], tt)
-        flo, fhi = table[k], table[k + 1]
-    else:
-        k = np.empty(tt.size, dtype=np.intp)
-        for j in range(m.members):
-            sel = mem == j
-            k[sel] = np.searchsorted(table[j, 1:-1], tt[sel])
-        flo, fhi = table[mem, k], table[mem, k + 1]
+    k = np.empty(tt.size, dtype=np.intp)
+    for j in range(m.members):
+        sel = mem == j
+        k[sel] = np.searchsorted(table[j, 1:-1], tt[sel])
+    flo, fhi = table[mem, k], table[mem, k + 1]
     lo, hi = nodes[k], nodes[k + 1]
     newton = m.derivative is not None
     if newton:
@@ -232,7 +212,7 @@ def _invert_lift(m: MapSpec, t, member=None):
     for it in range(last + 1):
         if not todo.size:
             break
-        fx = lift_of(m, x, mem)
+        fx = m.lift(x, mem)
         left = fx < tt
         lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
         hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
@@ -243,13 +223,11 @@ def _invert_lift(m: MapSpec, t, member=None):
             y = np.where(tt - flo <= fhi - tt, lo, hi) if newton else 0.5 * (lo + hi)
             out[todo[done]] = y[done]
             keep = ~done
-            todo, tt, x, fx, lo, hi, flo, fhi = (
-                a[keep] for a in (todo, tt, x, fx, lo, hi, flo, fhi))
-            if mem is not None:
-                mem = mem[keep]
+            todo, tt, x, fx, lo, hi, flo, fhi, mem = (
+                a[keep] for a in (todo, tt, x, fx, lo, hi, flo, fhi, mem))
         mid = 0.5 * (lo + hi)
         if it < newton_steps:
-            d = deriv_of(m, x, mem)
+            d = m.derivative(x, mem)
             good = np.isfinite(d) & (d > 0.0)
             yn = x - (fx - tt) / np.where(good, d, 1.0)
             yn = np.where(yn == x, np.nextafter(x, np.where(x == lo, hi, lo)), yn)
@@ -259,9 +237,8 @@ def _invert_lift(m: MapSpec, t, member=None):
     return out.reshape(t.shape)
 
 
-def branch_lipschitz(m: MapSpec, y, cell_width=None, member=None):
-    """Depth-1 branch Lipschitz factor at preimage y (of member ``member``
-    for a block map).
+def branch_lipschitz(m: MapSpec, y, cell_width=None, member=0):
+    """Depth-1 branch Lipschitz factor at preimage y of member ``member``.
 
     1/f'(y) when the map is C^1; otherwise a symmetric difference quotient
     of the lift over the discretization cell (the cell stands in for the
@@ -269,10 +246,10 @@ def branch_lipschitz(m: MapSpec, y, cell_width=None, member=None):
     """
     y = np.asarray(y, dtype=float)
     if m.derivative is not None:
-        return 1.0 / deriv_of(m, wrap01(y), member)
+        return 1.0 / m.derivative(wrap01(y), member)
     h = 0.5 * (cell_width if cell_width is not None else DEFAULT_CELL_WIDTH)
     yy = wrap01(y)
-    return (2.0 * h) / (lift_of(m, yy + h, member) - lift_of(m, yy - h, member))
+    return (2.0 * h) / (m.lift(yy + h, member) - m.lift(yy - h, member))
 
 
 def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
@@ -333,20 +310,20 @@ def iterate_map(m: MapSpec, power):
     if power == 1:
         return m
 
-    def lift(x):
+    def lift(x, member=0):
         y = np.asarray(x, dtype=float)
         for _ in range(power):
-            y = m.lift(y)
+            y = m.lift(y, member)
         return y
 
     deriv = None
     if m.derivative is not None:
-        def deriv(x):
+        def deriv(x, member=0):
             y = wrap01(np.asarray(x, dtype=float))
             d = np.ones_like(y)
             for _ in range(power):
-                d = d * m.derivative(y)
-                y = wrap01(m.lift(y))
+                d = d * m.derivative(y, member)
+                y = wrap01(m.lift(y, member))
             return d
 
     return MapSpec(
@@ -357,6 +334,7 @@ def iterate_map(m: MapSpec, power):
         r=m.r,
         json_kind="iterate",
         json_params={"base": map_to_json(m), "power": power},
+        members=m.members,
     )
 
 
@@ -405,8 +383,8 @@ def doubling_map():
     return MapSpec(
         name="doubling",
         degree=2,
-        lift=lambda x: 2.0 * np.asarray(x, dtype=float),
-        derivative=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        lift=lambda x, member=0: 2.0 * np.asarray(x, dtype=float),
+        derivative=lambda x, member=0: np.full_like(np.asarray(x, dtype=float), 2.0),
         json_params={"name": "doubling"},
     )
 
@@ -417,8 +395,8 @@ def rotation_map(theta=0.381966011250105):
     return MapSpec(
         name="rotation",
         degree=1,
-        lift=lambda x, t=th: np.asarray(x, dtype=float) + t,
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        lift=lambda x, member=0: np.asarray(x, dtype=float) + th,
+        derivative=lambda x, member=0: np.ones_like(np.asarray(x, dtype=float)),
         json_params={"name": "rotation", "theta": th},
     )
 
@@ -432,8 +410,8 @@ def mp_like_map():
     return MapSpec(
         name="mp_like",
         degree=2,
-        lift=lambda x: _periodic_lift(x, lambda u: u + smooth_step(u), 2),
-        derivative=lambda x: 1.0 + smooth_step_deriv(wrap01(np.asarray(x, dtype=float))),
+        lift=lambda x, member=0: _periodic_lift(x, lambda u: u + smooth_step(u), 2),
+        derivative=lambda x, member=0: 1.0 + smooth_step_deriv(wrap01(np.asarray(x, dtype=float))),
         json_params={"name": "mp_like"},
     )
 
@@ -470,30 +448,23 @@ def derived_expanding_map(v):
     point into a sink while the map stays expanding outside the bump.
     Requires v < 2 to keep the lift strictly increasing.
 
-    An array of v gives one block map of those members (``MapSpec.members``):
-    its lift and derivative read each point's v through its member index
-    and then do the float operations of the member's own map, so every
-    value is bit-equal to the member's.
+    An array of v gives one map of those members (``MapSpec.members``), a
+    scalar v a map of one: its lift and derivative read each point's v
+    through its member index and then do the float operations of the
+    member's own map, so every value is bit-equal to the member's.
     """
-    vs = np.asarray(v, dtype=float).ravel() if np.ndim(v) else float(v)
-    bad = ~((0.0 <= np.ravel(vs)) & (np.ravel(vs) < 2.0))
+    vs = np.asarray(v, dtype=float).ravel()
+    bad = ~((0.0 <= vs) & (vs < 2.0))
     if bad.any():
-        raise ValueError(f"derived_expanding requires 0 <= v < 2, got {np.ravel(vs)[np.argmax(bad)]}")
-    if np.ndim(vs):
-        return MapSpec(
-            name=f"derived_expanding(v={','.join(f'{x:g}' for x in vs)})",
-            degree=2,
-            lift=lambda x, member: _derived_lift(x, vs[member]),
-            derivative=lambda x, member: _derived_deriv(x, vs[member]),
-            json_params={"name": "derived_expanding", "v": vs.tolist()},
-            members=vs.size,
-        )
+        raise ValueError(f"derived_expanding requires 0 <= v < 2, got {vs[np.argmax(bad)]}")
     return MapSpec(
-        name=f"derived_expanding(v={vs:g})",
+        name=f"derived_expanding(v={','.join(f'{x:g}' for x in vs)})",
         degree=2,
-        lift=lambda x: _derived_lift(x, vs),
-        derivative=lambda x: _derived_deriv(x, vs),
-        json_params={"name": "derived_expanding", "v": vs},
+        lift=lambda x, member=0: _derived_lift(x, vs[member]),
+        derivative=lambda x, member=0: _derived_deriv(x, vs[member]),
+        json_params={"name": "derived_expanding",
+                     "v": vs.tolist() if np.ndim(v) else float(v)},
+        members=vs.size,
     )
 
 
@@ -531,6 +502,34 @@ def map_to_json(m: MapSpec):
             "params": dict(m.json_params)}
 
 
+def whole_number(val):
+    """``val`` as an int if it is an integer-valued number (2.0 is taken as
+    2; True is no number), else None."""
+    if isinstance(val, numbers.Integral) and not isinstance(val, bool):
+        return int(val)
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    return None
+
+
+def number_row(row):
+    """``row`` as a float array if it is a nonempty flat list (tuple, 1-d
+    array) of real numbers, else None."""
+    if isinstance(row, np.ndarray):
+        row = row.tolist()
+    if (not isinstance(row, (list, tuple)) or not row
+            or any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in row)):
+        return None
+    return np.asarray(row, dtype=float)
+
+
+def number_rows(rows):
+    """``rows`` as a list of float arrays if it is a list (tuple) of rows
+    that :func:`number_row` takes, else None."""
+    rows = [number_row(r) for r in rows] if isinstance(rows, (list, tuple)) else [None]
+    return None if any(r is None for r in rows) else rows
+
+
 def check_keys(obj, allowed, path):
     """Raise SchemaError unless ``obj`` is an object with keys in ``allowed``."""
     if not isinstance(obj, dict):
@@ -554,19 +553,20 @@ def map_from_json(obj):
         catalog = builtin_maps()
         if not isinstance(name, str) or name not in catalog:
             raise SchemaError(f"unknown builtin map {name!r}", "map.name")
+        if any(isinstance(val, bool) or not isinstance(val, numbers.Real)
+               for val in params.values()):
+            raise SchemaError(f"params of builtin map {name!r} must be numbers", "map.params")
         try:
             m = catalog[name](**params)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad params for builtin map {name!r}: {exc}", "map.params") from exc
-        if m.members is not None:
-            raise SchemaError(f"params of builtin map {name!r} must be numbers", "map.params")
         if "degree" in obj and obj["degree"] != m.degree:
             raise SchemaError(f"declared degree {obj['degree']} != {m.degree}", "map.degree")
         return m
     if kind == "iterate":
         check_keys(params, {"base", "power"}, "map.params")
-        power = params.get("power")
-        if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+        power = whole_number(params.get("power"))
+        if power is None or power < 1:
             raise SchemaError("power must be an integer >= 1", "map.params.power")
         base = map_from_json(params.get("base"))
         steps, inner = power, map_to_json(base)
@@ -578,9 +578,8 @@ def map_from_json(obj):
                               "map.params.power")
         return iterate_map(base, power)
     if kind == "piecewise_poly":
-        degree = obj.get("degree", 0)
-        if (not isinstance(degree, (int, float)) or isinstance(degree, bool)
-                or not float(degree).is_integer() or degree < 0):
+        degree = whole_number(obj.get("degree", 0))
+        if degree is None or degree < 0:
             raise SchemaError("degree must be an integer >= 0", "map.degree")
         check_keys(params, {"breakpoints", "coefficients", "smoothness"}, "map.params")
         if params.get("smoothness", "holder") != "holder":
@@ -589,7 +588,7 @@ def map_from_json(obj):
         return piecewise_poly_map(obj.get("name", "piecewise_poly"),
                                   params.get("breakpoints"),
                                   params.get("coefficients"),
-                                  int(degree),
+                                  degree,
                                   holder_only=params.get("smoothness") == "holder")
     raise SchemaError(f"unknown map kind {kind!r}", "map.kind")
 
@@ -620,16 +619,16 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     ``holder_only`` drops the derivative, declaring the map as Hölder data
     only (certification then runs in center-value mode).
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or bp.size < 2 or abs(bp[0]) > 1e-12 or abs(bp[-1] - 1.0) > 1e-12:
-        raise SchemaError("breakpoints must run from 0 to 1", "map.params.breakpoints")
+    bp = number_row(breakpoints)
+    if bp is None or bp.size < 2 or abs(bp[0]) > 1e-12 or abs(bp[-1] - 1.0) > 1e-12:
+        raise SchemaError("breakpoints must be numbers running from 0 to 1",
+                          "map.params.breakpoints")
     if np.any(np.diff(bp) <= 0):
         raise SchemaError("breakpoints must be strictly increasing", "map.params.breakpoints")
-    try:
-        coefs = [np.asarray(c, dtype=float) for c in coefficients]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"coefficients must be rows of numbers ({exc})",
-                          "map.params.coefficients") from exc
+    coefs = number_rows(coefficients)
+    if coefs is None:
+        raise SchemaError("coefficients must be a list of flat rows of numbers",
+                          "map.params.coefficients")
     if len(coefs) != bp.size - 1:
         raise SchemaError("need one coefficient row per piece", "map.params.coefficients")
 
@@ -665,9 +664,9 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
     return MapSpec(
         name=name,
         degree=degree,
-        lift=lambda x: _periodic_lift(x, lift01, degree),
+        lift=lambda x, member=0: _periodic_lift(x, lift01, degree),
         derivative=None if holder_only else (
-            lambda x: d01(wrap01(np.asarray(x, dtype=float)))),
+            lambda x, member=0: d01(wrap01(np.asarray(x, dtype=float)))),
         r=0 if holder_only else math.inf,
         json_kind="piecewise_poly",
         json_params=json_params,

@@ -13,7 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteObservableError, SchemaError
-from .maps import MapSpec, check_keys, deriv_at, map_eval, piecewise_polyval, wrap01
+from .maps import (MapSpec, check_keys, deriv_at, map_eval, number_row, number_rows,
+                   piecewise_polyval, whole_number, wrap01)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,16 @@ def constant(value=0.0):
 zero = constant(0.0)
 
 
+def _frequency(k):
+    """The integer frequency k (2.0 is taken as 2); ValueError for any other value."""
+    whole = whole_number(k)
+    if whole is None:
+        raise ValueError(f"k must be an integer, got {k!r}")
+    return whole
+
+
 def fourier_cos(k=1, amplitude=1.0):
-    k = int(k)
+    k = _frequency(k)
     a = float(amplitude)
     return PotentialSpec(
         name=f"{a:g}*cos(2pi*{k}x)" if a != 1.0 else f"cos(2pi*{k}x)",
@@ -51,7 +60,7 @@ def fourier_cos(k=1, amplitude=1.0):
 
 
 def fourier_sin(k=1, amplitude=1.0):
-    k = int(k)
+    k = _frequency(k)
     a = float(amplitude)
     return PotentialSpec(
         name=f"{a:g}*sin(2pi*{k}x)" if a != 1.0 else f"sin(2pi*{k}x)",
@@ -85,10 +94,12 @@ def coboundary(u: PotentialSpec, m: MapSpec):
 
 def piecewise_poly(breakpoints, coefficients, name="piecewise_poly"):
     """Piecewise polynomial on [0,1), piece p: sum_k c[p][k] (x - bp[p])^k."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
-        raise ValueError("breakpoints must be increasing")
-    coefs = [np.asarray(c, dtype=float) for c in coefficients]
+    bp = number_row(breakpoints)
+    if bp is None or bp.size < 2 or np.any(np.diff(bp) <= 0):
+        raise ValueError("breakpoints must be increasing numbers")
+    coefs = number_rows(coefficients)
+    if coefs is None:
+        raise ValueError("coefficients must be a list of flat rows of numbers")
     if len(coefs) != bp.size - 1:
         raise ValueError("coefficients must have one row per piece")
 

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NonFiniteWeightsError, ReducibleMatrixError
-from .maps import (MapSpec, branch_preimages, cell_centers, lift_of, lift_each, map_eval,
-                   wrap01, _invert_lift)
+from .maps import (MapSpec, branch_preimages, cell_centers, lift_each, map_eval, wrap01,
+                   _invert_lift)
 from .observables import PotentialSpec, fourier_cos, fourier_sin
 
 #: Largest n accepted.  Solves and diagnostics read only the entries, but
@@ -181,18 +181,19 @@ class TransferMatrix:
 
 
 def map_geometry(m: MapSpec, scheme: str, n: int) -> MapGeometry:
-    """The entries of the n x n discretization of L_f in the given scheme."""
-    if m.members is not None:
-        raise ValueError(f"{m.name} is a block map: see member_geometries")
+    """The entries of the n x n discretization of L_f in the given scheme:
+    :func:`member_geometries` of a one-member map."""
+    if m.members != 1:
+        raise ValueError(f"{m.name} has {m.members} members: see member_geometries")
     [g] = member_geometries(m, scheme, n)
     return g
 
 
 def member_geometries(m: MapSpec, scheme: str, n: int):
-    """One :class:`MapGeometry` per member of the block map ``m`` (one in
-    all for a single map), each equal to the member's own
-    :func:`map_geometry`.  Every member's targets are inverted in one
-    call, and collocation members share one ``rows`` array."""
+    """One :class:`MapGeometry` per member of ``m``, each equal to the
+    member's own :func:`map_geometry`.  Every member's targets are
+    inverted in one call, and collocation members share one ``rows``
+    array."""
     if n < 16:
         raise ValueError("n must be >= 16")
     if n > MAX_DENSE_N:
@@ -220,25 +221,15 @@ def build_matrix(m: MapSpec, phi: PotentialSpec, scheme: str, n: int) -> Transfe
     return TransferMatrix(geometry=g, weights=g.weights(phi.fn(g.points)), potential=phi)
 
 
-def _members(m: MapSpec):
-    """The member indices of a block map, [None] for a single map."""
-    return [None] if m.members is None else range(m.members)
-
-
 def _collocation_entries(m: MapSpec, n: int):
     """Row i samples L at the centre x_i: each preimage y of x_i enters the
     two hats around it, with weights 1 - w and w.  Entries are ordered by
     branch, then lower/upper hat, then row; points has shape (G, 1, n).
     Returns ``(rows, cols, points, coef)`` per member, with ``rows``, of
     ``coef``'s size, shared."""
-    x = cell_centers(n)
-    if m.members is None:
-        y = branch_preimages(m, x)[None]
-    else:
-        K = m.members
-        y = branch_preimages(m, np.tile(x, K), np.repeat(np.arange(K), n))
-        y = np.moveaxis(y.reshape(m.degree, K, n), 0, 1)
-    y = wrap01(y)[:, :, None, :]
+    K = m.members
+    y = branch_preimages(m, np.tile(cell_centers(n), K), np.repeat(np.arange(K), n))
+    y = wrap01(np.moveaxis(y.reshape(m.degree, K, n), 0, 1))[:, :, None, :]
     p = y * n - 0.5
     j0 = np.floor(p).astype(np.int64)
     w_hi = p - j0
@@ -254,22 +245,19 @@ def _ulam_entries(m: MapSpec, n: int):
     j/n.  Each piece lies in one source cell j and maps into one image cell
     i; its image length is its entry at (i, j), its midpoint its point.
     Returns ``(rows, cols, points, coef)`` per member."""
-    c = lift_each(m)
     cuts = []
-    for k in _members(m):
-        ck = c if k is None else c[k]
-        bounds = ck + np.arange(m.degree + 1)
+    for c in lift_each(m):
+        bounds = c + np.arange(m.degree + 1)
         # Lattice values and cell edges on a slice boundary would add only
         # empty pieces.
-        lattice = np.arange(math.floor(ck * n) + 1, math.ceil(bounds[-1] * n)) / n
+        lattice = np.arange(math.floor(c * n) + 1, math.ceil(bounds[-1] * n)) / n
         cuts.append((bounds, lattice[~np.isin(lattice, bounds)]))
     # One inversion for every member's slice boundaries and lattice values.
     sizes = [b.size + lat.size for b, lat in cuts]
     targets = np.concatenate([a for cut in cuts for a in cut])
-    inv = (_invert_lift(m, targets) if m.members is None
-           else _invert_lift(m, targets, np.repeat(np.arange(m.members), sizes)))
-    return [_ulam_pieces(m, k, bounds, lattice, part, n) for k, (bounds, lattice), part
-            in zip(_members(m), cuts, np.split(inv, np.cumsum(sizes)[:-1]))]
+    inv = _invert_lift(m, targets, np.repeat(np.arange(m.members), sizes))
+    return [_ulam_pieces(m, k, bounds, lattice, part, n) for k, ((bounds, lattice), part)
+            in enumerate(zip(cuts, np.split(inv, np.cumsum(sizes)[:-1])))]
 
 
 def _ulam_pieces(m, k, bounds, lattice, inv, n):
@@ -280,7 +268,7 @@ def _ulam_pieces(m, k, bounds, lattice, inv, n):
     edges = np.arange(1, n) / n
     edges = edges[~np.isin(edges, s)]
     dom = np.concatenate([s, inv[bounds.size:], edges])
-    img = np.concatenate([bounds, lattice, lift_of(m, edges, k)])
+    img = np.concatenate([bounds, lattice, m.lift(edges, k)])
     order = np.argsort(dom, kind="stable")
     dom, img = dom[order], img[order]
     mid_dom = 0.5 * (dom[:-1] + dom[1:])

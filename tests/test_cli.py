@@ -84,6 +84,22 @@ class TestValidation:
         assert (p["n"], p["steps"], p["mc_orbit_n"]) == (64, 5, 3)
         assert all(type(p[k]) is int for k in ("n", "steps", "mc_orbit_n"))
 
+    def test_integral_float_power_and_frequency(self, tmp_path):
+        # an iterate's power and a Fourier k follow the integer rule of the
+        # params: 2.0 is taken as 2, echoed as 2 and gives the same bytes
+        outs = []
+        for two in (2, 2.0):
+            cfg = job("spectrum", map=iterate("doubling", two), params={"n": 64},
+                      potential={"kind": "fourier_cos", "params": {"k": two, "amplitude": 0.1}})
+            assert cli.run(cfg, tmp_path / str(two))[0] == cli.EXIT_OK
+            power = cli.validate(cfg)["map"]["params"]["power"]
+            assert power == 2 and type(power) is int
+            outs.append([(tmp_path / str(two) / f).read_bytes()
+                         for f in ("spectrum.csv", "summary.json")])
+        assert outs[0][0] == outs[1][0]
+        # the summary echoes the potential as given, 2 or 2.0, and nothing else differs
+        assert outs[0][1].replace(b'"k": 2', b'"k": 2.0') == outs[1][1]
+
     @pytest.mark.parametrize("command, key", [("free-energy", "steps"),
                                               ("rate-function", "steps"), ("ldp", "steps"),
                                               ("rate-function", "s_steps"), ("ldp", "s_steps")])
@@ -573,6 +589,33 @@ class TestMain:
         # a name that is not a string names no kind or map
         (job("spectrum", potential={"kind": [1]}), "potential.kind"),
         (job("response", map={"kind": "builtin", "name": [1]}), "map.name"),
+        # piecewise breakpoints are numbers, and each coefficient row a flat
+        # list of numbers: nothing is read into a shape it was not given
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": "ab", "coefficients": [[0.0, 2.0]]}}), "map.params.breakpoints"),
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[[0, 2]]]}}), "map.params.coefficients"),
+        (job("spectrum", map={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[[0], [2]]]}}),
+         "map.params.coefficients"),
+        (job("spectrum", potential={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[[0, 2]]]}}, params={"n": 64}),
+         "potential.params"),
+        (job("spectrum", potential={"kind": "piecewise_poly", "params": {
+            "breakpoints": [0.0, 1.0], "coefficients": [[[0], [2]]]}}, params={"n": 64}),
+         "potential.params"),
+        # a builtin map's params are numbers, not strings, booleans or lists
+        (job("spectrum", map={"kind": "builtin", "name": "derived_expanding",
+                              "params": {"v": "0.5"}}), "map.params"),
+        (job("spectrum", map={"kind": "builtin", "name": "rotation", "params": {"theta": True}}),
+         "map.params"),
+        (job("spectrum", map={"kind": "builtin", "name": "derived_expanding",
+                              "params": {"v": [0.5]}}), "map.params"),
+        # a Fourier frequency is an integer, not truncated to one
+        (job("spectrum", potential={"kind": "fourier_cos", "params": {"k": 1.5}},
+             params={"n": 64}), "potential.params"),
+        (job("clt", observable={"kind": "fourier_sin", "params": {"k": 0.5}},
+             params={"n": 64}), "observable.params"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -599,15 +599,20 @@ def _per_member_scan(family, phi, obs, vs, scheme, n, guard):
 class TestResponseBatches:
     """response_scan against the per-member path, bit for bit."""
 
-    @pytest.mark.parametrize("scheme, n, guard, phi", [
-        ("collocation", 64, (1, 0.7, 64), O.fourier_cos(1, 0.1)),
-        ("collocation", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
-        ("collocation", 64, (1, 0.7, 128), O.fourier_cos(1, 0.1)),
-        ("collocation", 64, None, lambda mv: O.neg_log_deriv(mv, 0.1)),
-        ("ulam", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
-    ], ids=["guard-n", "guard-depth-2", "guard-resolution-2n", "no-guard", "ulam"])
-    def test_matches_per_member_path(self, scheme, n, guard, phi):
-        vs = np.linspace(0.5, 1.5, 11)             # MEMBER_BLOCK = 4: blocks 4, 4, 3
+    CASES = {"guard-n": ("collocation", 64, (1, 0.7, 64), O.fourier_cos(1, 0.1)),
+             "guard-depth-2": ("collocation", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1)),
+             "guard-resolution-2n": ("collocation", 64, (1, 0.7, 128), O.fourier_cos(1, 0.1)),
+             "no-guard": ("collocation", 64, None, lambda mv: O.neg_log_deriv(mv, 0.1)),
+             "ulam": ("ulam", 64, (2, 0.7, 64), O.fourier_cos(1, 0.1))}
+
+    # MEMBER_BLOCK = 8: 11 points run in blocks of 8 and 3, 9 points in
+    # blocks of 8 and 1, the last a map of one member
+    @pytest.mark.parametrize("scheme, n, guard, phi, points",
+                             [case + (11,) for case in CASES.values()]
+                             + [case + (9,) for case in CASES.values()],
+                             ids=list(CASES) + [f"{name}-last-block-1" for name in CASES])
+    def test_matches_per_member_path(self, scheme, n, guard, phi, points):
+        vs = np.linspace(0.5, 1.5, points)
         assert vs.size % Cv.MEMBER_BLOCK            # the last block is ragged
         sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, scheme, n, guard)
         lam, mean, ok, failed = _per_member_scan(M.derived_expanding_map, phi, COS1.fn,
@@ -642,10 +647,10 @@ class TestResponseBatches:
         points = {"operator": Counter(), "certify": Counter()}
 
         def counted(name, real):
-            def inverse(m, x, member=None):
+            def inverse(m, x, member=0):
                 out = real(m, x, member)
-                label = (np.asarray(m.json_params["v"])[member] if member is not None
-                         else np.full(np.shape(x), m.json_params.get("v", m.name)))
+                label = (np.atleast_1d(m.json_params["v"])[member] if "v" in m.json_params
+                         else np.full(np.shape(x), m.name))
                 points[name].update(np.broadcast_to(label, out.shape).ravel().tolist())
                 return out
             return inverse

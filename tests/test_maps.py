@@ -280,9 +280,9 @@ class TestInvertLift:
         counts = {"lift": 0, "derivative": 0}
 
         def counted(name, fn):
-            def wrapped(x):
+            def wrapped(x, member=0):
                 counts[name] += np.size(x)
-                return fn(x)
+                return fn(x, member)
             return wrapped
 
         mc = dataclasses.replace(m, lift=counted("lift", m.lift),
@@ -382,7 +382,7 @@ class TestBuiltins:
 class TestLiftValidation:
     def test_degree_span_enforced(self):
         with pytest.raises(ValueError):
-            M.MapSpec(name="bad", degree=2, lift=lambda x: 3.0 * np.asarray(x))
+            M.MapSpec(name="bad", degree=2, lift=lambda x, member=0: 3.0 * np.asarray(x))
 
     def test_iterate_map(self):
         d = M.doubling_map()

@@ -215,11 +215,11 @@ class TestBuildMatrix:
         invert = T._invert_lift
         calls = []
 
-        def counted(mm, t):
+        def counted(mm, t, member=0):
             calls.append(np.size(t))
-            return invert(mm, t)
+            return invert(mm, t, member)
 
-        def per_branch(mm, t):
+        def per_branch(mm, t, member=0):
             g = mm.degree
             c = float(np.asarray(mm.lift(0.0)).ravel()[0])
             out = np.empty_like(t)
