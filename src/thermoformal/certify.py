@@ -32,6 +32,10 @@ STATS_BLOCK = 64
 LOG_DERIV_SAMPLES = 16384
 #: It is evaluated in blocks of at most LOG_DERIV_BLOCK grid differences.
 LOG_DERIV_BLOCK = 4096
+#: The circle's diameter, in the admissibility inequality of an iterate.
+CIRCLE_DIAMETER = 0.5
+#: The cover constant of the covering arithmetic, sqrt(2) times the diameter.
+COVER_CONSTANT = math.sqrt(2.0) * CIRCLE_DIAMETER
 
 
 @dataclass(frozen=True)
@@ -177,12 +181,6 @@ def _inflation(N, rho, w):
 
 @dataclass(frozen=True)
 class CoveringBudget:
-    gamma: float
-    L: float
-    N: int
-    G: int
-    dim_m: int
-    C: float
     ell: Optional[int]
     k: Optional[int]
     D_k: Optional[int]
@@ -215,14 +213,15 @@ def bad_branch_count(ell_k, G_pow_N_minus_1, k):
     )
 
 
-def ball_count(C, L, N, dim_m, k):
-    """D_k = ceil(C * L^(k*N*dim)): cover cardinality at the depth-k scale.
+def ball_count(L, N, k):
+    """D_k = ceil(C * L^(k*N)): cover cardinality at the depth-k scale, C =
+    COVER_CONSTANT.
 
-    Exact Fraction arithmetic; the scale constant delta^(-dim) is absorbed
+    Exact Fraction arithmetic; the scale constant delta^(-1) is absorbed
     into C (the raw per-level formula in the source is dimensionally off and
     is not used).
     """
-    val = Fraction(C) * Fraction(L) ** (k * N * dim_m)
+    val = Fraction(COVER_CONSTANT) * Fraction(L) ** (k * N)
     return -((-val.numerator) // val.denominator)  # ceil for positive Fraction
 
 
@@ -238,9 +237,8 @@ def _log_bk_lower(ell_k, base, k):
     return max(log_term(0), log_term(k - 1))
 
 
-def covering_budget(gamma, L, N, G, dim_m=1, C=None, diam_m=0.5,
-                    ell_cap=10_000, k_cap=100_000):
-    """Feasibility arithmetic for the covering construction.
+def covering_budget(gamma, L, N, G, ell_cap=10_000, k_cap=100_000):
+    """Feasibility arithmetic for the covering construction on the circle.
 
     Finds the smallest ell satisfying both scan estimates, then the smallest
     k with D_k * B_k < G^(ell*k*N), all in exact integer arithmetic (a float
@@ -251,62 +249,54 @@ def covering_budget(gamma, L, N, G, dim_m=1, C=None, diam_m=0.5,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if L < 1.0 or N < 1 or G < 2 or dim_m < 1 or ell_cap < 1:
-        raise ValueError("need L >= 1, N >= 1, G >= 2, dim_m >= 1, ell_cap >= 1")
-    if C is None:
-        C = (math.sqrt(2.0) * diam_m) ** dim_m
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if L < 1.0 or N < 1 or G < 2 or ell_cap < 1:
+        raise ValueError("need L >= 1, N >= 1, G >= 2, ell_cap >= 1")
 
     ell = None
     for last in range(1, ell_cap + 1):
         if not estimate_31(gamma, L, N, last):
             break                   # and so at every larger ell
-        if estimate_32(L, N, G, dim_m, last):
+        if estimate_32(L, N, G, 1, last):
             ell = last
             break
     if ell is None:
         violated = []
         if not estimate_31(gamma, L, N, last):
             violated.append("estimate_3_1")
-        if not estimate_32(L, N, G, dim_m, last):
+        if not estimate_32(L, N, G, 1, last):
             violated.append("estimate_3_2")
-        return CoveringBudget(gamma, L, N, G, dim_m, C, None, None, None, None,
-                              None, None, False, "+".join(violated) or "ell_cap",
-                              None, None, None)
+        return CoveringBudget(None, None, None, None, None, None, False,
+                              "+".join(violated) or "ell_cap", None, None, None)
 
     gamma_tilde = gamma * L ** (N * (ell - 1))
     base = G ** N - 1
     log_G_N = N * math.log(G)
-    log_C = math.log(C)
+    log_C = math.log(COVER_CONSTANT)
     log_L = math.log(L)
 
     found_k = None
     for k in range(1, k_cap + 1):
         ell_k = ell * k
-        log_q_lower = (log_C + k * N * dim_m * log_L
-                       + _log_bk_lower(ell_k, base, k))
+        log_q_lower = log_C + k * N * log_L + _log_bk_lower(ell_k, base, k)
         log_threshold = ell_k * log_G_N
         if log_q_lower > log_threshold + 1.0:
             continue
-        D_k = ball_count(C, L, N, dim_m, k)
+        D_k = ball_count(L, N, k)
         B_k = bad_branch_count(ell_k, base, k)
         if D_k * B_k < G ** (ell_k * N):
             found_k = k
             break
     if found_k is None:
-        return CoveringBudget(gamma, L, N, G, dim_m, C, ell, None, None, None,
-                              None, None, False, "k_cap",
+        return CoveringBudget(ell, None, None, None, None, None, False, "k_cap",
                               gamma_tilde, None, None)
 
     k = found_k
-    D_k = ball_count(C, L, N, dim_m, k)
+    D_k = ball_count(L, N, k)
     B_k = bad_branch_count(ell * k, base, k)
     k0 = k
     while gamma_tilde ** k0 * L ** (ell * N) >= 1.0:
         k0 += 1
     return CoveringBudget(
-        gamma=gamma, L=L, N=N, G=G, dim_m=dim_m, C=C,
         ell=ell, k=k, D_k=D_k, B_k=B_k, q_k=D_k * B_k,
         threshold=G ** (ell * k * N),
         feasible=True, violated=None,
@@ -325,27 +315,23 @@ class IterateData:
     """Constants of a covering iterate m for the admissibility inequality.
 
     ``deg_m`` is deg(f^m); q_m, gamma_m, L_m as produced by the covering
-    construction; diam_m the manifold diameter.
+    construction.
     """
     deg_m: int
     q_m: int
     gamma_m: float
     L_m: float
-    diam_m: float = 0.5
 
 
 @dataclass(frozen=True)
 class PotentialAdmissibility:
-    name: str
-    alpha: float
     eps: float
     sup_phi: float
     inf_phi: float
-    seminorm_exp_phi: Optional[float]
+    seminorm_exp_phi: float
     variation_ok: bool
-    seminorm_ok: Optional[bool]
-    admissible: Optional[bool]
-    partial: bool
+    seminorm_ok: bool
+    admissible: bool
     iterate_lhs: Optional[float] = None
     iterate_ok: Optional[bool] = None
 
@@ -377,31 +363,19 @@ def potential_stats(phi: PotentialSpec):
     return sup, inf, seminorm
 
 
-def potential_admissible(phi, eps, m_data: Optional[IterateData] = None):
+def potential_admissible(phi: PotentialSpec, eps, m_data: Optional[IterateData] = None):
     """Admissibility verdicts for a potential at bound eps.
 
-    ``phi`` is a PotentialSpec (sampled) or a (sup, inf, seminorm|None,
-    alpha) tuple of precomputed stats.  Checks sup-inf < eps and
-    |e^phi|_alpha < eps*e^(inf phi); with iterate data also evaluates the
+    Checks sup-inf < eps and |e^phi|_alpha < eps*e^(inf phi) on the sampled
+    stats (:func:`potential_stats`); with iterate data also evaluates the
     covering inequality verbatim and reports its left-hand side.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if isinstance(phi, PotentialSpec):
-        sup, inf, seminorm = potential_stats(phi)
-        name, alpha = phi.name, phi.alpha
-    else:
-        sup, inf, seminorm, alpha = phi
-        name = "stats"
+    sup, inf, seminorm = potential_stats(phi)
+    alpha = phi.alpha
     variation_ok = sup - inf < eps
-    if seminorm is None:
-        seminorm_ok = None
-        admissible = None
-        partial = True
-    else:
-        seminorm_ok = seminorm < eps * math.exp(inf)
-        admissible = variation_ok and seminorm_ok
-        partial = False
+    seminorm_ok = seminorm < eps * math.exp(inf)
 
     iterate_lhs = None
     iterate_ok = None
@@ -410,13 +384,12 @@ def potential_admissible(phi, eps, m_data: Optional[IterateData] = None):
         main = ((d.deg_m - d.q_m) * d.gamma_m ** alpha
                 + d.q_m * d.L_m ** alpha * (1.0 + (d.L_m - 1.0) ** alpha)) / d.deg_m
         iterate_lhs = ((1.0 + eps) * math.exp(eps) * main
-                       + 2.0 * eps * d.L_m ** alpha * d.diam_m ** alpha)
+                       + 2.0 * eps * d.L_m ** alpha * CIRCLE_DIAMETER ** alpha)
         iterate_ok = iterate_lhs < 1.0
 
     return PotentialAdmissibility(
-        name=name, alpha=alpha, eps=eps,
-        sup_phi=sup, inf_phi=inf, seminorm_exp_phi=seminorm,
+        eps=eps, sup_phi=sup, inf_phi=inf, seminorm_exp_phi=seminorm,
         variation_ok=variation_ok, seminorm_ok=seminorm_ok,
-        admissible=admissible, partial=partial,
+        admissible=variation_ok and seminorm_ok,
         iterate_lhs=iterate_lhs, iterate_ok=iterate_ok,
     )

@@ -27,7 +27,7 @@ from . import certify as certify_mod
 from . import curves as curves_mod
 from . import statistics as stats_mod
 from .errors import SchemaError, ThermoformalError
-from .maps import builtin_maps, check_keys, map_from_json, map_to_json, whole_number
+from .maps import builtin_maps, check_keys, is_number, map_from_json, map_to_json, whole_number
 from .observables import observable_from_json
 from .operator import (MAX_DENSE_N, build_matrix, dominant_class, fourier_testfns,
                        gap_ratio, invariance_defect, leading_triple)
@@ -105,8 +105,7 @@ def _require(cond, msg, path):
 def _num(params, key, lo=None, hi=None, integer=False, path="params"):
     val = params[key]
     where = f"{path}.{key}" if path else key
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{key} must be a number", where)
+    _require(is_number(val), f"{key} must be a number", where)
     if integer:
         val = whole_number(val)
         _require(val is not None, f"{key} must be an integer", where)

@@ -59,14 +59,8 @@ class FreeEnergyCurve:
     E2: np.ndarray                 # central second differences
     verdict: str                   # strict | affine | indeterminate
     lam: np.ndarray                # leading eigenvalue per grid point
-    scheme: str
-    n: int
     admissible_at_endpoints: bool
     base: Optional[SpectralTriple] = None   # the t=0 triple
-
-    @property
-    def step(self):
-        return float(self.t[1] - self.t[0])
 
 
 def _central_differences(y, x):
@@ -149,8 +143,7 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     return FreeEnergyCurve(
         psi_name=psi.name, t=ts, E=E, E1=E1, E2=E2,
         verdict=_convexity_verdict(E2),
-        lam=lams, scheme=scheme, n=n,
-        admissible_at_endpoints=admissible,
+        lam=lams, admissible_at_endpoints=admissible,
         base=base,
     )
 
@@ -193,9 +186,11 @@ class RateFunction:
     curve: FreeEnergyCurve
 
 
-def _legendre_sup(ts, E, s):
-    """sup_t (s t - E(t)) over the grid with local quadratic refinement."""
-    vals = s * ts - E
+def legendre_value(curve: FreeEnergyCurve, s):
+    """I(s) = sup_t (s t - E(t)) over the grid with local quadratic
+    refinement; also returns t(s)."""
+    ts = curve.t
+    vals = float(s) * ts - curve.E
     i = int(np.argmax(vals))
     if i == 0 or i == ts.size - 1:
         return float(vals[i]), float(ts[i])
@@ -211,11 +206,6 @@ def _legendre_sup(ts, E, s):
     t_star = t1 + shift
     v_star = v1 - 0.25 * (v0 - v2) * shift / dt
     return float(v_star), float(t_star)
-
-
-def legendre_value(curve: FreeEnergyCurve, s):
-    """I(s) = sup_t (s t - E(t)) with quadratic refinement; also returns t(s)."""
-    return _legendre_sup(curve.t, curve.E, float(s))
 
 
 def rate_function(curve: FreeEnergyCurve, s_steps: int) -> RateFunction:
@@ -238,12 +228,12 @@ def rate_function(curve: FreeEnergyCurve, s_steps: int) -> RateFunction:
     Is = np.empty(s_steps)
     t_of_s = np.empty(s_steps)
     for i, s in enumerate(ss):
-        Is[i], t_of_s[i] = _legendre_sup(curve.t, curve.E, s)
+        Is[i], t_of_s[i] = legendre_value(curve, s)
 
     resid = 0.0
     for i in range(1, curve.t.size - 1):
         s = curve.E1[i]
-        val, _ = _legendre_sup(curve.t, curve.E, s)
+        val, _ = legendre_value(curve, s)
         target = s * curve.t[i] - curve.E[i]
         resid = max(resid, abs(val - target))
 
@@ -259,8 +249,6 @@ def rate_function(curve: FreeEnergyCurve, s_steps: int) -> RateFunction:
 
 @dataclass(frozen=True)
 class LdpReport:
-    a: float
-    b: float
     n_values: np.ndarray
     rates: np.ndarray              # r_hat(n) = (1/n) log(count/m)
     counts: np.ndarray
@@ -334,7 +322,7 @@ def ldp_empirical(m: MapSpec, mu, psi: Callable,
     inf_I = float(min(candidates)) if candidates else math.inf
     bound = -inf_I
     return LdpReport(
-        a=a, b=b, n_values=n_values, rates=rates, counts=counts,
+        n_values=n_values, rates=rates, counts=counts,
         extrapolated=extrapolated, rate_bound=bound,
         gap=float(extrapolated - bound), censored=censored,
     )

@@ -18,7 +18,6 @@ inversion and branch functions here take that index as ``member``.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,8 +37,6 @@ BISECT_STEPS = 50
 #: iterations only halve, so after NEWTON_STEPS + BISECT_STEPS iterations
 #: every bracket is at most 2^-60 wide.
 NEWTON_STEPS = 10
-
-DEFAULT_CELL_WIDTH = 2.0 ** -20
 
 #: An ``iterate`` map composes its innermost lift at most MAX_ITERATE_STEPS
 #: times (nested powers multiply), and its degree, which the span check
@@ -68,9 +65,8 @@ def wrap01(x):
 class MapSpec:
     """A degree-G local homeomorphism of the circle given by its lift.
 
-    ``lift`` and ``derivative`` must accept numpy arrays.  ``r`` is the C^r
-    degree (``math.inf`` for smooth builtins, 0 for Hölder-only maps without
-    derivative data).  ``members`` is the number K of family members of
+    ``lift`` and ``derivative`` must accept numpy arrays; a Hölder-only map
+    has no ``derivative``.  ``members`` is the number K of family members of
     one degree that the map holds, 1 for a single map: ``lift(x, member=0)``
     and ``derivative(x, member=0)`` evaluate member ``member[i]`` at
     ``x[i]``, the two broadcast together.  A one-member map ignores
@@ -84,7 +80,6 @@ class MapSpec:
     degree: int
     lift: Callable[..., np.ndarray]
     derivative: Optional[Callable[..., np.ndarray]] = None
-    r: float = math.inf
     json_kind: str = "builtin"
     json_params: dict = field(default_factory=dict)
     members: int = 1
@@ -241,13 +236,13 @@ def branch_lipschitz(m: MapSpec, y, cell_width=None, member=0):
     """Depth-1 branch Lipschitz factor at preimage y of member ``member``.
 
     1/f'(y) when the map is C^1; otherwise a symmetric difference quotient
-    of the lift over the discretization cell (the cell stands in for the
-    neighborhood U_x of the branch-domain bound).
+    of the lift over the discretization cell of width ``cell_width`` (the
+    cell stands in for the neighborhood U_x of the branch-domain bound).
     """
     y = np.asarray(y, dtype=float)
     if m.derivative is not None:
         return 1.0 / m.derivative(wrap01(y), member)
-    h = 0.5 * (cell_width if cell_width is not None else DEFAULT_CELL_WIDTH)
+    h = 0.5 * cell_width
     yy = wrap01(y)
     return (2.0 * h) / (m.lift(yy + h, member) - m.lift(yy - h, member))
 
@@ -331,7 +326,6 @@ def iterate_map(m: MapSpec, power):
         degree=m.degree ** power,
         lift=lift,
         derivative=deriv,
-        r=m.r,
         json_kind="iterate",
         json_params={"base": map_to_json(m), "power": power},
         members=m.members,
@@ -502,6 +496,11 @@ def map_to_json(m: MapSpec):
             "params": dict(m.json_params)}
 
 
+def is_number(val):
+    """Whether ``val`` is a real number (True is no number)."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
 def whole_number(val):
     """``val`` as an int if it is an integer-valued number (2.0 is taken as
     2; True is no number), else None."""
@@ -517,8 +516,7 @@ def number_row(row):
     array) of real numbers, else None."""
     if isinstance(row, np.ndarray):
         row = row.tolist()
-    if (not isinstance(row, (list, tuple)) or not row
-            or any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in row)):
+    if not isinstance(row, (list, tuple)) or not row or not all(is_number(c) for c in row):
         return None
     return np.asarray(row, dtype=float)
 
@@ -553,8 +551,7 @@ def map_from_json(obj):
         catalog = builtin_maps()
         if not isinstance(name, str) or name not in catalog:
             raise SchemaError(f"unknown builtin map {name!r}", "map.name")
-        if any(isinstance(val, bool) or not isinstance(val, numbers.Real)
-               for val in params.values()):
+        if not all(is_number(val) for val in params.values()):
             raise SchemaError(f"params of builtin map {name!r} must be numbers", "map.params")
         try:
             m = catalog[name](**params)
@@ -667,7 +664,6 @@ def piecewise_poly_map(name, breakpoints, coefficients, degree, holder_only=Fals
         lift=lambda x, member=0: _periodic_lift(x, lift01, degree),
         derivative=None if holder_only else (
             lambda x, member=0: d01(wrap01(np.asarray(x, dtype=float)))),
-        r=0 if holder_only else math.inf,
         json_kind="piecewise_poly",
         json_params=json_params,
     )

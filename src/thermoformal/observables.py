@@ -13,8 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteObservableError, SchemaError
-from .maps import (MapSpec, check_keys, deriv_at, map_eval, number_row, number_rows,
-                   piecewise_polyval, whole_number, wrap01)
+from .maps import (MapSpec, check_keys, deriv_at, is_number, map_eval, number_row,
+                   number_rows, piecewise_polyval, whole_number, wrap01)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,17 @@ class PotentialSpec:
         return self.fn(np.asarray(x, dtype=float))
 
 
+def _number(key, val, integer=False):
+    """``val`` as a float, or as an int if ``integer`` (2.0 is taken as 2);
+    ValueError for any other value (True is no number)."""
+    out = whole_number(val) if integer else float(val) if is_number(val) else None
+    if out is None:
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {val!r}")
+    return out
+
+
 def constant(value=0.0):
-    c = float(value)
+    c = _number("value", value)
     return PotentialSpec(
         name=f"constant({c:g})",
         fn=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
@@ -41,17 +50,9 @@ def constant(value=0.0):
 zero = constant(0.0)
 
 
-def _frequency(k):
-    """The integer frequency k (2.0 is taken as 2); ValueError for any other value."""
-    whole = whole_number(k)
-    if whole is None:
-        raise ValueError(f"k must be an integer, got {k!r}")
-    return whole
-
-
 def fourier_cos(k=1, amplitude=1.0):
-    k = _frequency(k)
-    a = float(amplitude)
+    k = _number("k", k, integer=True)
+    a = _number("amplitude", amplitude)
     return PotentialSpec(
         name=f"{a:g}*cos(2pi*{k}x)" if a != 1.0 else f"cos(2pi*{k}x)",
         fn=lambda x, k=k, a=a: a * np.cos(2 * np.pi * k * np.asarray(x, dtype=float)),
@@ -60,8 +61,8 @@ def fourier_cos(k=1, amplitude=1.0):
 
 
 def fourier_sin(k=1, amplitude=1.0):
-    k = _frequency(k)
-    a = float(amplitude)
+    k = _number("k", k, integer=True)
+    a = _number("amplitude", amplitude)
     return PotentialSpec(
         name=f"{a:g}*sin(2pi*{k}x)" if a != 1.0 else f"sin(2pi*{k}x)",
         fn=lambda x, k=k, a=a: a * np.sin(2 * np.pi * k * np.asarray(x, dtype=float)),
@@ -73,7 +74,7 @@ def neg_log_deriv(m: MapSpec, scale=1.0):
     """scale * (-log f'): the geometric potential family, map-bound."""
     if m.derivative is None:
         raise ValueError(f"-log f' needs derivative data; map {m.name} has none")
-    s = float(scale)
+    s = _number("scale", scale)
     return PotentialSpec(
         name=f"{s:g}*(-log f') [{m.name}]",
         fn=lambda x, m=m, s=s: -s * np.log(deriv_at(m, x)),
@@ -133,7 +134,7 @@ def finite_values(obs, x, error=NonFiniteObservableError):
 
 def combine(phi: PotentialSpec, psi: PotentialSpec, t):
     """phi + t * psi."""
-    t = float(t)
+    t = _number("t", t)
     return PotentialSpec(
         name=f"{phi.name} + {t:g}*{psi.name}",
         fn=lambda x, p=phi, q=psi, t=t: p.fn(np.asarray(x, dtype=float)) + t * q.fn(np.asarray(x, dtype=float)),

@@ -161,10 +161,6 @@ def mc_map(fn, samples, batch_size, seed, *counters):
 @dataclass(frozen=True)
 class CltEmpiricalReport:
     ks_statistic: float
-    sigma2: float
-    n: int
-    samples: int
-    seed: int
     quantiles: np.ndarray          # (levels, empirical, gaussian)
 
 
@@ -205,9 +201,5 @@ def clt_empirical(m: MapSpec, mu, psi: Callable,
     gauss_q = sps.norm.ppf(levels, scale=sigma)
     return CltEmpiricalReport(
         ks_statistic=ks,
-        sigma2=variance.sigma2,
-        n=n,
-        samples=samples,
-        seed=seed,
         quantiles=np.column_stack([levels, emp_q, gauss_q]),
     )

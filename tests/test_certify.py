@@ -65,7 +65,7 @@ class TestConditionC:
 
     def test_center_only_mode_for_holder_map(self):
         base = M.doubling_map()
-        holder = M.MapSpec(name="h", degree=2, lift=base.lift, derivative=None, r=0)
+        holder = M.MapSpec(name="h", degree=2, lift=base.lift, derivative=None)
         rep = C.check_condition_C(holder, N=1, gamma=0.6, resolution=32)
         assert rep.mode == C.MODE_CENTER_ONLY
         assert rep.passed
@@ -199,7 +199,7 @@ class TestCoveringBudget:
 
     def test_concrete_budget(self):
         # oracle: independent brute-force scan with Fraction arithmetic
-        got = C.covering_budget(gamma=0.5, L=1.001, N=2, G=2, dim_m=1, C=2.0)
+        got = C.covering_budget(gamma=0.5, L=1.001, N=2, G=2)
         gamma, L, N, G = 0.5, 1.001, 2, 2
 
         def est1(ell):
@@ -211,7 +211,7 @@ class TestCoveringBudget:
         ell = next(l for l in range(1, 1000) if est1(l) and est2(l))
         k = None
         for kk in range(1, 50):
-            dk = math.ceil(Fraction(2) * Fraction(L) ** (kk * N))
+            dk = math.ceil(Fraction(math.sqrt(2.0) * 0.5) * Fraction(L) ** (kk * N))
             bk = sum(math.comb(ell * kk, j) * (2 ** N - 1) ** (ell * kk - j) for j in range(kk))
             if dk * bk < 2 ** (ell * kk * N):
                 k = kk
@@ -231,7 +231,7 @@ class TestCoveringBudget:
         for ell, k in ((4, 1), (5, 2), (6, 3)):
             prev = None
             for L in (1.0, 1.01, 1.05, 1.2):
-                q = C.ball_count(1.0, L, 2, 1, k) * C.bad_branch_count(ell * k, 3, k)
+                q = C.ball_count(L, 2, k) * C.bad_branch_count(ell * k, 3, k)
                 if prev is not None:
                     assert q >= prev
                 prev = q
@@ -255,7 +255,7 @@ class TestCoveringBudget:
 
     def test_exactness_overflows_floats(self):
         # thresholds at modest k already exceed 2^63; exact ints required
-        b = C.covering_budget(gamma=0.5, L=1.0, N=2, G=3, dim_m=1)
+        b = C.covering_budget(gamma=0.5, L=1.0, N=2, G=3)
         assert b.feasible
         assert b.threshold > 2 ** 63 or b.q_k > 0
 
@@ -309,15 +309,9 @@ class TestPotentialAdmissibility:
     def test_iterate_inequality_plugin(self):
         rep = C.potential_admissible(
             O.zero, eps=0.0,
-            m_data=C.IterateData(deg_m=2, q_m=0, gamma_m=0.5, L_m=1.0, diam_m=0.5))
+            m_data=C.IterateData(deg_m=2, q_m=0, gamma_m=0.5, L_m=1.0))
         assert rep.iterate_lhs == pytest.approx(0.5, abs=1e-12)
         assert rep.iterate_ok
-
-    def test_partial_verdict_without_seminorm(self):
-        rep = C.potential_admissible((0.1, 0.0, None, 1.0), eps=0.5)
-        assert rep.partial
-        assert rep.admissible is None
-        assert rep.variation_ok
 
     def test_recompute_matches(self):
         # the verdicts follow from the stored numbers

@@ -616,6 +616,23 @@ class TestMain:
              params={"n": 64}), "potential.params"),
         (job("clt", observable={"kind": "fourier_sin", "params": {"k": 0.5}},
              params={"n": 64}), "observable.params"),
+        # an observable's value, amplitude, scale and t are numbers, as a
+        # builtin map's params are: no string is read as one, no boolean
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant", "params": {"value": "1e-3"}}, "t": "0.1",
+            "psi": {"kind": "fourier_cos", "params": {"amplitude": "0.5"}}}},
+             params={"n": 64}), "potential.params.phi.params"),
+        (job("spectrum", potential={"kind": "constant", "params": {"value": True}},
+             params={"n": 64}), "potential.params"),
+        (job("spectrum", potential={"kind": "neg_log_deriv", "params": {"scale": "2"}},
+             params={"n": 64}), "potential.params"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant"}, "t": 0.1,
+            "psi": {"kind": "fourier_cos", "params": {"amplitude": "0.5"}}}},
+             params={"n": 64}), "potential.params.psi.params"),
+        (job("spectrum", potential={"kind": "tilt", "params": {
+            "phi": {"kind": "constant"}, "t": "0.1", "psi": {"kind": "fourier_cos"}}},
+             params={"n": 64}), "potential.params"),
     ])
     def test_bad_input_exits_with_field_path(self, tmp_path, capsys, cfg, path):
         cfg_path = tmp_path / "job.json"

@@ -10,9 +10,9 @@ from thermoformal import curves as Cv
 from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
-from thermoformal.errors import (ConvergenceError, LegendreDegenerateError,
-                                 NonFiniteWeightsError, ReducibleMatrixError,
-                                 ThermoformalError)
+from thermoformal.errors import (BranchInversionError, ConvergenceError,
+                                 LegendreDegenerateError, NonFiniteWeightsError,
+                                 ReducibleMatrixError, ThermoformalError)
 
 COS1 = O.fourier_cos(1)
 
@@ -46,7 +46,7 @@ class TestFreeEnergyCurve:
 
     def test_derivative_is_central_difference(self, doubling_cos_curve):
         c = doubling_cos_curve
-        manual = (c.E[2:] - c.E[:-2]) / (2 * c.step)
+        manual = (c.E[2:] - c.E[:-2]) / (2 * (c.t[1] - c.t[0]))
         assert np.allclose(c.E1[1:-1], manual, atol=1e-14)
 
     def test_scheme_agreement(self):
@@ -435,7 +435,7 @@ class TestDerivativeChecks:
         tr81 = grid_triples(*args, 81, "collocation", 512)
         r81 = _derivative_checks(c81, tr81, COS1)[0]
         assert r81 < r41
-        assert r81 < 5 * c81.step ** 2 + 1e-5
+        assert r81 < 5 * (c81.t[1] - c81.t[0]) ** 2 + 1e-5
 
 
 class TestRateFunction:
@@ -471,7 +471,7 @@ class TestRateFunction:
         toy = Cv.FreeEnergyCurve(
             psi_name="toy", t=ts, E=E, E1=np.gradient(E, ts),
             E2=np.full_like(ts, 1.0), verdict="strict", lam=np.exp(E),
-            scheme="none", n=0, admissible_at_endpoints=True)
+            admissible_at_endpoints=True)
         rf = Cv.rate_function(toy, 81)
         inner = (rf.s > -0.9) & (rf.s < 0.9)
         assert np.max(np.abs(rf.I[inner] - 0.5 * rf.s[inner] ** 2)) < 1e-12
@@ -638,6 +638,32 @@ class TestResponseBatches:
         assert np.array_equal(sc.solve_failed, failed)
         assert np.isnan(sc.lam[failed]).all() and np.isnan(sc.mean_obs[failed]).all()
         assert sc.lam.tobytes() == lam.tobytes() and sc.mean_obs.tobytes() == mean.tobytes()
+
+    def test_block_inversion_failure_falls_back_per_member(self, monkeypatch):
+        # every block's inversion fails, so each member is inverted alone,
+        # and the member at v = 1.0 fails that too
+        vs, phi, guard = np.linspace(0.5, 1.5, 9), O.fourier_cos(1, 0.1), (1, 0.7, 64)
+        ref = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, n=64, guard=guard)
+        member_geometry = Cv.map_geometry
+
+        def block_fails(m, scheme, n):
+            raise BranchInversionError("block inversion failed")
+
+        def fails_at_1(m, scheme, n):
+            if m.json_params["v"] == 1.0:
+                raise BranchInversionError("member inversion failed")
+            return member_geometry(m, scheme, n)
+
+        monkeypatch.setattr(Cv, "member_geometries", block_fails)
+        monkeypatch.setattr(Cv, "map_geometry", fails_at_1)
+        sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, n=64, guard=guard)
+        bad = vs == 1.0
+        assert bad.sum() == 1 and not ref.solve_failed.any()
+        assert np.array_equal(sc.solve_failed, bad)
+        assert np.isnan(sc.lam[bad]).all() and np.isnan(sc.mean_obs[bad]).all()
+        assert sc.lam[~bad].tobytes() == ref.lam[~bad].tobytes()
+        assert sc.mean_obs[~bad].tobytes() == ref.mean_obs[~bad].tobytes()
+        assert np.array_equal(sc.guard_passed, ref.guard_passed)
 
     @staticmethod
     def _inverted_points(monkeypatch, family, guard):

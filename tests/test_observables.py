@@ -30,7 +30,7 @@ class TestLibrary:
 
     def test_neg_log_deriv_requires_derivative(self):
         base = M.doubling_map()
-        holder = M.MapSpec(name="h", degree=2, lift=base.lift, derivative=None, r=0)
+        holder = M.MapSpec(name="h", degree=2, lift=base.lift, derivative=None)
         with pytest.raises(ValueError):
             O.neg_log_deriv(holder)
 
