@@ -22,9 +22,11 @@ from .statistics import mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
-#: free_energy_curve solves its grid GRID_BLOCK potentials at a time, so the
-#: memory of the batched solve does not grow with the number of grid points.
-GRID_BLOCK = 64
+#: free_energy_curve solves a grid of K columns of nnz entry weights in
+#: ceil(K nnz / GRID_ENTRIES) even blocks, so the memory of the batched solve
+#: grows neither with the number of grid points nor, beyond one column per
+#: block, with n.
+GRID_ENTRIES = 2 ** 17
 #: response_scan inverts, certifies and solves its v-grid MEMBER_BLOCK family
 #: members at a time; each member holds the rows and columns of its own
 #: geometry, and its weights, until its block is solved.
@@ -97,12 +99,16 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
     phi and psi are evaluated once on its entry points.  Each grid point's
     entry weights are ``scale * exp(phi + t psi) * coef`` (``exp(phi)`` at
     t=0), the same float operations as ``build_matrix(m, combine(phi, psi,
-    t), scheme, n)``, and :func:`leading_triples` solves ``GRID_BLOCK``
-    grid points at a time, each exactly as ``leading_triple`` would.  A
-    failing grid point raises for the first failing t in grid order.
+    t), scheme, n)``.  The K grid points of nnz entries each are solved in
+    ceil(K nnz / ``GRID_ENTRIES``) blocks (at most K) of even size, split
+    by ``np.array_split``, so the blocks depend only on the map, the
+    scheme, n and ``steps``; :func:`leading_triples` solves each point of
+    a block exactly as ``leading_triple`` would.  A failing grid point
+    raises for the first failing t in grid order.
 
     Of the grid's triples only the t=0 one is kept (``base``), holding its
-    entry weights over the shared geometry; the others give only lambda.
+    entry weights over the shared geometry in arrays of its own; the others
+    give only lambda, and nothing else of a block outlives its solve.
     """
     ts = symmetric_grid(t_max, steps)
     g = map_geometry(m, scheme, n)
@@ -120,21 +126,13 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
                 f"admissibility guard at eps={eps_guard}; curve computed anyway",
                 stacklevel=2)
 
+    # At most K blocks: a column over the budget is a block of its own.
+    blocks = min(ts.size, -(-ts.size * g.rows.size // GRID_ENTRIES))
     lams = np.empty(ts.size)
-    for start in range(0, ts.size, GRID_BLOCK):
-        block = ts[start:start + GRID_BLOCK]
-        pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
-        # A weight that is not finite is reported by the solve.
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
-        vals[block == 0.0] = phi_vals
-        triples = leading_triples(g, g.weights(vals), pots)
-        for t, tr in zip(block, triples):
-            if isinstance(tr, Exception):
-                raise type(tr)(f"eigen-solve failed at t={t}: {tr}") from tr
-        lams[start:start + block.size] = [tr.lam for tr in triples]
-        for k in np.flatnonzero(block == 0.0):
-            base = triples[k]
+    for idx in np.array_split(np.arange(ts.size), blocks):
+        lams[idx], kept = _solve_block(g, ts[idx], phi, psi, phi_vals, psi_vals)
+        if kept is not None:
+            base = kept
 
     i0 = int(np.flatnonzero(ts == 0.0)[0])
     E = np.log(lams) - math.log(lams[i0])
@@ -146,6 +144,29 @@ def free_energy_curve(m: MapSpec, phi: PotentialSpec, psi: PotentialSpec,
         lam=lams, admissible_at_endpoints=admissible,
         base=base,
     )
+
+
+def _solve_block(g, block, phi, psi, phi_vals, psi_vals):
+    """Lambda at each t of ``block``, and the t=0 triple if the block holds
+    t=0 (else None), with arrays of its own: the block's weights and
+    eigenvectors die on return.  Raises for the first failing t."""
+    pots = [phi if t == 0.0 else combine(phi, psi, t) for t in block]
+    # A weight that is not finite is reported by the solve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = phi_vals + block.reshape((-1,) + (1,) * g.points.ndim) * psi_vals
+    vals[block == 0.0] = phi_vals
+    W = g.weights(vals)
+    del vals                        # the solve reads only the weights
+    triples = leading_triples(g, W, pots)
+    for t, tr in zip(block, triples):
+        if isinstance(tr, Exception):
+            raise type(tr)(f"eigen-solve failed at t={t}: {tr}") from tr
+    base = None
+    for k in np.flatnonzero(block == 0.0):
+        tr = triples[k]
+        base = replace(tr, matrix=replace(tr.matrix, weights=tr.matrix.weights.copy()),
+                       h=tr.h.copy(), nu=tr.nu.copy())
+    return [tr.lam for tr in triples], base
 
 
 def free_energy_mc(m: MapSpec, mu, psi: Callable,

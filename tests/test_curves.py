@@ -162,7 +162,8 @@ class TestBatchedSolve:
         args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11)
         calls = _record_solves(monkeypatch)
         whole = Cv.free_energy_curve(*args, n=128)
-        monkeypatch.setattr(Cv, "GRID_BLOCK", 3)
+        # 11 columns of 512 entries: ceil(11 * 512 / 1536) = 4 even blocks
+        monkeypatch.setattr(Cv, "GRID_ENTRIES", 3 * 512)
         blocks = Cv.free_energy_curve(*args, n=128)
         assert [W.shape[0] for W, _, _ in calls] == [11, 3, 3, 3, 2]
         assert np.array_equal(whole.lam, blocks.lam)
@@ -171,6 +172,51 @@ class TestBatchedSolve:
         assert np.array_equal(blocks.base.h, whole.base.h)
         its = [[tr.iterations for tr in out] for _, _, out in calls]
         assert its[0] == sum(its[1:], [])
+
+    def test_benchmark_grid_runs_in_two_even_blocks(self, monkeypatch):
+        # 41 columns of 4096 entries: ceil(41 * 4096 / 2**17) = 2 blocks
+        args = (_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 41)
+        calls = _record_solves(monkeypatch)
+        blocks = Cv.free_energy_curve(*args, n=1024)
+        monkeypatch.setattr(Cv, "GRID_ENTRIES", 41 * 4096)
+        whole = Cv.free_energy_curve(*args, n=1024)
+        assert [W.shape[0] for W, _, _ in calls] == [21, 20, 41]
+        assert np.array_equal(whole.lam, blocks.lam)
+        assert np.array_equal(whole.E, blocks.E)
+        assert blocks.base.lam == whole.base.lam == blocks.lam[20]
+        assert blocks.base.iterations == whole.base.iterations
+        for name in ("h", "nu"):
+            assert np.array_equal(getattr(blocks.base, name), getattr(whole.base, name))
+        assert np.array_equal(blocks.base.matrix.weights, whole.base.matrix.weights)
+
+    def test_benchmark_grid_traced_peak(self):
+        # 9.1 MB in one block of 41 columns; 4.6 MB in blocks of 21 and 20.
+        tracemalloc.start()
+        try:
+            Cv.free_energy_curve(_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 41, n=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_column_over_the_budget_is_a_block_of_its_own(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        monkeypatch.setattr(Cv, "GRID_ENTRIES", 100)    # one column has 512 entries
+        Cv.free_energy_curve(_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 5, n=128)
+        assert [W.shape[0] for W, _, _ in calls] == [1] * 5
+
+    def test_base_owns_its_arrays(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        c = Cv.free_energy_curve(_MP, O.zero, O.neg_log_deriv(_MP), 0.25, 11, n=128)
+        [(W, _, out)] = calls
+        block = [W, out[0].h.base, out[0].nu.base]
+        assert all(b is not None for b in block[1:])    # the block's (K, n) arrays
+        for name in ("h", "nu"):
+            assert np.array_equal(getattr(c.base, name), getattr(out[5], name))
+        assert np.array_equal(c.base.matrix.weights, W[5])
+        for a in (c.base.matrix.weights, c.base.h, c.base.nu):
+            assert a.base is None
+            assert not any(np.shares_memory(a, b) for b in block)
 
     @pytest.mark.parametrize("scheme, inverter", [("collocation", "branch_preimages"),
                                                   ("ulam", "_invert_lift")])
@@ -210,7 +256,8 @@ class TestBatchedSolve:
         cap = max(its) - 1
         first = Cv.symmetric_grid(0.25, 11)[int(np.argmax(np.array(its) > cap))]
         assert first != -0.25                   # not simply the first column
-        monkeypatch.setattr(Cv, "GRID_BLOCK", 4)
+        # ceil(11 * 512 / 2048) = 3 blocks: [4, 4, 3]
+        monkeypatch.setattr(Cv, "GRID_ENTRIES", 4 * 512)
         monkeypatch.setattr(T, "MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match=f"^eigen-solve failed at t={first}: "):
             Cv.free_energy_curve(*args, n=128)
