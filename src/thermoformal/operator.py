@@ -356,22 +356,26 @@ def _gather_table(lines, n):
     return table
 
 
-def _gather_sum(weights, index, v):
+def _gather_sum(weights, index, v, out=None, tmp=None):
     """sum_r weights[r] * v[k, index[r]] for each column k, added in the
-    order of r.
+    order of r, written into the (K, n) buffer ``out`` with ``tmp`` as
+    scratch (both made when not given) and returned.
 
     ``index`` is either one (width, n) table that every column reads, or
     (width, K, n) flat indices into ``v.ravel()``, one table per column.
-    One column is gathered in one step; a batch slot by slot, which keeps
-    its temporaries in cache.  Both add the slots in the same order, so a
-    column's sums do not depend on its batch.
+    Every shape, one column included, runs one slot loop, so a column's
+    sums do not depend on its batch.  Slots are taken in "clip" mode:
+    every index is in range, and the default "raise" would buffer ``out``.
     """
-    if v.shape[0] == 1:
-        return (weights * v[0].take(index).reshape(weights.shape)).sum(axis=0)
     vals, axis = (v, 1) if index.ndim == 2 else (v.ravel(), None)
-    out = weights[0] * np.take(vals, index[0], axis=axis)
+    if out is None:
+        out, tmp = np.empty(weights.shape[1:]), np.empty(weights.shape[1:])
+    np.take(vals, index[0], axis=axis, out=out, mode="clip")
+    out *= weights[0]
     for w, i in zip(weights[1:], index[1:]):
-        out += w * np.take(vals, i, axis=axis)
+        np.take(vals, i, axis=axis, out=tmp, mode="clip")
+        tmp *= w
+        out += tmp
     return out
 
 
@@ -438,9 +442,9 @@ def _power_iteration(WR, CR, WC, RC, skip, n):
     it has a zero row or column, then lambda, the right and left iterates
     and the step at which it stopped.  A column still running after
     ``MAX_ITER`` steps has its last iterate and ``its`` 0; one that never
-    started has NaN and 0.  The batch's arrays die on return, so none is
-    held while the results are built (held, they added about 0.3 MB of
-    peak RSS to a spectrum job at n = 4096).
+    started has NaN and 0.  Each step writes into (K, n) buffers made once;
+    these and the batch's other arrays die on return, so none is held while
+    the results are built (held, they added 0.3 MB of peak RSS at n = 4096).
     """
     K = WR.shape[1]
     lam_out = np.full(K, math.nan)
@@ -451,17 +455,17 @@ def _power_iteration(WR, CR, WC, RC, skip, n):
     zero_line = np.any(WR.sum(axis=0) == 0.0, axis=-1) | np.any(WC.sum(axis=0) == 0.0, axis=-1)
     active = np.arange(K)
     (WR, WC), (CR, RC), (active,) = _retire(skip | zero_line, (WR, WC), (CR, RC), (active,), n)
-    X = np.full((active.size, n), 1.0 / n)
-    Y = np.full((active.size, n), 1.0 / n)
-    AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+    X, Y = np.full((2, active.size, n), 1.0 / n)
+    AX, ATY, T = np.empty((3, active.size, n))
+    _gather_sum(WR, CR, X, AX, T), _gather_sum(WC, RC, Y, ATY, T)
     lam_prev = np.full(active.size, math.nan)
     for its in range(1, MAX_ITER + 1):
         if active.size == 0:
             break
-        lam = (Y * AX).sum(axis=1) / (Y * X).sum(axis=1)
-        X = AX / np.abs(AX).sum(axis=1, keepdims=True)
-        Y = ATY / np.abs(ATY).sum(axis=1, keepdims=True)
-        AX, ATY = _gather_sum(WR, CR, X), _gather_sum(WC, RC, Y)
+        lam = np.multiply(Y, AX, out=T).sum(axis=1) / np.multiply(Y, X, out=T).sum(axis=1)
+        np.divide(AX, np.abs(AX, out=T).sum(axis=1, keepdims=True), out=X)
+        np.divide(ATY, np.abs(ATY, out=T).sum(axis=1, keepdims=True), out=Y)
+        _gather_sum(WR, CR, X, AX, T), _gather_sum(WC, RC, Y, ATY, T)
         # Residuals only where lambda settled: nu's first, since it passes
         # last, then h's where nu's passed.
         done = np.abs(lam - lam_prev) <= POWER_TOL * np.abs(lam)
@@ -477,6 +481,7 @@ def _power_iteration(WR, CR, WC, RC, skip, n):
             lam_out[k], X_out[k], Y_out[k], its_out[k] = lam[done], X[done], Y[done], its
             (WR, WC), (CR, RC), (active, lam, X, Y, AX, ATY) = _retire(
                 done, (WR, WC), (CR, RC), (active, lam, X, Y, AX, ATY), n)
+            T = T[:active.size]
         lam_prev = lam
     lam_out[active], X_out[active], Y_out[active] = lam_prev, X, Y
     return zero_line, lam_out, X_out, Y_out, its_out
@@ -497,7 +502,7 @@ def leading_triples(g, W, potentials):
     whose lambda settled: nu's first, since it passes last, and h's only
     where nu's passed.  The products run on fixed-width gather tables of
     the unmerged entries, per row for ``A x`` and per column for ``A^T y``,
-    so no matrix is formed.
+    by one slot loop into buffers held for the solve: no matrix is formed.
 
     The live columns are kept in the first slots of the batch.  A column
     that stops (or never starts: weights not all finite, or a zero row or

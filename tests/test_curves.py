@@ -413,6 +413,30 @@ class TestRetirement:
             tracemalloc.stop()
         assert peak < 24 * W.shape[0] * g.n * 8
 
+    def test_no_step_allocates_a_product(self, monkeypatch):
+        # Every product of one side is written into that side's first
+        # buffer (or a view of it once columns retire), K = 1 included.
+        calls = []
+        real = T._gather_sum
+
+        def record(weights, index, v, out=None, tmp=None):
+            calls.append((weights, out))
+            return real(weights, index, v, out, tmp)
+
+        monkeypatch.setattr(T, "_gather_sum", record)
+        g, W, pots = _mp_grid(256)
+        for solve in (lambda: T.leading_triples(g, W, pots),
+                      lambda: T.leading_triple(T.TransferMatrix(g, W[20], pots[20]))):
+            calls.clear()
+            solve()
+            rows, cols = calls[0::2], calls[1::2]
+            assert len(rows) == len(cols) > 2
+            assert not np.shares_memory(rows[0][1], cols[0][1])
+            for side in (rows, cols):
+                (w0, out0), rest = side[0], side[1:]
+                assert all(np.shares_memory(w, w0) and np.shares_memory(out, out0)
+                           for w, out in rest)
+
 
 class TestFreeEnergyMc:
     def test_zero_t_exact(self, doubling_cos_curve):

@@ -362,6 +362,58 @@ class TestLeadingTriple:
             T.leading_triple(bad)
 
 
+def _slot_reference(weights, index, v):
+    """sum_r weights[r] * v[:, index[r]], added slot by slot in r order;
+    a (width, K, n) index reads ``v`` flat."""
+    take = (lambda i: v[:, i]) if index.ndim == 2 else (lambda i: v.ravel()[i])
+    ref = weights[0] * take(index[0])
+    for w, i in zip(weights[1:], index[1:]):
+        ref = ref + w * take(i)
+    return ref
+
+
+def _gather_cases():
+    mp = M.mp_like_map()
+    g = T.map_geometry(mp, "collocation", 128)
+    W = np.stack([g.weights(O.fourier_cos(1, a).fn(g.points)) for a in (-0.3, 0.0, 0.2, 0.5)])
+    geoms = [T.map_geometry(M.derived_expanding_map(v), "collocation", 64)
+             for v in (0.5, 1.0, 1.5)]
+    ws = [gk.weights(O.fourier_cos(1, 0.1).fn(gk.points)) for gk in geoms]
+    return {"shared": (T._batch_tables(g, W), g.n), "per-column": (T._batch_tables(geoms, ws), 64),
+            "one-column": (T._batch_tables(g, W[:1]), g.n)}
+
+
+class TestGatherSum:
+    """One slot loop serves every batch shape and equals the plain per-slot
+    sum bit for bit, with or without caller buffers."""
+
+    @pytest.mark.parametrize("case", ["shared", "per-column", "one-column"])
+    def test_matches_slot_reference(self, case):
+        (WR, CR, WC, RC), n = _gather_cases()[case]
+        if case == "per-column":
+            assert CR.ndim == RC.ndim == 3
+        v = np.random.default_rng(3).standard_normal((WR.shape[1], n))
+        for weights, index in ((WR, CR), (WC, RC)):
+            ref = _slot_reference(weights, index, v)
+            assert T._gather_sum(weights, index, v).tobytes() == ref.tobytes()
+            out, tmp = np.full_like(v, np.nan), np.full_like(v, np.nan)
+            assert T._gather_sum(weights, index, v, out, tmp) is out
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: T.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.25), "collocation", 256),
+        lambda: T.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.25), "ulam", 256),
+        lambda: T.from_dense(np.random.default_rng(5).random((40, 40))
+                             * (np.random.default_rng(6).random((40, 40)) < 0.2)),
+    ], ids=["collocation", "ulam", "from_dense"])
+    def test_matvec_matches_one_step_formula(self, make):
+        # The one-step product that single columns used before the slot loop.
+        tm = make()
+        w, idx = tm._row_weights[:, 0], tm.geometry.row_cols
+        v = np.random.default_rng(4).standard_normal(tm.n)
+        assert (tm @ v).tobytes() == (w * v.take(idx)).sum(axis=0).tobytes()
+
+
 def _dense_primitive(A):
     """Reference: the pattern P of A > 0 is primitive when P^k > 0 for some
     k, and then for every k above Wielandt's bound (n-1)^2 + 1.  Dense
