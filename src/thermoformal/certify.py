@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapSpec, branch_preimages, branch_lipschitz, cell_centers, wrap01
+from .maps import BLOCK, MapSpec, branch_preimages, branch_lipschitz, cell_centers, wrap01
 from .observables import PotentialSpec
 
 MODE_CERTIFIED = "certified"
@@ -26,12 +26,8 @@ MODE_CENTER_ONLY = "center_only"
 
 #: Cells on which potential_stats samples a potential.
 STATS_GRID_N = 1024
-#: Its Hölder seminorm, an exact max over cell pairs, is taken in blocks of this many rows.
-STATS_BLOCK = 64
 #: Cells on which the inflation modulus rho = max |(log f')'| is estimated.
 LOG_DERIV_SAMPLES = 16384
-#: It is evaluated in blocks of at most LOG_DERIV_BLOCK grid differences.
-LOG_DERIV_BLOCK = 4096
 #: The circle's diameter, in the admissibility inequality of an iterate.
 CIRCLE_DIAMETER = 0.5
 #: The cover constant of the covering arithmetic, sqrt(2) times the diameter.
@@ -61,15 +57,16 @@ def _grid_log_deriv_modulus(m: MapSpec):
     """max |d log f' / dx| estimated from adjacent grid differences, one per
     member.
 
-    The max is exact, so blocks of LOG_DERIV_BLOCK differences give the
-    one-shot result bit for bit, and no temporary of one map grows past the
-    allocator's mmap threshold (128 KiB in glibc), which would page-fault
-    on every call.  The members share each block of the grid.
+    The members share each block of ``BLOCK // members`` differences (at
+    least one), so a block's temporaries hold about ``BLOCK`` floats
+    whatever the member count.  The max is exact, so the blocks give the
+    one-shot result bit for bit.
     """
     member = np.arange(m.members)[:, None]
+    step = max(1, BLOCK // m.members)
     block_max = []
-    for start in range(0, LOG_DERIV_SAMPLES, LOG_DERIV_BLOCK):
-        stop = min(start + LOG_DERIV_BLOCK, LOG_DERIV_SAMPLES)
+    for start in range(0, LOG_DERIV_SAMPLES, step):
+        stop = min(start + step, LOG_DERIV_SAMPLES)
         x = np.arange(start, stop + 1) / LOG_DERIV_SAMPLES
         logd = np.log(np.broadcast_to(m.derivative(x, member), (m.members, x.size)))
         block_max.append(np.max(np.abs(np.diff(logd)), axis=-1))
@@ -341,7 +338,8 @@ def potential_stats(phi: PotentialSpec):
 
     Cell inflation: sup/inf widened by the local slope over half a cell;
     the seminorm gets the within-cell bound rho_e * w^(1-alpha) added, where
-    rho_e is the largest adjacent difference quotient of e^phi.
+    rho_e is the largest adjacent difference quotient of e^phi.  The max
+    over cell pairs is exact, taken ``BLOCK // STATS_GRID_N`` rows at a time.
     """
     w = 1.0 / STATS_GRID_N
     xs = cell_centers(STATS_GRID_N)
@@ -352,12 +350,13 @@ def potential_stats(phi: PotentialSpec):
     inf = float(np.min(vals)) - 0.5 * rho_phi * w
 
     e = np.exp(vals)
+    rows = max(1, BLOCK // STATS_GRID_N)
     block_max = []
-    for i in range(0, STATS_GRID_N, STATS_BLOCK):
-        d = np.abs(xs - xs[i:i + STATS_BLOCK, None])
+    for i in range(0, STATS_GRID_N, rows):
+        d = np.abs(xs - xs[i:i + rows, None])
         d = np.minimum(d, 1.0 - d)
         np.fill_diagonal(d[:, i:], 1.0)        # the pairs (x, x)
-        block_max.append(np.max(np.abs(e - e[i:i + STATS_BLOCK, None]) / d ** phi.alpha))
+        block_max.append(np.max(np.abs(e - e[i:i + rows, None]) / d ** phi.alpha))
     rho_e = float(np.max(np.abs(np.diff(np.concatenate([e, e[:1]]))))) / w
     seminorm = float(np.max(block_max)) + rho_e * w ** (1.0 - phi.alpha)
     return sup, inf, seminorm

@@ -40,10 +40,10 @@ SCHEMA_VERSION = 1
 #: ``mc_orbit_n``, the entries of ``n_list``) a job may ask for.
 MAX_GRID_STEPS = 10_001
 #: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
-#: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` and the
-#: free-energy check hold one float per sample.  Certification holds
-#: ``degree**N * resolution`` cells and a discretization ``degree * n``
-#: points, capped at the same number.
+#: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` holds one
+#: float per sample, and the free-energy check two (S_n and one t * S_n).
+#: Certification holds ``degree**N * resolution`` cells and a
+#: discretization ``degree * n`` points, capped at the same number.
 MAX_SAMPLES = 10 ** 8
 #: Deepest nesting of objects and lists in a config (and so of specs in specs).
 MAX_CONFIG_DEPTH = 32
@@ -373,10 +373,10 @@ def _handler_free_energy(cfg, job):
     }
     if p["mc_t_values"]:
         mc = {}
-        for t in p["mc_t_values"]:
-            val = curves_mod.free_energy_mc(job.map, curve.base.mu, job.observable.fn,
-                                            float(t), p["mc_orbit_n"], p["mc_samples"],
-                                            cfg["seed"])
+        vals = curves_mod.free_energy_mc(job.map, curve.base.mu, job.observable.fn,
+                                         [float(t) for t in p["mc_t_values"]],
+                                         p["mc_orbit_n"], p["mc_samples"], cfg["seed"])
+        for t, val in zip(p["mc_t_values"], vals):
             i = int(np.argmin(np.abs(curve.t - float(t))))   # validated: t is on the grid
             mc[str(t)] = {"mc": val, "spectral": float(curve.E[i]),
                           "gap": abs(val - float(curve.E[i]))}

@@ -18,7 +18,7 @@ from .operator import SpectralTriple, leading_triples, map_geometry, member_geom
 # Unused here since every grid is solved in batches, but the benchmark's
 # layer tracer (``benchmarks/layertrace.py``) rebinds these names.
 from .operator import build_matrix, leading_triple  # noqa: F401
-from .statistics import mc_map, sample_from_state
+from .statistics import birkhoff_sums, mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
@@ -159,8 +159,9 @@ def _solve_block(g, block, phi, psi, phi_vals, psi_vals):
     del vals                        # the solve reads only the weights
     triples = leading_triples(g, W, pots)
     for t, tr in zip(block, triples):
-        if isinstance(tr, Exception):
-            raise type(tr)(f"eigen-solve failed at t={t}: {tr}") from tr
+        if isinstance(tr, Exception):       # the column's own error, with its attributes
+            tr.args = (f"eigen-solve failed at t={t}: {tr}",) + tr.args[1:]
+            raise tr
     base = None
     for k in np.flatnonzero(block == 0.0):
         tr = triples[k]
@@ -170,27 +171,22 @@ def _solve_block(g, block, phi, psi, phi_vals, psi_vals):
 
 
 def free_energy_mc(m: MapSpec, mu, psi: Callable,
-                   t: float, n: int, samples: int, seed: int,
-                   batch_size=1 << 16) -> float:
-    """(1/n) log int e^(t S_n psi) dmu by Monte Carlo over samples of the
-    cell masses ``mu``.
+                   ts: Sequence[float], n: int, samples: int, seed: int,
+                   batch_size=1 << 16) -> list:
+    """(1/n) log int e^(t S_n psi) dmu at each t of ``ts``, by Monte Carlo
+    over samples of the cell masses ``mu``: one draw of :func:`birkhoff_sums`
+    serves every t, and t = 0 gives exactly 0.0 (no draw if every t is 0).
 
     log-sum-exp throughout; the estimator is (logsumexp_i t*S_n(x_i) -
     log m)/n, bitwise reproducible under the seed-splitting rule.
     """
-    if t == 0.0:
-        return 0.0
+    if not any(ts):
+        return [0.0] * len(ts)
     # Imported here: scipy.special costs every job its start-up time and memory.
     from scipy.special import logsumexp
 
-    vals = np.empty(samples)
-
-    def batch(start, take, rng):
-        x0 = sample_from_state(mu, take, rng)
-        vals[start:start + take] = t * orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
-
-    mc_map(batch, samples, batch_size, seed)
-    return float((logsumexp(vals) - math.log(samples)) / n)
+    sums = birkhoff_sums(m, mu, psi, n, samples, seed, batch_size)
+    return [float((logsumexp(t * sums) - math.log(samples)) / n) if t else 0.0 for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -382,83 +378,28 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
     differences at the grid step; the Richardson diagnostics compare them
     with the double-step estimates on the shared interior points.
 
-    The v-grid runs ``MEMBER_BLOCK`` members at a time.  A block's members
-    are inverted in one call (:func:`member_geometries`), certified in one
-    call, and solved in one :func:`leading_triples` call with one geometry
-    per column; a collocation guard at resolution n reads the geometries'
-    level-1 preimages rather than inverting the centres again.  Once a
-    member's entry weights are formed its geometry keeps only the rows
-    and columns that the solve reads.  A map that does not depend on v is
-    inverted, certified and solved once for the whole grid.  Every
-    member's numbers equal those of ``leading_triple(build_matrix(...))``
-    on that member alone.  A member whose assembly or solve fails gets NaN
-    in ``lam`` and ``mean_obs`` and True in ``solve_failed``; an inversion
-    that fails for a block is redone member by member.
+    The v-grid runs ``MEMBER_BLOCK`` members at a time, one
+    :func:`_response_block` call per block, and a map that does not depend
+    on v is one block of one member for the whole grid.  Every member's
+    numbers equal those of ``leading_triple(build_matrix(...))`` on that
+    member alone.  A member whose inversion, assembly or solve fails gets
+    NaN in ``lam`` and ``mean_obs``, and True in ``solve_failed``.
     """
     vs = np.asarray(v_grid, dtype=float)
     if vs.size < 5:
         raise ValueError("need at least 5 grid points")
-    map_bound = callable(phi) and not isinstance(phi, PotentialSpec)
-
-    lams = np.full(vs.size, math.nan)
-    means = np.full(vs.size, math.nan)
-    guard_ok = np.ones(vs.size, dtype=bool)
-    failed = np.ones(vs.size, dtype=bool)
     obs_vals = finite_values(obs, cell_centers(n))
-
-    def geometries(m, block):
-        """Each member's geometry; when the block's inversion fails, the
-        members are inverted one by one and a failing one gets None."""
-        try:
-            return member_geometries(m, scheme, n)
-        except ThermoformalError:
-            out = []
-        for v in block:
-            try:
-                out.append(map_geometry(family(float(v)), scheme, n))
-            except ThermoformalError:
-                out.append(None)
-        return out
-
-    def prepare(start, m):
-        """The potentials, and the lean geometries and weights, of the
-        members of m from grid point ``start`` on; sets their guard flags.
-        The full geometries are freed on return."""
-        block = vs[start:start + m.members]
-        geoms = geometries(m, block)
-        pots = [phi(family(float(v))) for v in block] if map_bound else [phi] * len(block)
-        if guard is not None:
-            gN, ggamma, gres = guard
-            # The collocation points at n = gres are the guard's level-1 preimages.
-            pre = None
-            if scheme == "collocation" and gres == n and None not in geoms:
-                pre = np.stack([g.points[:, 0] for g in geoms])
-            guard_ok[start:start + block.size] = check_condition_C(
-                m, gN, ggamma, gres, preimages=pre).passed
-        return pots, ordered_map(_weigh, zip(geoms, pots))
-
-    def solve(start, m):
-        """Fill the rows of the members of m from grid point ``start`` on."""
-        pots, cols = prepare(start, m)
-        built = [(i, g, w, pot) for i, ((g, w), pot) in enumerate(zip(cols, pots), start)
-                 if g is not None]
-        if not built:
-            return
-        idx, geoms, ws, pots = zip(*built)
-        for i, tr in zip(idx, leading_triples(geoms, ws, pots)):
-            if not isinstance(tr, Exception):
-                lams[i] = tr.lam
-                means[i] = float(obs_vals @ tr.mu)
-                failed[i] = False
+    args = (phi, obs_vals, scheme, n, guard)
 
     m = family(vs[:MEMBER_BLOCK])
     if m.members < min(MEMBER_BLOCK, vs.size):     # one map for every v: one column for all
-        solve(0, m)
-        for a in (lams, means, guard_ok, failed):
-            a[1:] = a[0]
+        cols = _response_block(family, m, vs[:m.members], *args)
+        lams, means, guard_ok = (np.full(vs.size, a[0]) for a in cols)
     else:
-        for start in range(0, vs.size, MEMBER_BLOCK):
-            solve(start, m if start == 0 else family(vs[start:start + MEMBER_BLOCK]))
+        blocks = [vs[start:start + MEMBER_BLOCK] for start in range(0, vs.size, MEMBER_BLOCK)]
+        cols = [_response_block(family, m if i == 0 else family(b), b, *args)
+                for i, b in enumerate(blocks)]
+        lams, means, guard_ok = (np.concatenate(a) for a in zip(*cols))
 
     dv = vs[1] - vs[0]
     dlam, d2lam = _central_differences(lams, vs)
@@ -474,8 +415,48 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
         dlam=dlam, d2lam=d2lam,
         richardson_first=rich1, richardson_second=rich2,
         guard_passed=guard_ok if guard is not None else None,
-        solve_failed=failed,
+        solve_failed=np.isnan(lams),
     )
+
+
+def _response_block(family, m, block, phi, obs_vals, scheme, n, guard):
+    """(lambda, int obs dmu, guard verdict) of each member of ``m``, the map
+    of the v in ``block``; NaN lambda and mean where inversion, assembly or
+    solve fails.  The members are inverted in one call (one by one if that
+    fails), certified in one call, which at a collocation guard of
+    resolution n reads the geometries' level-1 preimages, and solved in one
+    :func:`leading_triples` call on the lean geometries of :func:`_weigh`.
+    """
+    lam, mean = np.full((2, block.size), math.nan)
+    passed = np.ones(block.size, dtype=bool)
+    try:
+        geoms = member_geometries(m, scheme, n)
+    except ThermoformalError:
+        geoms = []
+        for v in block:
+            try:
+                geoms.append(map_geometry(family(float(v)), scheme, n))
+            except ThermoformalError:
+                geoms.append(None)
+    pots = ([phi] * block.size if isinstance(phi, PotentialSpec)
+            else [phi(family(float(v))) for v in block])
+    if guard is not None:
+        gN, ggamma, gres = guard
+        # The collocation points at n = gres are the guard's level-1 preimages.
+        shared = scheme == "collocation" and gres == n and None not in geoms
+        passed[:] = check_condition_C(
+            m, gN, ggamma, gres,
+            preimages=np.stack([g.points[:, 0] for g in geoms]) if shared else None).passed
+    cols = [(i, g, w, pot) for i, ((g, w), pot)
+            in enumerate(zip(ordered_map(_weigh, zip(geoms, pots)), pots)) if g is not None]
+    del geoms                       # the solve reads only the lean geometries
+    if cols:
+        idx, lean, ws, pots = zip(*cols)
+        for i, tr in zip(idx, leading_triples(lean, ws, pots)):
+            if not isinstance(tr, Exception):
+                lam[i] = tr.lam
+                mean[i] = float(obs_vals @ tr.mu)
+    return lam, mean, passed
 
 
 def _weigh(member):

@@ -45,9 +45,9 @@ MAX_ITERATE_STEPS = 64
 
 #: Amplitude of the seeded low-order dither the orbit sampler adds per step.
 ORBIT_DITHER = 2.0 ** -48
-#: The orbit sampler advances its orbits ORBIT_BLOCK points at a time, so
-#: each temporary is 64 KiB, below glibc's 128 KiB mmap threshold.
-ORBIT_BLOCK = 8192
+#: Floats per block (64 KiB, under glibc's 128 KiB mmap threshold) of the
+#: orbit kernel and of the certificate's exact maxima.
+BLOCK = 8192
 
 
 def wrap01(x):
@@ -257,7 +257,7 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
     observable scale.  Without an ``rng`` there is no dither.  Deterministic
     given ``rng``.
 
-    Each step runs over the orbits in blocks of ``ORBIT_BLOCK`` points:
+    Each step runs over the orbits in blocks of ``BLOCK`` points:
     ``psi``, the lift, the dither and the wrap see one block at a time, and
     the dither and the wrap reuse one block-sized scratch buffer.  ``psi``
     and the lift act pointwise and the dither stream is drawn in point
@@ -276,16 +276,16 @@ def orbit_birkhoff_samples(m: MapSpec, x0, n, psi, rng=None, end=None):
     in_place = end is not None and end.dtype == float and end.flags.c_contiguous
     x = end.reshape(-1) if in_place else np.empty(x0.size)
     start = x0.reshape(-1)
-    for lo in range(0, x.size, ORBIT_BLOCK):
-        x[lo:lo + ORBIT_BLOCK] = wrap01(start[lo:lo + ORBIT_BLOCK])
+    for lo in range(0, x.size, BLOCK):
+        x[lo:lo + BLOCK] = wrap01(start[lo:lo + BLOCK])
     total = np.zeros(x0.shape)
     flat = total.reshape(-1)
-    buf = np.empty(min(x.size, ORBIT_BLOCK))
+    buf = np.empty(min(x.size, BLOCK))
     for _ in range(n):
-        for lo in range(0, x.size, ORBIT_BLOCK):
-            xb = x[lo:lo + ORBIT_BLOCK]
+        for lo in range(0, x.size, BLOCK):
+            xb = x[lo:lo + BLOCK]
             scratch = buf[:xb.size]
-            flat[lo:lo + ORBIT_BLOCK] += psi(xb)
+            flat[lo:lo + BLOCK] += psi(xb)
             y = m.lift(xb)
             if rng is not None:
                 rng.random(out=scratch)

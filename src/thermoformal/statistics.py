@@ -164,6 +164,21 @@ class CltEmpiricalReport:
     quantiles: np.ndarray          # (levels, empirical, gaussian)
 
 
+def birkhoff_sums(m: MapSpec, mu, psi: Callable, n: int, samples: int, seed: int,
+                  batch_size: int) -> np.ndarray:
+    """S_n(psi) along ``samples`` orbits from samples of the cell masses
+    ``mu``, each batch of :func:`mc_map` writing its own slice of the one
+    array; bitwise reproducible under the seed-splitting rule."""
+    sums = np.empty(samples)
+
+    def batch(start, take, rng):
+        x0 = sample_from_state(mu, take, rng)
+        sums[start:start + take] = orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
+
+    mc_map(batch, samples, batch_size, seed)
+    return sums
+
+
 def clt_empirical(m: MapSpec, mu, psi: Callable,
                   n: int, samples: int, seed: int,
                   variance: VarianceReport, batch_size=1 << 16) -> CltEmpiricalReport:
@@ -171,8 +186,7 @@ def clt_empirical(m: MapSpec, mu, psi: Callable,
 
     sigma^2 and the mean come from the Green-Kubo report ``variance``
     (:func:`clt_variance`); a flagged-coboundary variance is refused.
-    Orbits start from samples of the cell masses ``mu``; batches use seeds
-    split from the master seed by counter, so the result is bitwise
+    The sums come from :func:`birkhoff_sums`, so the result is bitwise
     reproducible.
     """
     # Imported here: scipy.stats costs every job its start-up time and memory.
@@ -186,14 +200,8 @@ def clt_empirical(m: MapSpec, mu, psi: Callable,
     mean = variance.mean
     centered = lambda z: np.asarray(psi(z), dtype=float) - mean
 
-    vals = np.empty(samples)
-
-    def batch(start, take, rng):
-        x0 = sample_from_state(mu, take, rng)
-        s = orbit_birkhoff_samples(m, x0, n, centered, rng=rng)
-        vals[start:start + take] = s / math.sqrt(n)
-
-    mc_map(batch, samples, batch_size, seed)
+    vals = birkhoff_sums(m, mu, centered, n, samples, seed, batch_size)
+    vals /= math.sqrt(n)
 
     ks = float(sps.kstest(vals, "norm", args=(0.0, sigma)).statistic)
     levels = (np.arange(QUANTILE_LEVELS) + 1.0) / (QUANTILE_LEVELS + 1.0)

@@ -173,8 +173,9 @@ def test_criterion_07_free_energy(cos_curves_512, grid_triples):
     assert np.max(np.abs(const_curve.E - 0.9 * const_curve.t)) < 1e-12
 
     mc_gaps = {}
-    for t in (-0.4, 0.2, 0.4):
-        mc = Cv.free_energy_mc(d, c41.base.mu, COS, t, n=30, samples=100_000, seed=21)
+    ts = (-0.4, 0.2, 0.4)
+    for t, mc in zip(ts, Cv.free_energy_mc(d, c41.base.mu, COS, ts, n=30, samples=100_000,
+                                           seed=21)):
         i = int(np.argmin(np.abs(c41.t - t)))
         mc_gaps[t] = abs(c41.E[i] - mc)
         assert mc_gaps[t] < 0.02

@@ -113,15 +113,32 @@ _NAN_TAIL = SimpleNamespace(name="nan_tail", members=1,
                             derivative=lambda x, member=0: np.where(x > 0.9, np.nan, 2.0 + x))
 
 
+# a member block as the response guard certifies it
+_SINK_BLOCK = M.derived_expanding_map(np.linspace(0.5, 1.5, 8))
+
+
 class TestLogDerivModulus:
+    @staticmethod
+    def _one_shot(m):
+        xs = np.arange(C.LOG_DERIV_SAMPLES + 1) / C.LOG_DERIV_SAMPLES
+        member = np.arange(m.members)[:, None]
+        logd = np.log(np.broadcast_to(m.derivative(xs, member), (m.members, xs.size)))
+        return np.max(np.abs(np.diff(logd)), axis=-1) * C.LOG_DERIV_SAMPLES
+
     @pytest.mark.parametrize("m", [M.mp_like_map(), M.doubling_map(), _NAN_TAIL]
-                             + [M.derived_expanding_map(v) for v in (0.5, 0.8, 1.0, 1.4)],
+                             + [M.derived_expanding_map(v) for v in (0.5, 0.8, 1.0, 1.4)]
+                             + [_SINK_BLOCK],
                              ids=lambda m: m.name)
     def test_blocks_match_one_shot(self, m):
-        xs = np.arange(C.LOG_DERIV_SAMPLES + 1) / C.LOG_DERIV_SAMPLES
-        one_shot = float(np.max(np.abs(np.diff(np.log(m.derivative(xs)))))
-                         * C.LOG_DERIV_SAMPLES)
-        assert np.array_equal(C._grid_log_deriv_modulus(m), [one_shot], equal_nan=True)
+        assert np.array_equal(C._grid_log_deriv_modulus(m), self._one_shot(m), equal_nan=True)
+
+    # 7 takes ragged blocks of 7 differences, and of one for 8 members
+    @pytest.mark.parametrize("block", [7, "whole"])
+    @pytest.mark.parametrize("m", [_NAN_TAIL, _SINK_BLOCK], ids=["nan_tail", "8-members"])
+    def test_any_block_size_matches_one_shot(self, monkeypatch, m, block):
+        whole = C.LOG_DERIV_SAMPLES * m.members
+        monkeypatch.setattr(C, "BLOCK", whole if block == "whole" else block)
+        assert np.array_equal(C._grid_log_deriv_modulus(m), self._one_shot(m), equal_nan=True)
 
 
 class TestConditionCprime:
@@ -281,6 +298,15 @@ class TestPotentialAdmissibility:
     ])
     def test_stats_seminorm_blocks_equal_dense(self, phi):
         assert C.potential_stats(phi)[2] == self._dense_seminorm(phi)
+
+    # 5 takes blocks of one row; the whole pair matrix is one block
+    @pytest.mark.parametrize("block", [5, C.STATS_GRID_N ** 2], ids=["one-row", "whole"])
+    def test_stats_any_block_size_equal_dense(self, monkeypatch, block):
+        phi = O.fourier_sin(3, 0.4)
+        want = C.potential_stats(phi)
+        monkeypatch.setattr(C, "BLOCK", block)
+        assert C.potential_stats(phi) == want
+        assert want[2] == self._dense_seminorm(phi)
 
     def test_stats_hold_no_pair_matrix(self):
         phi = O.fourier_cos(1, 1.0)

@@ -10,6 +10,7 @@ from thermoformal import curves as Cv
 from thermoformal import maps as M
 from thermoformal import observables as O
 from thermoformal import operator as T
+from thermoformal import statistics as S
 from thermoformal.errors import (BranchInversionError, ConvergenceError,
                                  LegendreDegenerateError, NonFiniteWeightsError,
                                  ReducibleMatrixError, ThermoformalError)
@@ -259,8 +260,17 @@ class TestBatchedSolve:
         # ceil(11 * 512 / 2048) = 3 blocks: [4, 4, 3]
         monkeypatch.setattr(Cv, "GRID_ENTRIES", 4 * 512)
         monkeypatch.setattr(T, "MAX_ITER", cap)
-        with pytest.raises(ConvergenceError, match=f"^eigen-solve failed at t={first}: "):
+        with pytest.raises(ConvergenceError, match=f"^eigen-solve failed at t={first}: ") as exc:
             Cv.free_energy_curve(*args, n=128)
+        # the column's own error, whose last iterate is the one-column solve's
+        g = T.map_geometry(_MP, "collocation", 128)
+        psi = O.neg_log_deriv(_MP)
+        W = g.weights(O.zero.fn(g.points) + first * psi.fn(g.points))[None]
+        [own] = T.leading_triples(g, W, [O.combine(O.zero, psi, first)])
+        assert isinstance(own, ConvergenceError)
+        got, want = exc.value.last_iterate, own.last_iterate
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
 
 def _holed(lo, hi):
@@ -441,23 +451,45 @@ class TestRetirement:
 class TestFreeEnergyMc:
     def test_zero_t_exact(self, doubling_cos_curve):
         mu = doubling_cos_curve.base.mu
-        assert Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, 0.0, 10, 100, seed=1) == 0.0
+        assert Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, [0.0], 10, 100, seed=1) == [0.0]
 
     def test_constant_observable(self, doubling_cos_curve):
         mu = doubling_cos_curve.base.mu
-        val = Cv.free_energy_mc(M.doubling_map(), mu,
-                                lambda x: np.full_like(np.asarray(x), 0.8),
-                                0.5, 17, 500, seed=3)
+        [val] = Cv.free_energy_mc(M.doubling_map(), mu,
+                                  lambda x: np.full_like(np.asarray(x), 0.8),
+                                  [0.5], 17, 500, seed=3)
         assert val == pytest.approx(0.4, abs=1e-12)
 
     def test_matches_spectral(self, doubling_cos_curve):
         c = doubling_cos_curve
         mu = c.base.mu
-        for t in (-0.4, 0.2, 0.4):
-            mc = Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, t,
-                                   n=30, samples=100_000, seed=21)
+        ts = (-0.4, 0.2, 0.4)
+        mcs = Cv.free_energy_mc(M.doubling_map(), mu, COS1.fn, ts,
+                                n=30, samples=100_000, seed=21)
+        for t, mc in zip(ts, mcs):
             i = int(np.argmin(np.abs(c.t - t)))
             assert abs(c.E[i] - mc) < 0.02
+
+    def test_one_draw_serves_every_t(self, monkeypatch, doubling_cos_curve):
+        mu, d = doubling_cos_curve.base.mu, M.doubling_map()
+        ts = [-0.4, 0.0, 0.2, 0.4]
+        each = [Cv.free_energy_mc(d, mu, COS1.fn, [t], 10, 2500, seed=7, batch_size=1000)[0]
+                for t in ts]
+        calls = []
+        kernel = S.orbit_birkhoff_samples
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(S, "orbit_birkhoff_samples", counted)
+        both = Cv.free_energy_mc(d, mu, COS1.fn, ts, 10, 2500, seed=7, batch_size=1000)
+        assert sorted(calls) == [500, 1000, 1000]          # once per batch
+        assert [v.hex() for v in both] == [v.hex() for v in each]
+        assert each[1] == 0.0
+        calls.clear()
+        assert Cv.free_energy_mc(d, mu, COS1.fn, [0.0, -0.0], 10, 2500, seed=7) == [0.0, 0.0]
+        assert calls == []
 
 
 def _derivative_checks(curve, triples, psi):
@@ -735,6 +767,25 @@ class TestResponseBatches:
         assert sc.lam[~bad].tobytes() == ref.lam[~bad].tobytes()
         assert sc.mean_obs[~bad].tobytes() == ref.mean_obs[~bad].tobytes()
         assert np.array_equal(sc.guard_passed, ref.guard_passed)
+
+    def test_no_block_outlives_its_solve(self):
+        # 17 members at n = 256 in blocks of 8, 8 and 1: about 0.71 MiB when
+        # only one block is alive at a time, 1.19 MiB when the previous
+        # block is still held
+        vs = np.linspace(0.5, 1.5, 17)
+
+        def scan():
+            Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn, vs,
+                             "collocation", 256, guard=(1, 0.7, 256))
+
+        scan()
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2 ** 20
 
     @staticmethod
     def _inverted_points(monkeypatch, family, guard):

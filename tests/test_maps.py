@@ -546,7 +546,7 @@ def _kernel_cases():
 class TestOrbitBlocks:
     """The block-wise kernel against the whole-array loop, bit for bit."""
 
-    SIZES = (1, M.ORBIT_BLOCK - 1, M.ORBIT_BLOCK, M.ORBIT_BLOCK + 1, 2 ** 17 + 5)
+    SIZES = (1, M.BLOCK - 1, M.BLOCK, M.BLOCK + 1, 2 ** 17 + 5)
 
     @pytest.mark.parametrize("m, psi", _kernel_cases())
     def test_matches_whole_array_loop(self, m, psi):
@@ -578,7 +578,7 @@ class TestOrbitBlocks:
     def test_strided_end_receives_end_points(self):
         d = M.doubling_map()
         psi = lambda x: np.cos(2 * np.pi * x)
-        x0 = np.random.default_rng(6).random(M.ORBIT_BLOCK + 3)
+        x0 = np.random.default_rng(6).random(M.BLOCK + 3)
         want_end = np.empty_like(x0)
         want = _whole_array_orbit(d, x0, 5, psi, rng=np.random.default_rng(2), end=want_end)
         end = np.empty((x0.size, 2))[:, 0]
@@ -595,7 +595,7 @@ class TestOrbitBlocks:
         size = 2 ** 17
         x = np.random.default_rng(1).random(size)
         psi, rng = O.fourier_cos(1).fn, np.random.default_rng(2)
-        block = M.ORBIT_BLOCK * 8
+        block = M.BLOCK * 8
         tracemalloc.start()
         try:
             M.orbit_birkhoff_samples(M.doubling_map(), x, 8, psi, rng=rng, end=x)

@@ -36,8 +36,8 @@ def test_clt_ks_statistic(mu):
 
 
 def test_free_energy_mc(mu):
-    val = Cv.free_energy_mc(M.doubling_map(), mu, PSI.fn, t=0.75, n=10,
-                            samples=SAMPLES, seed=11, batch_size=BATCH)
+    [val] = Cv.free_energy_mc(M.doubling_map(), mu, PSI.fn, [0.75], n=10,
+                              samples=SAMPLES, seed=11, batch_size=BATCH)
     assert val.hex() == "0x1.0407a6feeb543p-3"
 
 

@@ -210,8 +210,8 @@ class TestMcMap:
                 monkeypatch.setattr(S.os, "sched_getaffinity", lambda pid, k=k: set(range(k)))
                 ldp = Cv.ldp_empirical(d, mu, psi.fn, 0.1, 0.5, [4, 8], 2500, seed=5,
                                        rate=rate, batch_size=250)
-                fe = Cv.free_energy_mc(d, mu, psi.fn, t=0.5, n=10, samples=2500,
-                                       seed=11, batch_size=250)
+                [fe] = Cv.free_energy_mc(d, mu, psi.fn, [0.5], n=10, samples=2500,
+                                         seed=11, batch_size=250)
                 clt = S.clt_empirical(d, mu, psi.fn, n=12, samples=2500, seed=41,
                                       variance=var, batch_size=250)
                 results.append((ldp.counts.tobytes(), fe.hex(), clt.ks_statistic.hex(),
