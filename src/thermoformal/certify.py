@@ -40,8 +40,6 @@ class ConditionCReport:
     members the per-cell arrays have a leading member axis, and ``rho`` and
     ``passed`` are arrays with one entry per member (see
     :func:`check_condition_C`)."""
-    N: int
-    gamma: float
     resolution: int
     mode: str                         # certified | center_only
     rho: float                        # log-Lipschitz modulus used for inflation
@@ -160,7 +158,7 @@ def check_condition_C(m: MapSpec, N, gamma, resolution, rho=None, preimages=None
         per_member = {key: val[0] for key, val in per_member.items()}
         per_member["rho"] = float(per_member["rho"])
         per_member["passed"] = bool(per_member["passed"])
-    return ConditionCReport(N=N, gamma=gamma, resolution=resolution, mode=mode,
+    return ConditionCReport(resolution=resolution, mode=mode,
                             failures=np.flatnonzero(fail), **per_member)
 
 
@@ -322,7 +320,6 @@ class IterateData:
 
 @dataclass(frozen=True)
 class PotentialAdmissibility:
-    eps: float
     sup_phi: float
     inf_phi: float
     seminorm_exp_phi: float
@@ -387,7 +384,7 @@ def potential_admissible(phi: PotentialSpec, eps, m_data: Optional[IterateData] 
         iterate_ok = iterate_lhs < 1.0
 
     return PotentialAdmissibility(
-        eps=eps, sup_phi=sup, inf_phi=inf, seminorm_exp_phi=seminorm,
+        sup_phi=sup, inf_phi=inf, seminorm_exp_phi=seminorm,
         variation_ok=variation_ok, seminorm_ok=seminorm_ok,
         admissible=variation_ok and seminorm_ok,
         iterate_lhs=iterate_lhs, iterate_ok=iterate_ok,

@@ -319,8 +319,7 @@ def _handler_spectrum(cfg, job):
 
 def _handler_correlations(cfg, job):
     triple = _solve(cfg, job)
-    series = stats_mod.correlations(job.map, triple, job.g.fn, job.psi.fn,
-                                    cfg["params"]["n_max"])
+    series = stats_mod.correlations(triple, job.g.fn, job.psi.fn, cfg["params"]["n_max"])
     gap = gap_ratio(triple)
     results = {
         "tau_hat": series.tau_hat,
@@ -336,7 +335,7 @@ def _handler_correlations(cfg, job):
 def _handler_clt(cfg, job):
     triple = _solve(cfg, job)
     p = cfg["params"]
-    var = stats_mod.clt_variance(job.map, triple, job.observable, p["lag_max"])
+    var = stats_mod.clt_variance(triple, job.observable, p["lag_max"])
     results = {
         "sigma2": var.sigma2,
         "tail_bound": var.tail_bound,

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .certify import check_condition_C, potential_admissible
-from .errors import LegendreDegenerateError, NonFiniteWeightsError, ThermoformalError
+from .errors import LegendreDegenerateError, NonFiniteWeightsError
 from .maps import MapSpec, cell_centers, orbit_birkhoff_samples
 from .observables import PotentialSpec, combine, finite_values
 from .operator import SpectralTriple, leading_triples, map_geometry, member_geometries
@@ -360,7 +360,6 @@ class ResponseScan:
     richardson_first: float        # max |D(step) - D(2*step)| over shared points
     richardson_second: float
     guard_passed: Optional[np.ndarray]
-    solve_failed: Optional[np.ndarray] = None
 
 
 def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
@@ -382,8 +381,8 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
     :func:`_response_block` call per block, and a map that does not depend
     on v is one block of one member for the whole grid.  Every member's
     numbers equal those of ``leading_triple(build_matrix(...))`` on that
-    member alone.  A member whose inversion, assembly or solve fails gets
-    NaN in ``lam`` and ``mean_obs``, and True in ``solve_failed``.
+    member alone.  A member whose solve fails gets NaN in ``lam`` and
+    ``mean_obs``; an inversion error is raised.
     """
     vs = np.asarray(v_grid, dtype=float)
     if vs.size < 5:
@@ -415,55 +414,41 @@ def response_scan(family: Callable[[np.ndarray], MapSpec], phi, obs: Callable,
         dlam=dlam, d2lam=d2lam,
         richardson_first=rich1, richardson_second=rich2,
         guard_passed=guard_ok if guard is not None else None,
-        solve_failed=np.isnan(lams),
     )
 
 
 def _response_block(family, m, block, phi, obs_vals, scheme, n, guard):
     """(lambda, int obs dmu, guard verdict) of each member of ``m``, the map
-    of the v in ``block``; NaN lambda and mean where inversion, assembly or
-    solve fails.  The members are inverted in one call (one by one if that
-    fails), certified in one call, which at a collocation guard of
-    resolution n reads the geometries' level-1 preimages, and solved in one
-    :func:`leading_triples` call on the lean geometries of :func:`_weigh`.
+    of the v in ``block``; NaN lambda and mean where the solve fails.  The
+    members are inverted in one call, certified in one call, which at a
+    collocation guard of resolution n reads the geometries' level-1
+    preimages, and solved in one :func:`leading_triples` call on the lean
+    geometries of :func:`_weigh`.
     """
     lam, mean = np.full((2, block.size), math.nan)
     passed = np.ones(block.size, dtype=bool)
-    try:
-        geoms = member_geometries(m, scheme, n)
-    except ThermoformalError:
-        geoms = []
-        for v in block:
-            try:
-                geoms.append(map_geometry(family(float(v)), scheme, n))
-            except ThermoformalError:
-                geoms.append(None)
+    geoms = member_geometries(m, scheme, n)
     pots = ([phi] * block.size if isinstance(phi, PotentialSpec)
             else [phi(family(float(v))) for v in block])
     if guard is not None:
         gN, ggamma, gres = guard
         # The collocation points at n = gres are the guard's level-1 preimages.
-        shared = scheme == "collocation" and gres == n and None not in geoms
+        shared = scheme == "collocation" and gres == n
         passed[:] = check_condition_C(
             m, gN, ggamma, gres,
             preimages=np.stack([g.points[:, 0] for g in geoms]) if shared else None).passed
-    cols = [(i, g, w, pot) for i, ((g, w), pot)
-            in enumerate(zip(ordered_map(_weigh, zip(geoms, pots)), pots)) if g is not None]
+    lean, ws = zip(*ordered_map(_weigh, zip(geoms, pots)))
     del geoms                       # the solve reads only the lean geometries
-    if cols:
-        idx, lean, ws, pots = zip(*cols)
-        for i, tr in zip(idx, leading_triples(lean, ws, pots)):
-            if not isinstance(tr, Exception):
-                lam[i] = tr.lam
-                mean[i] = float(obs_vals @ tr.mu)
+    for i, tr in enumerate(leading_triples(lean, ws, pots)):
+        if not isinstance(tr, Exception):
+            lam[i] = tr.lam
+            mean[i] = float(obs_vals @ tr.mu)
     return lam, mean, passed
 
 
 def _weigh(member):
     """The (lean geometry, entry weights) of a (geometry, potential) pair:
     the lean geometry keeps only the rows and columns that the solve
-    reads.  (None, None) for a geometry of None."""
+    reads."""
     g, pot = member
-    if g is None:
-        return None, None
     return replace(g, points=None, coef=None), g.weights(pot.fn(g.points))

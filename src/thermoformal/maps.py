@@ -93,9 +93,6 @@ class MapSpec:
             raise ValueError(f"lift({self.name}) spans {span[np.argmax(off)]} "
                              f"over [0,1], expected degree {self.degree}")
 
-    def __call__(self, x):
-        return map_eval(self, x)
-
 
 def lift_each(m: MapSpec, x=0.0):
     """Each member's lift at the one point x: an array of one value per member."""

@@ -36,15 +36,14 @@ class CorrelationSeries:
 @dataclass(frozen=True)
 class VarianceReport:
     sigma2: float
-    lag_max: int
     tail_bound: Optional[float]
     coboundary: bool
     series: CorrelationSeries
     mean: float
 
 
-def correlations(m: MapSpec, triple: SpectralTriple, g: Callable,
-                 psi: Callable, n_max: int) -> CorrelationSeries:
+def correlations(triple: SpectralTriple, g: Callable, psi: Callable,
+                 n_max: int) -> CorrelationSeries:
     """C(k) = int (g o f^k) psi dmu - int g dmu int psi dmu, spectrally.
 
     Uses int (g o f^k) psi dmu = <nu, g * (A/lambda)^k (psi h)> on the grid,
@@ -75,8 +74,7 @@ def correlations(m: MapSpec, triple: SpectralTriple, g: Callable,
                              prefactor=prefactor)
 
 
-def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
-                 lag_max: int) -> VarianceReport:
+def clt_variance(triple: SpectralTriple, psi: Callable, lag_max: int) -> VarianceReport:
     """Green-Kubo variance sigma^2 = C_v(0) + 2 sum_{j<=lag_max} C_v(j).
 
     v is psi centered to zero mu-mean.  The spectral tail bound
@@ -90,7 +88,7 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
         raise ValueError("lag_max must be >= 1")
     mean = float(finite_values(psi, triple.grid) @ triple.mu)
     v = lambda z, psi=psi, c=mean: np.asarray(psi(z), dtype=float) - c
-    series = correlations(m, triple, v, v, lag_max)
+    series = correlations(triple, v, v, lag_max)
     c0 = series.values[0]
     sigma2 = float(c0 + 2.0 * np.sum(series.values[1:]))
 
@@ -100,7 +98,6 @@ def clt_variance(m: MapSpec, triple: SpectralTriple, psi: Callable,
     flag_level = COBOUNDARY_ABS_TOL if tail is None else max(10.0 * tail, COBOUNDARY_ABS_TOL)
     return VarianceReport(
         sigma2=sigma2,
-        lag_max=lag_max,
         tail_bound=tail,
         coboundary=bool(sigma2 < flag_level),
         series=series,

@@ -144,13 +144,13 @@ def test_criterion_06_clt_variance_and_ks():
     t0 = time.perf_counter()
     d = M.doubling_map()
     tr = T.leading_triple(T.build_matrix(d, O.zero, "ulam", 1024))
-    var = S.clt_variance(d, tr, COS, lag_max=64)
+    var = S.clt_variance(tr, COS, lag_max=64)
     assert abs(var.sigma2 - 0.5) < 1e-6
     assert not var.coboundary
 
     tr4k = T.leading_triple(T.build_matrix(d, O.zero, "ulam", 4096))
     cob = O.coboundary(O.fourier_cos(1), d)
-    var_cob = S.clt_variance(d, tr4k, cob.fn, lag_max=64)
+    var_cob = S.clt_variance(tr4k, cob.fn, lag_max=64)
     assert var_cob.sigma2 < 1e-6
     assert var_cob.coboundary
 

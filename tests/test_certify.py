@@ -80,12 +80,13 @@ class TestConditionC:
 
     def test_refinement(self):
         m = M.mp_like_map()
-        lo = C.check_condition_C(m, 1, 0.99, 256)
-        hi = C.check_condition_C(m, 1, 0.99, 512)
+        N, gamma = 1, 0.99
+        lo = C.check_condition_C(m, N, gamma, 256)
+        hi = C.check_condition_C(m, N, gamma, 512)
         w = 1.0 / 256
-        margin_ok = lo.bound < lo.gamma * math.exp(-lo.N * lo.rho * w / 2)
+        margin_ok = lo.bound < gamma * math.exp(-N * lo.rho * w / 2)
         children = hi.bound.reshape(256, 2).max(axis=1)
-        assert np.all(children[margin_ok] < lo.gamma)
+        assert np.all(children[margin_ok] < gamma)
 
     @pytest.mark.parametrize("m", [M.mp_like_map(), M.derived_expanding_map(1.3),
                                    M.MapSpec(name="h", degree=2, lift=M.doubling_map().lift)],
@@ -341,9 +342,10 @@ class TestPotentialAdmissibility:
 
     def test_recompute_matches(self):
         # the verdicts follow from the stored numbers
-        rep = C.potential_admissible(O.fourier_cos(1, 0.01), eps=0.1)
-        var_ok = rep.sup_phi - rep.inf_phi < rep.eps
-        s_ok = rep.seminorm_exp_phi < rep.eps * math.exp(rep.inf_phi)
+        eps = 0.1
+        rep = C.potential_admissible(O.fourier_cos(1, 0.01), eps=eps)
+        var_ok = rep.sup_phi - rep.inf_phi < eps
+        s_ok = rep.seminorm_exp_phi < eps * math.exp(rep.inf_phi)
         assert (var_ok, s_ok, var_ok and s_ok) == (rep.variation_ok, rep.seminorm_ok,
                                                    rep.admissible)
 

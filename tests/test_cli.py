@@ -699,6 +699,24 @@ class TestMain:
         assert len(lines) == 6
 
 
+    def test_response_on_fixed_map(self, tmp_path):
+        # a map that does not depend on v is one column for the whole grid:
+        # every lambda is the map's own, and every dlambda is 0
+        from thermoformal import maps as M
+        from thermoformal import observables as O
+        code, _ = cli.run(job("response", map={"kind": "builtin", "name": "mp_like"},
+                              potential={"kind": "fourier_cos",
+                                         "params": {"k": 1, "amplitude": 0.1}},
+                              params={"n": 64, "v_count": 5}), tmp_path)
+        assert code == cli.EXIT_OK
+        with open(tmp_path / "response.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        lam = cli.leading_triple(cli.build_matrix(M.mp_like_map(), O.fourier_cos(1, 0.1),
+                                                  "collocation", 64)).lam
+        assert len(rows) == 5
+        assert [float(r["lambda"]) for r in rows] == [lam] * 5
+        assert [float(r["dlambda"]) for r in rows] == [0.0] * 5
+
 def test_cli_import_and_spectrum_leave_scipy_unloaded(tmp_path):
     # importing the CLI loads no scipy module, and spectrum jobs load neither
     # scipy.sparse nor numpy.random (the gap estimate draws no random

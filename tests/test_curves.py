@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -722,7 +723,7 @@ class TestResponseBatches:
                                                  vs, scheme, n, guard)
         assert sc.lam.tobytes() == lam.tobytes()
         assert sc.mean_obs.tobytes() == mean.tobytes()
-        assert np.array_equal(sc.solve_failed, failed)
+        assert np.array_equal(np.isnan(sc.lam), failed)
         if guard is None:
             assert sc.guard_passed is None
         else:
@@ -738,35 +739,44 @@ class TestResponseBatches:
         lam, mean, _, failed = _per_member_scan(M.derived_expanding_map, phi, COS1.fn,
                                                 vs, "collocation", 64, None)
         assert 0 < failed.sum() < vs.size
-        assert np.array_equal(sc.solve_failed, failed)
+        assert np.array_equal(np.isnan(sc.lam), failed)
         assert np.isnan(sc.lam[failed]).all() and np.isnan(sc.mean_obs[failed]).all()
         assert sc.lam.tobytes() == lam.tobytes() and sc.mean_obs.tobytes() == mean.tobytes()
 
-    def test_block_inversion_failure_falls_back_per_member(self, monkeypatch):
-        # every block's inversion fails, so each member is inverted alone,
-        # and the member at v = 1.0 fails that too
-        vs, phi, guard = np.linspace(0.5, 1.5, 9), O.fourier_cos(1, 0.1), (1, 0.7, 64)
-        ref = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, n=64, guard=guard)
-        member_geometry = Cv.map_geometry
+    def test_inversion_error_propagates(self, monkeypatch, tmp_path, capsys):
+        # a failed block inversion is the job's error: response_scan raises
+        # it, and the CLI exits 4 with its JSON on stderr
+        from thermoformal import cli
 
         def block_fails(m, scheme, n):
             raise BranchInversionError("block inversion failed")
 
-        def fails_at_1(m, scheme, n):
-            if m.json_params["v"] == 1.0:
-                raise BranchInversionError("member inversion failed")
-            return member_geometry(m, scheme, n)
-
         monkeypatch.setattr(Cv, "member_geometries", block_fails)
-        monkeypatch.setattr(Cv, "map_geometry", fails_at_1)
-        sc = Cv.response_scan(M.derived_expanding_map, phi, COS1.fn, vs, n=64, guard=guard)
-        bad = vs == 1.0
-        assert bad.sum() == 1 and not ref.solve_failed.any()
-        assert np.array_equal(sc.solve_failed, bad)
-        assert np.isnan(sc.lam[bad]).all() and np.isnan(sc.mean_obs[bad]).all()
-        assert sc.lam[~bad].tobytes() == ref.lam[~bad].tobytes()
-        assert sc.mean_obs[~bad].tobytes() == ref.mean_obs[~bad].tobytes()
-        assert np.array_equal(sc.guard_passed, ref.guard_passed)
+        with pytest.raises(BranchInversionError, match="block inversion failed"):
+            Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn,
+                             np.linspace(0.5, 1.5, 9), n=64, guard=(1, 0.7, 64))
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps({
+            "schema_version": 1, "command": "response",
+            "map": {"kind": "builtin", "name": "derived_expanding"},
+            "params": {"n": 64, "v_count": 5, "guard_resolution": 64}}))
+        assert cli.main(["response", "--config", str(cfg_path)]) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {"error": "BranchInversionError",
+                                   "message": "block inversion failed"}
+
+    @pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+    @pytest.mark.parametrize("n", [16, 512, 4096])
+    def test_every_response_map_inverts_in_one_call(self, scheme, n):
+        # the blocks a response job inverts: derived_expanding's v-grid in
+        # blocks of MEMBER_BLOCK up to v just below 2, and each fixed map
+        vs = np.linspace(0.0, 1.999999, 3 * Cv.MEMBER_BLOCK)
+        maps = [M.derived_expanding_map(vs[i:i + Cv.MEMBER_BLOCK])
+                for i in range(0, vs.size, Cv.MEMBER_BLOCK)]
+        maps += [M.doubling_map(), M.mp_like_map(), M.rotation_map()]
+        for m in maps:
+            assert len(T.member_geometries(m, scheme, n)) == m.members
 
     def test_no_block_outlives_its_solve(self):
         # 17 members at n = 256 in blocks of 8, 8 and 1: about 0.71 MiB when
@@ -859,7 +869,7 @@ def test_grid_solves_skip_gap_and_primitivity(monkeypatch, tmp_path):
     assert np.all(np.isfinite(curve.E))
     scan = Cv.response_scan(M.derived_expanding_map, O.fourier_cos(1, 0.1), COS1.fn,
                             np.linspace(0.5, 1.5, 5), n=64, guard=(1, 0.7, 64))
-    assert not scan.solve_failed.any()
+    assert not np.isnan(scan.lam).any()
     code, _ = cli.run({"schema_version": 1, "command": "ldp", "seed": 3,
                        "params": {"n": 64, "steps": 9, "s_steps": 11,
                                   "n_list": [5, 10], "samples": 1000}}, tmp_path)

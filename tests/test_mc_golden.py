@@ -28,8 +28,8 @@ def mu():
 
 
 def test_clt_ks_statistic(mu):
-    var = S.VarianceReport(sigma2=0.01, lag_max=1, tail_bound=None,
-                           coboundary=False, series=None, mean=1.0 / 6.0)
+    var = S.VarianceReport(sigma2=0.01, tail_bound=None, coboundary=False,
+                           series=None, mean=1.0 / 6.0)
     rep = S.clt_empirical(M.doubling_map(), mu, PSI.fn, n=12, samples=SAMPLES,
                           seed=41, variance=var, batch_size=BATCH)
     assert rep.ks_statistic.hex() == "0x1.2303d707698f0p-4"

@@ -581,6 +581,21 @@ class TestEquilibrium:
             bad.mu
 
 
+class TestGeometricPressureOracle:
+    """P(-log f') = 0: with phi = -log f' the operator is the Perron-Frobenius
+    operator, which preserves Lebesgue integrals, so lambda = 1 exactly."""
+
+    # v = 1 makes f'(0) = 1, a neutral fixed point where the solve stalls
+    @pytest.mark.parametrize("scheme", ["ulam", "collocation"])
+    @pytest.mark.parametrize("v", [0.25, 0.5])
+    def test_lambda_is_one(self, scheme, v):
+        m = M.derived_expanding_map(v)
+        err = [abs(T.leading_triple(T.build_matrix(m, O.neg_log_deriv(m, 1.0), scheme, n)).lam
+                   - 1.0) for n in (256, 1024)]
+        assert err[1] <= 1e-6
+        assert err[0] >= 4 * err[1]      # the error shrinks with the cells
+
+
 class TestInvarianceDefect:
     def test_doubling_exact(self, doubling_triples):
         d = M.doubling_map()

@@ -22,20 +22,20 @@ def doubling_state():
 class TestCorrelations:
     def test_doubling_cos_orthogonality(self, doubling_state):
         d, tr = doubling_state
-        cs = S.correlations(d, tr, COS, COS, 10)
+        cs = S.correlations(tr, COS, COS, 10)
         assert cs.values[0] == pytest.approx(0.5, abs=1e-12)
         assert np.max(np.abs(cs.values[1:])) < 1e-12
         assert cs.tau_hat is None  # everything below the noise floor
 
     def test_constant_observable(self, doubling_state):
         d, tr = doubling_state
-        cs = S.correlations(d, tr, lambda x: np.full_like(np.asarray(x), 2.0), COS, 5)
+        cs = S.correlations(tr, lambda x: np.full_like(np.asarray(x), 2.0), COS, 5)
         assert np.max(np.abs(cs.values)) < 1e-14
 
     def test_c0_is_covariance(self, doubling_state):
         d, tr = doubling_state
         g = lambda x: np.asarray(x) ** 2
-        cs = S.correlations(d, tr, g, COS, 3)
+        cs = S.correlations(tr, g, COS, 3)
         x = tr.grid
         cov = float((g(x) * COS(x)) @ tr.mu) - float(g(x) @ tr.mu) * float(COS(x) @ tr.mu)
         assert cs.values[0] == pytest.approx(cov, abs=1e-14)
@@ -43,7 +43,7 @@ class TestCorrelations:
     def test_mp_rate_below_gap(self):
         mp = M.mp_like_map()
         tr = T.leading_triple(T.build_matrix(mp, O.zero, "collocation", 1024))
-        cs = S.correlations(mp, tr, COS, COS, 30)
+        cs = S.correlations(tr, COS, COS, 30)
         assert cs.tau_hat is not None
         assert cs.tau_hat <= T.gap_ratio(tr).ratio + 0.05
         assert cs.tau_hat < 1.0
@@ -55,7 +55,7 @@ class TestCorrelations:
         tr = T.leading_triple(T.build_matrix(mp, O.zero, "ulam", n))
         tracemalloc.start()
         try:
-            cs = S.correlations(mp, tr, COS, COS, 2000)
+            cs = S.correlations(tr, COS, COS, 2000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -66,13 +66,13 @@ class TestCorrelations:
 class TestCltVariance:
     def test_doubling_cos_half(self, doubling_state):
         d, tr = doubling_state
-        vr = S.clt_variance(d, tr, COS, 64)
+        vr = S.clt_variance(tr, COS, 64)
         assert vr.sigma2 == pytest.approx(0.5, abs=1e-6)
         assert not vr.coboundary
 
     def test_constant_zero_exact(self, doubling_state):
         d, tr = doubling_state
-        vr = S.clt_variance(d, tr, lambda x: np.full_like(np.asarray(x), 1.3), 64)
+        vr = S.clt_variance(tr, lambda x: np.full_like(np.asarray(x), 1.3), 64)
         assert vr.sigma2 == 0.0
         assert vr.coboundary
 
@@ -82,7 +82,7 @@ class TestCltVariance:
         d = M.doubling_map()
         tr = T.leading_triple(T.build_matrix(d, O.zero, "ulam", 4096))
         cob = O.coboundary(O.fourier_cos(1), d)
-        vr = S.clt_variance(d, tr, cob.fn, 64)
+        vr = S.clt_variance(tr, cob.fn, 64)
         assert vr.sigma2 < 1e-6
         assert vr.coboundary
 
@@ -93,7 +93,7 @@ class TestCltVariance:
         for scheme, resolved in (("collocation", True), ("ulam", False)):
             tr = T.leading_triple(T.build_matrix(d, O.fourier_cos(1), scheme, 1024))
             gap = T.gap_ratio(tr)
-            vr = S.clt_variance(d, tr, SIN, 64)
+            vr = S.clt_variance(tr, SIN, 64)
             assert gap.resolved is resolved, scheme
             if resolved:
                 assert vr.tail_bound == pytest.approx(
@@ -104,27 +104,27 @@ class TestCltVariance:
 
     def test_shift_invariance(self, doubling_state):
         d, tr = doubling_state
-        a = S.clt_variance(d, tr, COS, 64).sigma2
-        b = S.clt_variance(d, tr, lambda x: COS(x) + 2.4, 64).sigma2
+        a = S.clt_variance(tr, COS, 64).sigma2
+        b = S.clt_variance(tr, lambda x: COS(x) + 2.4, 64).sigma2
         assert abs(a - b) < 1e-8
 
     def test_quadratic_scaling(self, doubling_state):
         d, tr = doubling_state
-        a = S.clt_variance(d, tr, COS, 64).sigma2
-        b = S.clt_variance(d, tr, lambda x: 3.0 * COS(x), 64).sigma2
+        a = S.clt_variance(tr, COS, 64).sigma2
+        b = S.clt_variance(tr, lambda x: 3.0 * COS(x), 64).sigma2
         assert abs(b - 9.0 * a) < 1e-8
 
 
 class TestCltEmpirical:
     def test_ks_below_threshold(self, doubling_state):
         d, tr = doubling_state
-        vr = S.clt_variance(d, tr, COS, 64)
+        vr = S.clt_variance(tr, COS, 64)
         rep = S.clt_empirical(d, tr.mu, COS, n=50, samples=100_000, seed=8, variance=vr)
         assert rep.ks_statistic < 0.02
 
     def test_bitwise_reproducible(self, doubling_state):
         d, tr = doubling_state
-        vr = S.clt_variance(d, tr, COS, 64)
+        vr = S.clt_variance(tr, COS, 64)
         a = S.clt_empirical(d, tr.mu, COS, n=40, samples=20_000, seed=77, variance=vr)
         b = S.clt_empirical(d, tr.mu, COS, n=40, samples=20_000, seed=77, variance=vr)
         assert a.ks_statistic == b.ks_statistic
@@ -133,7 +133,7 @@ class TestCltEmpirical:
     def test_sample_size_scaling(self, doubling_state):
         # in the noise-dominated regime KS roughly halves when m -> 4m
         d, tr = doubling_state
-        vr = S.clt_variance(d, tr, SIN, 64)
+        vr = S.clt_variance(tr, SIN, 64)
         small = S.clt_empirical(d, tr.mu, SIN, n=100, samples=25_000, seed=5, variance=vr)
         big = S.clt_empirical(d, tr.mu, SIN, n=100, samples=100_000, seed=5, variance=vr)
         assert small.ks_statistic / big.ks_statistic > 1.4
@@ -142,7 +142,7 @@ class TestCltEmpirical:
     def test_refuses_coboundary(self, doubling_state):
         d, tr = doubling_state
         const = lambda x: np.full_like(np.asarray(x), 2.0)
-        vr = S.clt_variance(d, tr, const, 64)
+        vr = S.clt_variance(tr, const, 64)
         with pytest.raises(CoboundaryRefusedError):
             S.clt_empirical(d, tr.mu, const, n=50, samples=1000, seed=1, variance=vr)
 
@@ -200,8 +200,8 @@ class TestMcMap:
         mu = np.full(64, 1.0 / 64)
         rate = Cv.rate_function(Cv.free_energy_curve(d, O.zero, psi, t_max=2.0,
                                                      steps=11, n=64), 21)
-        var = S.VarianceReport(sigma2=0.5, lag_max=1, tail_bound=None,
-                               coboundary=False, series=None, mean=0.0)
+        var = S.VarianceReport(sigma2=0.5, tail_bound=None, coboundary=False,
+                               series=None, mean=0.0)
         results = []
         interval = sys.getswitchinterval()
         try:
