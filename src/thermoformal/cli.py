@@ -41,7 +41,8 @@ SCHEMA_VERSION = 1
 MAX_GRID_STEPS = 10_001
 #: Largest Monte Carlo sample count (``samples`` of ``clt`` and ``ldp``,
 #: ``mc_samples`` of ``free-energy``) a job may ask for; ``clt`` holds one
-#: float per sample, and the free-energy check two (S_n and one t * S_n).
+#: float per sample and the free-energy check two (S_n and one t * S_n); a
+#: running batch holds one block of ``maps.BLOCK`` points per thread.
 #: Certification holds ``degree**N * resolution`` cells and a
 #: discretization ``degree * n`` points, capped at the same number.
 MAX_SAMPLES = 10 ** 8

@@ -18,7 +18,7 @@ from .operator import SpectralTriple, leading_triples, map_geometry, member_geom
 # Unused here since every grid is solved in batches, but the benchmark's
 # layer tracer (``benchmarks/layertrace.py``) rebinds these names.
 from .operator import build_matrix, leading_triple  # noqa: F401
-from .statistics import birkhoff_sums, mc_map, sample_from_state
+from .statistics import birkhoff_sums, block_streams, mc_map, sample_from_state
 
 AFFINE_TOL = 1e-6
 STRICT_TOL = 1e-8
@@ -287,6 +287,8 @@ def ldp_empirical(m: MapSpec, mu, psi: Callable,
     therefore correlated, but each is still an unbiased estimate of its
     mu-probability (as far as the starts are mu-distributed), and the
     smallest n draws the stream it drew when every n had orbits of its own.
+    A batch runs one block of :func:`block_streams` at a time, sample to
+    counts, and adds up the blocks' counts: they do not depend on the block.
 
     r_hat(n) is extrapolated linearly in 1/n, so the n must be distinct
     (``ValueError`` otherwise); the comparison value is
@@ -301,15 +303,15 @@ def ldp_empirical(m: MapSpec, mu, psi: Callable,
     steps = np.diff(n_values, prepend=0)
 
     def batch(_, take, rng):
-        x = sample_from_state(mu, take, rng)
-        total = np.zeros(take)
         counts = np.zeros(n_values.size, dtype=np.int64)
-        for ni, n in enumerate(n_values):
-            s = orbit_birkhoff_samples(m, x, int(steps[ni]), psi, rng=rng, end=x)
-            total += s
-            np.divide(total, n, out=s)      # S_n / n, in the segment's array
-            counts[ni] = np.count_nonzero((s >= a) & (s <= b))
-            del s                           # freed before the next segment runs
+        for _, size, stream in block_streams(take, rng):
+            x = sample_from_state(mu, size, stream)
+            total = np.zeros(size)
+            for ni, n in enumerate(n_values):
+                s = orbit_birkhoff_samples(m, x, int(steps[ni]), psi, rng=stream, end=x)
+                total += s
+                np.divide(total, n, out=s)      # S_n / n, in the segment's array
+                counts[ni] += np.count_nonzero((s >= a) & (s <= b))
         return counts
 
     # Counter 0 is the one the smallest n used when each n drew its own

@@ -6,10 +6,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import maps
 from .errors import CoboundaryRefusedError
 from .maps import MapSpec, orbit_birkhoff_samples
 from .observables import finite_values
@@ -118,6 +120,33 @@ def sample_from_state(mu, size, rng):
     return x
 
 
+def block_streams(take, rng):
+    """Yield (lo, size, stream) for each block of ``maps.BLOCK`` points of a
+    Monte Carlo batch of ``take`` points drawing from ``rng``.
+
+    Every draw of a batch is one value per point in point order: point i's
+    cell draw sits at stream position i, its jitter at take + i and its
+    step-s dither at (2 + s) take + i.  Each ``stream.random(size=None,
+    out=None)`` call draws the block's share of one such draw (starting at
+    ``lo``), so it must draw ``size`` values, and then skips the other
+    ``take - size``.  Given ``stream`` for ``rng``, :func:`sample_from_state`
+    and ``orbit_birkhoff_samples`` draw for a block exactly what the whole
+    batch would.  The blocks use up ``rng``, a PCG64 Generator."""
+    bits = rng.bit_generator
+    start = bits.state
+    for lo in range(0, take, maps.BLOCK):
+        bits.state = start
+        bits.advance(lo)
+        block = min(maps.BLOCK, take - lo)
+
+        def random(size=None, out=None, skip=take - block):
+            drawn = rng.random(size, out=out)
+            bits.advance(skip)
+            return drawn
+
+        yield lo, block, SimpleNamespace(random=random)
+
+
 def rng_for(master_seed, *counters):
     """Declared seed-splitting rule: spawn_key = the batch counters."""
     return np.random.default_rng(
@@ -165,12 +194,14 @@ def birkhoff_sums(m: MapSpec, mu, psi: Callable, n: int, samples: int, seed: int
                   batch_size: int) -> np.ndarray:
     """S_n(psi) along ``samples`` orbits from samples of the cell masses
     ``mu``, each batch of :func:`mc_map` writing its own slice of the one
-    array; bitwise reproducible under the seed-splitting rule."""
+    array one block of :func:`block_streams` at a time; bitwise
+    reproducible under the seed-splitting rule, whatever ``maps.BLOCK``."""
     sums = np.empty(samples)
 
     def batch(start, take, rng):
-        x0 = sample_from_state(mu, take, rng)
-        sums[start:start + take] = orbit_birkhoff_samples(m, x0, n, psi, rng=rng)
+        for lo, size, stream in block_streams(take, rng):
+            x = sample_from_state(mu, size, stream)
+            sums[start + lo:start + lo + size] = orbit_birkhoff_samples(m, x, n, psi, rng=stream)
 
     mc_map(batch, samples, batch_size, seed)
     return sums

@@ -4,6 +4,7 @@ import pytest
 from thermoformal import curves as Cv
 from thermoformal import observables as O
 from thermoformal import operator as T
+from thermoformal import statistics as S
 
 
 def _grid_triples(m, phi, psi, t_max, steps, scheme, n):
@@ -23,3 +24,12 @@ def grid_triples():
     """``grid_triples(m, phi, psi, t_max, steps, scheme, n)``: every grid
     point's SpectralTriple, which ``free_energy_curve`` does not keep."""
     return _grid_triples
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """The number of CPUs ``statistics.mc_map`` sees: 1 runs its batches in
+    the caller's thread, 2 in a pool of two."""
+    monkeypatch.setattr(S.os, "sched_getaffinity",
+                        lambda pid, k=request.param: set(range(k)))
+    return request.param

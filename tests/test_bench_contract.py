@@ -50,13 +50,19 @@ def test_assembly_counts(layertrace, scheme, stored):
 
 
 def test_ldp_orbit_steps(layertrace, monkeypatch):
-    # The LDP runs each orbit once, to the largest n, in segments.
-    tracer = layertrace.Tracer()
-    monkeypatch.setattr(Cv, "orbit_birkhoff_samples",
-                        tracer.wrap("maps.orbit", Cv.orbit_birkhoff_samples,
-                                    tracer._count_orbit))
-    d, psi, samples = M.doubling_map(), O.fourier_cos(1), 300
+    # The LDP runs each orbit once, to the largest n, in segments; a batch
+    # of 2**17 (the default) over 20 000 samples runs in three blocks of
+    # maps.BLOCK, and the blocks' calls add up to one batch's counts.
+    orbit, sample = Cv.orbit_birkhoff_samples, Cv.sample_from_state
+    d, psi = M.doubling_map(), O.fourier_cos(1)
     curve = Cv.free_energy_curve(d, O.zero, psi, t_max=1.0, steps=11, n=32)
-    Cv.ldp_empirical(d, np.full(32, 1.0 / 32), psi.fn, 0.1, 0.5, [8, 3, 5], samples, seed=1,
-                     rate=Cv.rate_function(curve, 21), batch_size=128)
-    assert tracer.counts["maps.orbit_steps"] == samples * 8
+    for samples, batch_size in [(300, 128), (20_000, 1 << 17)]:
+        tracer = layertrace.Tracer()
+        monkeypatch.setattr(Cv, "orbit_birkhoff_samples",
+                            tracer.wrap("maps.orbit", orbit, tracer._count_orbit))
+        monkeypatch.setattr(Cv, "sample_from_state",
+                            tracer.wrap("statistics.sample", sample, tracer._count_sample))
+        Cv.ldp_empirical(d, np.full(32, 1.0 / 32), psi.fn, 0.1, 0.5, [8, 3, 5], samples,
+                         seed=1, rate=Cv.rate_function(curve, 21), batch_size=batch_size)
+        assert tracer.counts["maps.orbit_steps"] == samples * 8
+        assert tracer.counts["statistics.sample_points"] == samples

@@ -632,6 +632,43 @@ class TestLdp:
             Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.25, 0.45,
                              [20, 40, 20], 20_000, seed=2, rate=rf)
 
+    @pytest.mark.parametrize("block, batch_size",
+                             [(1000, 2500), (1000, 1000), (1000, 600),
+                              (777, 2500), (777, 777), (777, 500)])
+    def test_counts_match_whole_batch(self, monkeypatch, cpus, doubling_cos_curve,
+                                      block, batch_size):
+        # BLOCK 1000 and 777 leave a ragged last block; the batches are above,
+        # equal to and below it, and 5001 samples leave a short last batch.
+        monkeypatch.setattr(M, "BLOCK", block)
+        rf = Cv.rate_function(doubling_cos_curve, 101)
+        d, mu, (a, b), n_list = M.doubling_map(), doubling_cos_curve.base.mu, (0.1, 0.4), [9, 3, 5]
+        rep = Cv.ldp_empirical(d, mu, COS1.fn, a, b, n_list, 5001, seed=8, rate=rf,
+                               batch_size=batch_size)
+        want = np.zeros(3, dtype=np.int64)
+        for _, take, rng in S.mc_batches(5001, batch_size, 8, 0):
+            x = S.sample_from_state(mu, take, rng)
+            total, done = np.zeros(take), 0
+            for i, n in enumerate(sorted(n_list)):
+                total += M.orbit_birkhoff_samples(d, x, n - done, COS1.fn, rng=rng, end=x)
+                done = n
+                want[i] += np.count_nonzero((total / n >= a) & (total / n <= b))
+        assert np.array_equal(rep.counts, want) and want.min() > 0
+
+    def test_batch_holds_one_block(self, monkeypatch, doubling_cos_curve):
+        # one batch of 2**17 on one CPU: its traced peak is a few blocks of
+        # 64 KiB, not the 4 MiB of whole-batch arrays
+        monkeypatch.setattr(S.os, "sched_getaffinity", lambda pid: {0})
+        rf = Cv.rate_function(doubling_cos_curve, 101)
+        mu = doubling_cos_curve.base.mu
+        tracemalloc.start()
+        try:
+            Cv.ldp_empirical(M.doubling_map(), mu, COS1.fn, 0.3, 0.5, [20, 40, 80],
+                             1 << 17, seed=1, rate=rf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_small_sample_keeps_sign(self, doubling_cos_curve):
         # shrinking m inflates variance but the decay rate stays negative
         rf = Cv.rate_function(doubling_cos_curve, 101)

@@ -163,14 +163,47 @@ class TestSampling:
         assert not np.array_equal(a, c)
 
 
+def whole_batch_sums(m, mu, psi, n, samples, seed, batch_size):
+    """``birkhoff_sums`` as one sample and one orbit run per whole batch."""
+    sums = [M.orbit_birkhoff_samples(m, S.sample_from_state(mu, take, rng), n, psi, rng=rng)
+            for _, take, rng in S.mc_batches(samples, batch_size, seed)]
+    return np.concatenate(sums)
+
+
+class TestBlockStreams:
+    """A batch run one block at a time draws what the whole batch would."""
+
+    # BLOCK 1000 and 777 leave a ragged last block; each batch size is above,
+    # equal to or below the block, and 5001 samples leave a short last batch.
+    CASES = [(1000, 2500), (1000, 1000), (1000, 600), (777, 2500), (777, 777), (777, 500)]
+
+    @pytest.mark.parametrize("block", [1000, 777])
+    def test_each_block_reads_its_share(self, monkeypatch, block):
+        monkeypatch.setattr(M, "BLOCK", block)
+        take, draws = 2500, 5
+        whole = S.rng_for(3, 1).random(draws * take).reshape(draws, take)
+        got = np.empty_like(whole)
+        sizes = []
+        for lo, size, stream in S.block_streams(take, S.rng_for(3, 1)):
+            sizes.append(size)
+            got[0, lo:lo + size] = stream.random(size)
+            for k in range(1, draws):
+                stream.random(out=got[k, lo:lo + size])
+        assert sizes == [block] * (take // block) + [take % block]
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("block, batch_size", CASES)
+    def test_birkhoff_sums_match_whole_batch(self, monkeypatch, cpus, block, batch_size):
+        monkeypatch.setattr(M, "BLOCK", block)
+        d = M.doubling_map()
+        mu = np.random.default_rng(2).random(64)
+        mu /= mu.sum()
+        got = S.birkhoff_sums(d, mu, COS, 7, 5001, 13, batch_size)
+        assert np.array_equal(got, whole_batch_sums(d, mu, COS, 7, 5001, 13, batch_size))
+
+
 class TestMcMap:
     """Monte Carlo batches give the same bytes on any number of cores."""
-
-    @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
-    def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(S.os, "sched_getaffinity",
-                            lambda pid, k=request.param: set(range(k)))
-        return request.param
 
     def test_results_in_batch_order(self, cpus):
         import threading
